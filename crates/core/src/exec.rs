@@ -1,18 +1,25 @@
 //! Pure execution semantics of query plans.
 //!
 //! These functions implement what the network *does* with a plan, with no
-//! energy accounting (the `prospector-sim` crate prices the outcomes):
+//! energy accounting (the `prospector-sim` crate prices the outcomes).
+//! All of them are entry points into one collection pass, Section 2's:
+//! each visited node merges the values received from its children with
+//! its own reading and forwards the top `w_e`. The pass is generic over
+//! how a hop delivers and over what observes it:
 //!
-//! * [`run_plan`] — Section 2: each visited node sorts the values received
-//!   from its children together with its own reading and forwards the top
-//!   `w_e`;
-//! * [`run_proof_plan`] — Section 4.3 steps 1–4: additionally computes, at
-//!   every node, how many of the forwarded values are *proven* (conditions
-//!   c.1–c.3), retaining the per-node state the exact algorithm's mop-up
-//!   phase needs;
-//! * [`run_plan_lossy`] — [`run_plan`] over a lossy radio: each upward
-//!   batch is delivered (or not) by a per-hop ARQ policy, and a hop that
-//!   exhausts its retry budget genuinely loses its subtree's merged batch.
+//! * [`run_plan`] — every hop delivers;
+//! * [`run_plan_lossy`] — each upward batch is delivered (or not) by a
+//!   per-hop ARQ policy, and a hop that exhausts its retry budget
+//!   genuinely loses its subtree's merged batch;
+//! * [`run_proof_plan`] / [`proven_on_values`] — Section 4.3 steps 1–4:
+//!   a proof tracker additionally computes, at every node, how many of
+//!   the forwarded values are *proven* (conditions c.1–c.3), optionally
+//!   retaining the per-node state the exact algorithm's mop-up needs.
+//!
+//! Rank order ([`Reading::rank_cmp`]) is total, so the top `w_e` of a
+//! batch is one set however the batch is ordered. A batch is therefore
+//! sorted only where proofs need it or the root answers; elsewhere it is
+//! cut with a selection, and only when it exceeds its bandwidth.
 
 use crate::plan::Plan;
 use prospector_data::Reading;
@@ -43,6 +50,10 @@ pub struct LossyCollectionOutcome {
     /// Used edges whose batch was lost after exhausting the retry budget,
     /// in [`Topology::edges`] order.
     pub lost_edges: Vec<NodeId>,
+    /// Per node: its reading reached the root because every hop on its
+    /// path delivered (always true for the root, false for unvisited
+    /// nodes).
+    pub reached: Vec<bool>,
     /// Fraction of plan-visited non-root nodes whose batch survived every
     /// hop to the root (1.0 when the plan visits nobody).
     pub delivered_fraction: f64,
@@ -73,43 +84,147 @@ pub struct ProofOutcome {
     pub proven_count: Vec<u32>,
 }
 
-fn reading(values: &[f64], node: NodeId) -> Reading {
-    Reading { node, value: values[node.index()] }
+/// The non-proof cut: keeps the best `limit` readings of a merged batch,
+/// in no particular order (the root sorts its answer).
+fn top(_: NodeId, mut merged: Vec<Reading>, limit: usize, _: &[u32]) -> Vec<Reading> {
+    if merged.len() > limit {
+        merged.select_nth_unstable_by(limit, Reading::rank_cmp);
+        merged.truncate(limit);
+    }
+    merged
 }
 
-/// Executes an approximate plan (Section 2 semantics): returns the root's
-/// answer and the per-edge message sizes.
+/// Section 4.3's proof bookkeeping. Batches are rank-sorted in full, and
+/// a value v (possibly u's own) is proven at u iff for every child c one
+/// of the following holds:
+///   (c.1) v originated in subtree(c) and is within c's proven prefix;
+///   (c.2) c's proven prefix contains a value ranked worse than v;
+///   (c.3) c forwarded its entire subtree.
+struct Proofs {
+    /// Per node: `|proven(n)|`.
+    count: Vec<u32>,
+    /// Per node: the proven prefix of what it sent.
+    prefix: Vec<Vec<Reading>>,
+    /// Per node: its sorted merged batch, when the mop-up phase needs it.
+    retrieved: Option<Vec<Vec<Reading>>>,
+}
+
+impl Proofs {
+    /// The proof cut: sorts the merged batch, proves its leading values
+    /// and keeps the best `limit`.
+    fn cut(
+        &mut self,
+        u: NodeId,
+        mut merged: Vec<Reading>,
+        limit: usize,
+        sent: &[u32],
+        topology: &Topology,
+    ) -> Vec<Reading> {
+        merged.sort_unstable_by(Reading::rank_cmp);
+        let send_len = limit.min(merged.len());
+        let to_send = &merged[..send_len];
+
+        // Membership test for "value v originated in subtree(c)": the
+        // child of u on the path from v up to u, or None when v is not a
+        // proper descendant. Depths bound the walk — climb v to
+        // depth(u)+1 and check that one candidate.
+        let origin_child = |v: NodeId| -> Option<NodeId> {
+            let target = topology.depth(u) + 1;
+            if topology.depth(v) < target {
+                return None;
+            }
+            let mut cur = v;
+            while topology.depth(cur) > target {
+                cur = topology.parent(cur).expect("depth > 0 implies a parent");
+            }
+            (topology.parent(cur) == Some(u)).then_some(cur)
+        };
+        let prefix = &self.prefix;
+        let prove_one = |v: &Reading| -> bool {
+            topology.children(u).iter().all(|&c| {
+                if sent[c.index()] as usize == topology.subtree_size(c) {
+                    return true; // (c.3)
+                }
+                let proven = &prefix[c.index()];
+                if origin_child(v.node) == Some(c) && proven.iter().any(|x| x.node == v.node) {
+                    return true; // (c.1)
+                }
+                // (c.2): some proven value of c ranks strictly worse.
+                proven.iter().any(|x| x.rank_cmp(v) == std::cmp::Ordering::Greater)
+            })
+        };
+        // Proofs form a prefix of the rank order: "if v is proven, then
+        // all values greater than v in the top w_e are proven as well".
+        let proven = to_send.iter().take_while(|v| prove_one(v)).count();
+        debug_assert!(to_send[proven..].iter().all(|v| !prove_one(v)));
+
+        self.count[u.index()] = proven as u32;
+        self.prefix[u.index()] = merged[..proven].to_vec();
+        match &mut self.retrieved {
+            Some(retrieved) => {
+                let batch = merged[..send_len].to_vec();
+                retrieved[u.index()] = merged;
+                batch
+            }
+            None => {
+                merged.truncate(send_len);
+                merged
+            }
+        }
+    }
+}
+
+/// The collection pass: in post order, every visited node merges its own
+/// reading with its children's delivered batches, `cut`s the merge to its
+/// limit (the edge's bandwidth, or k at the root) and sends it up a hop
+/// that arrives iff `deliver` says so. Returns the root's rank-sorted
+/// answer and the per-edge batch sizes.
 ///
 /// Nodes whose edge has zero bandwidth are not visited and contribute
 /// nothing (together with their whole subtree, when intermediate edges are
 /// unused). The root always contributes its own reading.
-pub fn run_plan(plan: &Plan, topology: &Topology, values: &[f64], k: usize) -> CollectionOutcome {
+fn collect(
+    plan: &Plan,
+    topology: &Topology,
+    values: &[f64],
+    k: usize,
+    mut deliver: impl FnMut(NodeId) -> bool,
+    mut cut: impl FnMut(NodeId, Vec<Reading>, usize, &[u32]) -> Vec<Reading>,
+) -> (Vec<Reading>, Vec<u32>) {
     assert_eq!(values.len(), topology.len());
     let n = topology.len();
+    let root = topology.root();
     let mut outbox: Vec<Vec<Reading>> = vec![Vec::new(); n];
     let mut sent = vec![0u32; n];
     let mut answer = Vec::new();
 
     for &u in topology.post_order() {
-        let is_root = u == topology.root();
-        if !is_root && !plan.is_used(u) {
+        if u != root && !plan.is_used(u) {
             continue;
         }
-        let mut merged = vec![reading(values, u)];
+        // A lost child's outbox stays empty.
+        let mut merged = vec![Reading { node: u, value: values[u.index()] }];
         for &c in topology.children(u) {
             merged.append(&mut outbox[c.index()]);
         }
-        merged.sort_unstable_by(Reading::rank_cmp);
-        if is_root {
-            merged.truncate(k);
-            answer = merged;
+        if u == root {
+            answer = cut(u, merged, k, &sent);
+            answer.sort_unstable_by(Reading::rank_cmp);
         } else {
-            merged.truncate(plan.bandwidth(u) as usize);
-            sent[u.index()] = merged.len() as u32;
-            outbox[u.index()] = merged;
+            let batch = cut(u, merged, plan.bandwidth(u) as usize, &sent);
+            sent[u.index()] = batch.len() as u32;
+            if deliver(u) {
+                outbox[u.index()] = batch;
+            }
         }
     }
+    (answer, sent)
+}
 
+/// Executes an approximate plan (Section 2 semantics): returns the root's
+/// answer and the per-edge message sizes.
+pub fn run_plan(plan: &Plan, topology: &Topology, values: &[f64], k: usize) -> CollectionOutcome {
+    let (answer, sent) = collect(plan, topology, values, k, |_| true, top);
     CollectionOutcome { answer, sent }
 }
 
@@ -135,61 +250,34 @@ pub fn run_plan_lossy(
     policy: &ArqPolicy,
     seed: u64,
 ) -> LossyCollectionOutcome {
-    assert_eq!(values.len(), topology.len());
-    let n = topology.len();
-    let mut outbox: Vec<Vec<Reading>> = vec![Vec::new(); n];
-    let mut sent = vec![0u32; n];
-    let mut links: Vec<Option<LinkAttempts>> = vec![None; n];
-    let mut answer = Vec::new();
-
-    for &u in topology.post_order() {
-        let is_root = u == topology.root();
-        if !is_root && !plan.is_used(u) {
-            continue;
-        }
-        let mut merged = vec![reading(values, u)];
-        for &c in topology.children(u) {
-            // A lost child's outbox was cleared below; appending the empty
-            // vec keeps the merge order identical to `run_plan`.
-            merged.append(&mut outbox[c.index()]);
-        }
-        merged.sort_unstable_by(Reading::rank_cmp);
-        if is_root {
-            merged.truncate(k);
-            answer = merged;
-        } else {
-            merged.truncate(plan.bandwidth(u) as usize);
-            sent[u.index()] = merged.len() as u32;
-            let mut rng = link_rng(seed, u);
-            let link = policy.attempt_delivery(failures, u, &mut rng);
-            links[u.index()] = Some(link);
-            if link.delivered {
-                outbox[u.index()] = merged;
-            }
-        }
-    }
-
+    let mut links: Vec<Option<LinkAttempts>> = vec![None; topology.len()];
+    let deliver = |child: NodeId| {
+        let link = policy.attempt_delivery(failures, child, &mut link_rng(seed, child));
+        links[child.index()] = Some(link);
+        link.delivered
+    };
+    let (answer, sent) = collect(plan, topology, values, k, deliver, top);
     let lost_edges: Vec<NodeId> =
         topology.edges().filter(|&e| links[e.index()].is_some_and(|l| !l.delivered)).collect();
 
     // A node's batch reaches the root iff every hop on its path delivered.
-    // Walk parents-before-children so `covered[parent]` is final when the
+    // Walk parents-before-children so `reached[parent]` is final when the
     // child consults it.
-    let mut covered = vec![false; n];
+    let mut reached = vec![false; topology.len()];
+    reached[topology.root().index()] = true;
     let mut used_edges = 0usize;
     let mut covered_edges = 0usize;
     for &u in topology.post_order().iter().rev() {
         let Some(link) = links[u.index()] else { continue };
         let parent = topology.parent(u).expect("non-root edge has a parent");
-        covered[u.index()] =
-            link.delivered && (parent == topology.root() || covered[parent.index()]);
+        reached[u.index()] = link.delivered && reached[parent.index()];
         used_edges += 1;
-        covered_edges += covered[u.index()] as usize;
+        covered_edges += reached[u.index()] as usize;
     }
     let delivered_fraction =
         if used_edges == 0 { 1.0 } else { covered_edges as f64 / used_edges as f64 };
 
-    LossyCollectionOutcome { answer, sent, links, lost_edges, delivered_fraction }
+    LossyCollectionOutcome { answer, sent, links, lost_edges, reached, delivered_fraction }
 }
 
 /// Executes a proof-carrying plan (Section 4.3 steps 1–4).
@@ -199,7 +287,7 @@ pub fn run_plan_lossy(
 /// values are proven and retains each node's `retrieved`/`proven` state
 /// for the exact algorithm's mop-up phase.
 pub fn run_proof_plan(plan: &Plan, topology: &Topology, values: &[f64], k: usize) -> ProofOutcome {
-    run_proof_plan_impl(plan, topology, values, k, true)
+    run_proofs(plan, topology, values, k, true)
 }
 
 /// How many answer values a proof-carrying plan proves at the root for one
@@ -209,119 +297,35 @@ pub fn run_proof_plan(plan: &Plan, topology: &Topology, values: &[f64], k: usize
 /// lists (only the exact algorithm's mop-up phase consumes them), so no
 /// full merged reading list is ever kept per node per simulated epoch.
 pub fn proven_on_values(plan: &Plan, topology: &Topology, values: &[f64], k: usize) -> usize {
-    run_proof_plan_impl(plan, topology, values, k, false).proven
+    run_proofs(plan, topology, values, k, false).proven
 }
 
-fn run_proof_plan_impl(
+fn run_proofs(
     plan: &Plan,
     topology: &Topology,
     values: &[f64],
     k: usize,
     keep_retrieved: bool,
 ) -> ProofOutcome {
-    assert_eq!(values.len(), topology.len());
     debug_assert!(
         topology.edges().all(|e| plan.is_used(e)),
         "proof-carrying plans must use every edge"
     );
     let n = topology.len();
-    let mut outbox: Vec<Vec<Reading>> = vec![Vec::new(); n];
-    let mut sent = vec![0u32; n];
-    let mut proven_count = vec![0u32; n];
-    let mut retrieved: Vec<Vec<Reading>> = vec![Vec::new(); n];
-    let mut answer = Vec::new();
-    let mut root_proven = 0usize;
-
-    // Membership test for "value v originated in subtree(c)": the child of
-    // u on the path from v up to u, or None when v is not a proper
-    // descendant. Depths bound the walk — climb v to depth(u)+1 and check
-    // that one candidate — instead of walking non-descendants all the way
-    // to the root (O(depth) wasted per probe on deep trees).
-    let origin_child = |u: NodeId, v: NodeId| -> Option<NodeId> {
-        let target = topology.depth(u) + 1;
-        if topology.depth(v) < target {
-            return None;
-        }
-        let mut cur = v;
-        while topology.depth(cur) > target {
-            cur = topology.parent(cur).expect("depth > 0 implies a parent");
-        }
-        (topology.parent(cur) == Some(u)).then_some(cur)
+    let mut proofs = Proofs {
+        count: vec![0; n],
+        prefix: vec![Vec::new(); n],
+        retrieved: keep_retrieved.then(|| vec![Vec::new(); n]),
     };
-
-    for &u in topology.post_order() {
-        let is_root = u == topology.root();
-
-        // Step 1 + 2: receive and sort.
-        let mut merged = vec![reading(values, u)];
-        for &c in topology.children(u) {
-            merged.extend_from_slice(&outbox[c.index()]);
-        }
-        merged.sort_unstable_by(Reading::rank_cmp);
-
-        let send_len = if is_root {
-            k.min(merged.len())
-        } else {
-            (plan.bandwidth(u) as usize).min(merged.len())
-        };
-        let to_send = &merged[..send_len];
-
-        // Step 3: prove values. A value v (possibly u's own) is proven at
-        // u iff for every child c one of the following holds:
-        //   (c.1) v originated in subtree(c) and is within c's proven
-        //         prefix;
-        //   (c.2) c's proven prefix contains a value ranked worse than v;
-        //   (c.3) c forwarded its entire subtree.
-        let children = topology.children(u);
-        let prove_one = |v: &Reading| -> bool {
-            children.iter().all(|&c| {
-                if sent[c.index()] as usize == topology.subtree_size(c) {
-                    return true; // (c.3)
-                }
-                let proven_prefix = &outbox[c.index()][..proven_count[c.index()] as usize];
-                if origin_child(u, v.node) == Some(c) {
-                    // (c.1): v itself proven by c, or (c.2) below.
-                    if proven_prefix.iter().any(|x| x.node == v.node) {
-                        return true;
-                    }
-                }
-                // (c.2): some proven value of c ranks strictly worse.
-                proven_prefix.iter().any(|x| x.rank_cmp(v) == std::cmp::Ordering::Greater)
-            })
-        };
-
-        let mut proven = 0usize;
-        for v in to_send {
-            if prove_one(v) {
-                proven += 1;
-            } else {
-                break; // proofs form a prefix of the rank order
-            }
-        }
-        // Sanity: nothing after the first unproven value can be proven —
-        // matches the paper's "if v is proven, then all values greater
-        // than v in the top w_e are proven as well".
-        debug_assert!(to_send.iter().skip(proven).all(|v| !prove_one(v)));
-
-        if is_root {
-            answer = to_send.to_vec();
-            root_proven = proven;
-            proven_count[u.index()] = proven as u32;
-        } else {
-            proven_count[u.index()] = proven as u32;
-            sent[u.index()] = send_len as u32;
-            outbox[u.index()] = merged[..send_len].to_vec();
-        }
-        // Only the exact algorithm's mop-up phase reads `retrieved`;
-        // moving the merged list (instead of the former unconditional
-        // clone per node per epoch) keeps the eval hot path allocation-
-        // light.
-        if keep_retrieved {
-            retrieved[u.index()] = merged;
-        }
+    let cut = |u, merged, limit, sent: &[u32]| proofs.cut(u, merged, limit, sent, topology);
+    let (answer, sent) = collect(plan, topology, values, k, |_| true, cut);
+    ProofOutcome {
+        answer,
+        proven: proofs.count[topology.root().index()] as usize,
+        sent,
+        retrieved: proofs.retrieved.unwrap_or_default(),
+        proven_count: proofs.count,
     }
-
-    ProofOutcome { answer, proven: root_proven, sent, retrieved, proven_count }
 }
 
 #[cfg(test)]

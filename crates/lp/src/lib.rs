@@ -38,12 +38,10 @@
 //! ```
 
 pub mod basis;
-pub mod presolve;
 pub mod problem;
 pub mod simplex;
 pub mod status;
 
-pub use presolve::{presolve, presolve_and_solve, Presolved};
 pub use problem::{Cmp, Problem, Sense, VarId};
 pub use simplex::{solve_with_options, BasisChoice, SolverOptions};
 pub use status::{LpError, Solution, Status};

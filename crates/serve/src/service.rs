@@ -235,7 +235,16 @@ impl QueryService {
         let sampled = epoch.is_multiple_of(self.config.sample_every);
         let mut sweep_mj = 0.0;
         if sampled {
-            sweep_mj = self.sweep(tracer);
+            // The window-feeding sweep, charged exactly like the
+            // simulator's runner.
+            sweep_mj = prospector_sim::charge_sweep(
+                &self.topology,
+                &self.alive,
+                &self.energy,
+                &self.truth,
+                &mut self.meter,
+                tracer,
+            );
             if self.raw_window.len() == self.config.window {
                 self.raw_window.pop_front();
             }
@@ -244,30 +253,6 @@ impl QueryService {
         }
         self.ledger_remaining = self.config.epoch_budget_mj;
         EpochStart { epoch, sampled, sweep_mj }
-    }
-
-    /// Full-network sweep feeding the sample window: every live edge
-    /// ships its whole subtree. Charges are re-attributed to
-    /// [`Phase::Sampling`] per node, exactly like the simulator's runner.
-    fn sweep(&mut self, tracer: &mut dyn Tracer) -> f64 {
-        let mut plan = Plan::full_sweep(&self.topology);
-        for i in 0..self.topology.len() {
-            if !self.alive[i] {
-                plan.set_bandwidth(NodeId::from_index(i), 0);
-            }
-        }
-        let report =
-            prospector_sim::execute_plan(&plan, &self.topology, &self.energy, &self.truth, 1, None);
-        let mut total = 0.0;
-        for i in 0..self.topology.len() {
-            let node = NodeId::from_index(i);
-            let mj = report.meter.node_total(node);
-            if mj > 0.0 {
-                self.charge(tracer, node, Phase::Sampling, mj);
-                total += mj;
-            }
-        }
-        total
     }
 
     /// Kills `node` permanently: masks it everywhere, repairs the

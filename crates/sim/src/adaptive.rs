@@ -13,14 +13,14 @@
 //! current plan's real accuracy, then adapts the sampling period: halve it
 //! when accuracy is below the floor, lengthen it when comfortably above.
 
+use crate::dissemination::install_plan_traced;
 use crate::exact_exec::run_exact;
-use crate::exec::{execute_plan, execute_plan_traced};
-use crate::runner::{charge_repair, mask_dead_edges, mask_dead_values};
-use crate::trace::charge;
+use crate::exec::{charge_as, charge_sweep, execute_plan, execute_plan_traced};
+use crate::runner::{apply_deaths, mask_dead_edges, mask_dead_values};
 use prospector_core::{exact::ExactConfig, Plan, PlanContext, PlanError, Planner};
 use prospector_data::{SampleSet, ValueSource};
-use prospector_net::{EnergyMeter, EnergyModel, FaultSchedule, NodeId, Phase, Topology};
-use prospector_obs::{NullTracer, TraceEvent, Tracer};
+use prospector_net::{EnergyMeter, EnergyModel, FaultSchedule, Phase, Topology};
+use prospector_obs::{TraceEvent, Tracer};
 
 /// Configuration of the adaptive loop.
 pub struct AdaptiveConfig {
@@ -101,23 +101,12 @@ impl AdaptiveAction {
     }
 }
 
-/// Runs the adaptive loop for `epochs` epochs.
-pub fn run_adaptive<S: ValueSource>(
-    topology: &Topology,
-    energy: &EnergyModel,
-    planner: &dyn Planner,
-    source: &mut S,
-    config: &AdaptiveConfig,
-    epochs: u64,
-) -> Result<(Vec<AdaptiveEpoch>, EnergyMeter), PlanError> {
-    run_adaptive_traced(topology, energy, planner, source, config, epochs, &mut NullTracer)
-}
-
-/// [`run_adaptive`] with tracing: fault handling emits
-/// `NodeDeath`/`TreeRepaired` events, energy charges that land in the
-/// returned meter are mirrored as `Energy` events in charge order, and
+/// Runs the adaptive loop for `epochs` epochs, returning each epoch's
+/// summary and the run's meter (the sum of every epoch's charges). Fault
+/// handling emits `NodeDeath`/`TreeRepaired` events, energy charges that
+/// land in the meter are mirrored as `Energy` events in charge order, and
 /// every epoch closes with one `AdaptiveEpoch` summary event.
-pub fn run_adaptive_traced<S: ValueSource>(
+pub fn run_adaptive<S: ValueSource>(
     topology: &Topology,
     energy: &EnergyModel,
     planner: &dyn Planner,
@@ -137,33 +126,20 @@ pub fn run_adaptive_traced<S: ValueSource>(
     let mut reports = Vec::with_capacity(epochs as usize);
 
     for epoch in 0..epochs {
+        let mut epoch_meter = EnergyMeter::new(n);
         // Permanent failures scheduled for this epoch: repair the tree,
         // silence the dead in the window, and force a fresh plan.
-        let deaths: Vec<NodeId> = config
-            .faults
-            .deaths_at(epoch)
-            .into_iter()
-            .filter(|d| d.index() < n && alive[d.index()])
-            .collect();
-        let mut repair_mj = 0.0;
+        let deaths = apply_deaths(
+            &config.faults,
+            epoch,
+            &mut topology,
+            &mut alive,
+            &mut samples,
+            energy,
+            &mut epoch_meter,
+            tracer,
+        )?;
         if !deaths.is_empty() {
-            for &d in &deaths {
-                if d != topology.root() {
-                    alive[d.index()] = false;
-                }
-                if tracer.enabled() {
-                    tracer.record(TraceEvent::NodeDeath { node: d.0 });
-                }
-            }
-            let mut repair_meter = EnergyMeter::new(n);
-            charge_repair(&topology, &alive, &deaths, energy, &mut repair_meter, tracer);
-            repair_mj = repair_meter.total();
-            meter.merge(&repair_meter);
-            topology = topology.repair(&deaths)?;
-            if tracer.enabled() {
-                tracer.record(TraceEvent::TreeRepaired { deaths: deaths.len() as u32 });
-            }
-            samples.mask_nodes(&deaths);
             plan = None;
         }
 
@@ -171,87 +147,68 @@ pub fn run_adaptive_traced<S: ValueSource>(
         mask_dead_values(&mut values, &alive);
         let truth = prospector_data::top_k_nodes(&values, config.k);
 
-        // Mandatory warmup and period-driven sweeps.
-        if epoch < config.warmup || since_sample >= period {
-            let mut sweep = Plan::full_sweep(&topology);
-            mask_dead_edges(&mut sweep, &topology, &alive);
-            let r = execute_plan(&sweep, &topology, energy, &values, config.k, None);
-            charge_as(&mut meter, &r.meter, &topology, Phase::Sampling, tracer);
+        let (kind, accuracy) = if epoch < config.warmup || since_sample >= period {
+            // Mandatory warmup and period-driven sweeps.
+            charge_sweep(&topology, &alive, energy, &values, &mut epoch_meter, tracer);
             samples.push(values);
             since_sample = 0;
             plan = None; // stale: replan on next query epoch
-            let report = AdaptiveEpoch {
-                epoch,
-                period,
-                kind: AdaptiveAction::Sample,
-                accuracy: 1.0,
-                energy_mj: r.total_mj() + repair_mj,
+            (AdaptiveAction::Sample, 1.0)
+        } else {
+            since_sample += 1;
+            // Plan lazily against the current window; the install is
+            // charged to the epoch that disseminates it.
+            let current = match &mut plan {
+                Some(current) => current,
+                None => {
+                    let ctx = PlanContext::new(&topology, energy, &samples, config.budget_mj);
+                    let mut p = planner.plan(&ctx)?;
+                    mask_dead_edges(&mut p, &topology, &alive);
+                    epoch_meter.merge(&install_plan_traced(&p, &topology, energy, tracer));
+                    plan.insert(p)
+                }
             };
-            record_adaptive(tracer, &report);
-            reports.push(report);
-            continue;
-        }
-        since_sample += 1;
 
-        // Plan lazily against the current window.
-        if plan.is_none() {
-            let ctx = PlanContext::new(&topology, energy, &samples, config.budget_mj);
-            let mut p = planner.plan(&ctx)?;
-            mask_dead_edges(&mut p, &topology, &alive);
-            meter.merge(&crate::dissemination::install_plan_traced(&p, &topology, energy, tracer));
-            plan = Some(p);
-        }
-        let current = plan.as_ref().expect("planned above");
+            if config.audit_every > 0 && epoch % config.audit_every == 0 {
+                // Periodic exact audit: measures the plan's *true*
+                // accuracy.
+                let approx = execute_plan(current, &topology, energy, &values, config.k, None);
+                let hits = approx.answer.iter().filter(|r| truth.contains(&r.node)).count();
+                let measured = hits as f64 / config.k as f64;
 
-        // Periodic exact audit: measures the plan's *true* accuracy and
-        // feeds the window with its (exact) answer epoch.
-        if config.audit_every > 0 && epoch % config.audit_every == 0 {
-            let approx = execute_plan(current, &topology, energy, &values, config.k, None);
-            let hits = approx.answer.iter().filter(|r| truth.contains(&r.node)).count();
-            let measured = hits as f64 / config.k as f64;
+                let probe = PlanContext::new(&topology, energy, &samples, 1.0);
+                let cfg = ExactConfig {
+                    phase1_budget_mj: probe.min_proof_cost() * config.audit_budget_factor,
+                };
+                let ctx = PlanContext::new(&topology, energy, &samples, cfg.phase1_budget_mj);
+                let phase1 = cfg.plan_phase1(&ctx)?;
+                let exact = run_exact(&phase1, &topology, energy, &values, config.k, None);
+                charge_as(&mut epoch_meter, &exact.meter, Phase::Sampling, tracer);
+                charge_as(&mut epoch_meter, &approx.meter, Phase::Collection, tracer);
 
-            let probe = PlanContext::new(&topology, energy, &samples, 1.0);
-            let cfg = ExactConfig {
-                phase1_budget_mj: probe.min_proof_cost() * config.audit_budget_factor,
-            };
-            let ctx = PlanContext::new(&topology, energy, &samples, cfg.phase1_budget_mj);
-            let phase1 = cfg.plan_phase1(&ctx)?;
-            let exact = run_exact(&phase1, &topology, energy, &values, config.k, None);
-            charge_as(&mut meter, &exact.meter, &topology, Phase::Sampling, tracer);
-            charge_as(&mut meter, &approx.meter, &topology, Phase::Collection, tracer);
-
-            // Adapt the sampling rate.
-            period = if measured < config.accuracy_floor {
-                (period / 2).max(config.min_period)
+                // Adapt the sampling rate. A full value vector is only
+                // known for sweep epochs, so audits only reset staleness
+                // pressure rather than pushing to the window.
+                period = if measured < config.accuracy_floor {
+                    (period / 2).max(config.min_period)
+                } else {
+                    (period + period / 4 + 1).min(config.max_period)
+                };
+                (AdaptiveAction::Audit, measured)
             } else {
-                (period + period / 4 + 1).min(config.max_period)
-            };
-            // The exact answer also makes a (partial) sample: a full value
-            // vector is only known for sweep epochs, so audits only reset
-            // staleness pressure rather than pushing to the window.
-            let report = AdaptiveEpoch {
-                epoch,
-                period,
-                kind: AdaptiveAction::Audit,
-                accuracy: measured,
-                energy_mj: exact.total_mj() + approx.total_mj() + repair_mj,
-            };
-            record_adaptive(tracer, &report);
-            reports.push(report);
-            continue;
-        }
-
-        // Ordinary approximate query.
-        let r = execute_plan_traced(current, &topology, energy, &values, config.k, None, tracer);
-        meter.merge(&r.meter);
-        let hits = r.answer.iter().filter(|x| truth.contains(&x.node)).count();
-        let report = AdaptiveEpoch {
-            epoch,
-            period,
-            kind: AdaptiveAction::Query,
-            accuracy: hits as f64 / config.k as f64,
-            energy_mj: r.total_mj() + repair_mj,
+                // Ordinary approximate query.
+                let r = execute_plan_traced(
+                    current, &topology, energy, &values, config.k, None, tracer,
+                );
+                epoch_meter.merge(&r.meter);
+                let hits = r.answer.iter().filter(|x| truth.contains(&x.node)).count();
+                (AdaptiveAction::Query, hits as f64 / config.k as f64)
+            }
         };
+
+        meter.merge(&epoch_meter);
+        let report =
+            AdaptiveEpoch { epoch, period, kind, accuracy, energy_mj: epoch_meter.total() };
         record_adaptive(tracer, &report);
         reports.push(report);
     }
@@ -272,30 +229,13 @@ fn record_adaptive(tracer: &mut dyn Tracer, r: &AdaptiveEpoch) {
     }
 }
 
-/// Re-attributes all of `src`'s charges under one phase, mirroring each
-/// re-attributed charge as an `Energy` event.
-fn charge_as(
-    dst: &mut EnergyMeter,
-    src: &EnergyMeter,
-    topology: &Topology,
-    phase: Phase,
-    tracer: &mut dyn Tracer,
-) {
-    for i in 0..topology.len() {
-        let node = NodeId::from_index(i);
-        let mj = src.node_total(node);
-        if mj > 0.0 {
-            charge(dst, tracer, node, phase, mj);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use prospector_core::ProspectorGreedy;
     use prospector_data::{IndependentGaussian, RandomWalk};
     use prospector_net::topology::balanced;
+    use prospector_obs::NullTracer;
 
     fn avg_period_tail(reports: &[AdaptiveEpoch]) -> f64 {
         let tail = &reports[reports.len() / 2..];
@@ -308,7 +248,8 @@ mod tests {
         let em = EnergyModel::mica2();
         let mut src = IndependentGaussian::random(t.len(), 40.0..60.0, 0.2..0.5, 3);
         let cfg = AdaptiveConfig { budget_mj: 40.0, ..Default::default() };
-        let (reports, _) = run_adaptive(&t, &em, &ProspectorGreedy, &mut src, &cfg, 120).unwrap();
+        let (reports, _) =
+            run_adaptive(&t, &em, &ProspectorGreedy, &mut src, &cfg, 120, &mut NullTracer).unwrap();
         assert!(
             avg_period_tail(&reports) > cfg.initial_period as f64,
             "stable data should earn a longer sampling period"
@@ -328,7 +269,8 @@ mod tests {
             audit_every: 8,
             ..Default::default()
         };
-        let (reports, _) = run_adaptive(&t, &em, &ProspectorGreedy, &mut src, &cfg, 120).unwrap();
+        let (reports, _) =
+            run_adaptive(&t, &em, &ProspectorGreedy, &mut src, &cfg, 120, &mut NullTracer).unwrap();
         assert!(
             avg_period_tail(&reports) < cfg.initial_period as f64,
             "drifting data should force more frequent sampling (avg {})",
@@ -347,7 +289,7 @@ mod tests {
             ..Default::default()
         };
         let (reports, meter) =
-            run_adaptive(&t, &em, &ProspectorGreedy, &mut src, &cfg, 80).unwrap();
+            run_adaptive(&t, &em, &ProspectorGreedy, &mut src, &cfg, 80, &mut NullTracer).unwrap();
         assert_eq!(reports.len(), 80, "loop survives the death");
         assert!(meter.phase_total(Phase::Repair) > 0.0, "repair was charged");
         // The death epoch's energy includes the repair surcharge.
@@ -362,7 +304,7 @@ mod tests {
         let mut src = IndependentGaussian::random(t.len(), 0.0..10.0, 0.5..1.0, 1);
         let cfg = AdaptiveConfig::default();
         let (reports, meter) =
-            run_adaptive(&t, &em, &ProspectorGreedy, &mut src, &cfg, 60).unwrap();
+            run_adaptive(&t, &em, &ProspectorGreedy, &mut src, &cfg, 60, &mut NullTracer).unwrap();
         assert_eq!(reports.len(), 60);
         assert!(meter.total() > 0.0);
         assert!(reports.iter().any(|r| r.kind == AdaptiveAction::Sample));
@@ -374,5 +316,22 @@ mod tests {
                 assert!(r.energy_mj > 0.0);
             }
         }
+    }
+
+    #[test]
+    fn epoch_energies_sum_to_the_meter() {
+        let t = balanced(3, 2);
+        let em = EnergyModel::mica2();
+        let mut src = IndependentGaussian::random(t.len(), 40.0..60.0, 0.5..1.0, 5);
+        let cfg = AdaptiveConfig::default();
+        let (reports, meter) =
+            run_adaptive(&t, &em, &ProspectorGreedy, &mut src, &cfg, 80, &mut NullTracer).unwrap();
+        // Plan installs land in the epoch that disseminates them.
+        let per_epoch: f64 = reports.iter().map(|r| r.energy_mj).sum();
+        assert!(
+            (per_epoch - meter.total()).abs() < 1e-6,
+            "epochs report {per_epoch} mJ, the meter holds {}",
+            meter.total()
+        );
     }
 }

@@ -11,7 +11,6 @@
 use prospector_core::Plan;
 use prospector_data::{Reading, SampleSet};
 use prospector_net::{NodeId, Topology};
-use prospector_obs::{NullTracer, TraceEvent, Tracer};
 
 /// One entry of a degraded answer: a reading that was either observed in
 /// this epoch's collection or estimated from the sample window.
@@ -41,21 +40,6 @@ pub fn backfill_answer(
     samples: &SampleSet,
     k: usize,
 ) -> Vec<AnswerEntry> {
-    backfill_answer_traced(answer, lost_edges, plan, topology, samples, k, &mut NullTracer)
-}
-
-/// [`backfill_answer`] with tracing: each estimated entry that survives
-/// into the final truncated answer emits one `Backfill` event, in answer
-/// rank order.
-pub fn backfill_answer_traced(
-    answer: &[Reading],
-    lost_edges: &[NodeId],
-    plan: &Plan,
-    topology: &Topology,
-    samples: &SampleSet,
-    k: usize,
-    tracer: &mut dyn Tracer,
-) -> Vec<AnswerEntry> {
     let mut entries: Vec<AnswerEntry> =
         answer.iter().map(|&reading| AnswerEntry { reading, estimated: false }).collect();
     if !lost_edges.is_empty() {
@@ -81,14 +65,6 @@ pub fn backfill_answer_traced(
         entries.sort_unstable_by(|a, b| a.reading.rank_cmp(&b.reading));
     }
     entries.truncate(k);
-    if tracer.enabled() {
-        for e in entries.iter().filter(|e| e.estimated) {
-            tracer.record(TraceEvent::Backfill {
-                node: e.reading.node.0,
-                predicted: e.reading.value,
-            });
-        }
-    }
     entries
 }
 

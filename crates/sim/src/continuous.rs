@@ -27,19 +27,21 @@
 //!   refresh (`"repair"`), as does the configured refresh period
 //!   (`"period"`) and the first continuous epoch (`"first"`).
 //!
-//! Full refreshes run the classic reliable-or-ARQ collection with full
-//! forwarding and optionally rebuild one q-digest per root-child subtree
-//! ([`prospector_core::QDigest`]) — the planner-facing quantile summary
-//! whose upper bound (plus the tolerance) also bounds what a silent
-//! subtree could contribute.
+//! Full refreshes run the classic ARQ collection of a full-sweep plan
+//! (lossless without a failure model) and optionally rebuild one q-digest
+//! per root-child subtree ([`prospector_core::QDigest`]) — the
+//! planner-facing quantile summary whose upper bound (plus the tolerance)
+//! also bounds what a silent subtree could contribute.
 //!
 //! The root-side cached answer is maintained incrementally in an ordered
 //! set ([`ContinuousState::answer`]); `recompute_answer` re-sorts from
 //! scratch so the differential harness can prove patch ≡ re-merge on
 //! every epoch.
 
+use crate::exec::{charge_links, collect_arq};
+use crate::runner::mask_dead_edges;
 use crate::trace::charge;
-use prospector_core::{QDigest, SketchPrecision};
+use prospector_core::{Plan, QDigest, SketchPrecision};
 use prospector_data::Reading;
 use prospector_net::{
     link_rng, ArqPolicy, EnergyMeter, EnergyModel, FailureModel, LinkAttempts, NodeId, Phase,
@@ -352,28 +354,6 @@ pub struct DeltaOutcome {
     pub beacon_lost: bool,
 }
 
-/// Per-edge transport record, filled in post order and charged in edge
-/// order (matching `execute_plan_arq_traced`'s accounting exactly).
-struct EdgeSend {
-    sent: u32,
-    link: LinkAttempts,
-}
-
-fn attempt(
-    failures: Option<&FailureModel>,
-    arq: &ArqPolicy,
-    seed: u64,
-    child: NodeId,
-) -> LinkAttempts {
-    match failures {
-        Some(f) if !f.is_trivial() => {
-            let mut rng = link_rng(seed, child);
-            arq.attempt_delivery(f, child, &mut rng)
-        }
-        _ => LinkAttempts { attempts: 1, delivered: true, backoff_mj: 0.0 },
-    }
-}
-
 /// Merges `incoming` into `held` with latest-wins per origin, keeping
 /// the result sorted by origin.
 fn merge_deltas(held: &mut Vec<Delta>, incoming: Vec<Delta>) {
@@ -391,10 +371,9 @@ fn merge_deltas(held: &mut Vec<Delta>, incoming: Vec<Delta>) {
 
 /// Runs one delta epoch: generates fresh deltas against the tolerance
 /// and the last broadcast threshold, routes custody + fresh batches up
-/// the tree under ARQ (charged exactly like classic collection: first
-/// attempt under [`Phase::Collection`], retries + backoff + ack under
-/// [`Phase::Retransmit`], in [`Topology::edges`] order), applies what
-/// reaches the root to the view, and records per-root-child beacons.
+/// the tree under ARQ (priced by the same link ledger as classic
+/// collection), applies what reaches the root to the view, and records
+/// per-root-child beacons.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_delta_epoch(
     state: &mut ContinuousState,
@@ -432,7 +411,8 @@ pub(crate) fn run_delta_epoch(
     // Transport: children before parents, so a batch can cross several
     // hops in one epoch when every hop delivers. Failed hops keep the
     // batch in the child's custody for next epoch.
-    let mut sends: Vec<Option<EdgeSend>> = (0..n).map(|_| None).collect();
+    let mut sent = vec![0u32; n];
+    let mut links: Vec<Option<LinkAttempts>> = vec![None; n];
     let mut inbox: Vec<Vec<Delta>> = vec![Vec::new(); n];
     let mut root_inbox: Vec<Delta> = Vec::new();
     let mut beacon_lost = false;
@@ -447,8 +427,12 @@ pub(crate) fn run_delta_epoch(
         if payload.is_empty() && !is_beacon_edge {
             continue; // a silent interior edge sends nothing — the saving
         }
-        let link = attempt(failures, arq, seed, u);
-        sends[u.index()] = Some(EdgeSend { sent: payload.len() as u32, link });
+        // Without a failure model every hop delivers on its first try.
+        let link = failures.map_or(LinkAttempts::first_try(), |f| {
+            arq.attempt_delivery(f, u, &mut link_rng(seed, u))
+        });
+        sent[u.index()] = payload.len() as u32;
+        links[u.index()] = Some(link);
         if link.delivered {
             if is_beacon_edge {
                 root_inbox.extend(payload);
@@ -463,51 +447,7 @@ pub(crate) fn run_delta_epoch(
         }
     }
 
-    // Charges and delivery events in edge order, mirroring
-    // `execute_plan_arq_traced` byte-for-byte under zero loss.
-    let mut retransmissions = 0u32;
-    let mut messages = 0u32;
-    let mut lost_edges = Vec::new();
-    let mut active = 0usize;
-    let mut delivered_cnt = 0usize;
-    for e in topology.edges() {
-        let Some(send) = &sends[e.index()] else { continue };
-        active += 1;
-        let msg = energy.unicast_values(send.sent as usize);
-        charge(meter, tracer, e, Phase::Collection, msg);
-        let link = send.link;
-        messages += link.attempts;
-        let acked = link.attempts > 1 && link.delivered;
-        if link.attempts > 1 {
-            retransmissions += link.retries();
-            charge(
-                meter,
-                tracer,
-                e,
-                Phase::Retransmit,
-                link.retries() as f64 * msg + link.backoff_mj,
-            );
-            if link.delivered {
-                charge(meter, tracer, e, Phase::Retransmit, energy.per_message_mj);
-                messages += 1;
-            }
-        }
-        if link.delivered {
-            delivered_cnt += 1;
-        } else {
-            lost_edges.push(e);
-        }
-        if tracer.enabled() {
-            tracer.record(TraceEvent::LinkDelivery {
-                child: e.0,
-                sent_values: send.sent,
-                attempts: link.attempts,
-                delivered: link.delivered,
-                acked,
-                backoff_mj: link.backoff_mj,
-            });
-        }
-    }
+    let tally = charge_links(topology, energy, &sent, &links, meter, tracer);
 
     // Root applies what arrived (single path per origin, but dedupe by
     // epoch anyway) in origin order; its own reading is free.
@@ -524,8 +464,19 @@ pub(crate) fn run_delta_epoch(
     state.view[root.index()] = values[root.index()];
     state.last_shipped[root.index()] = values[root.index()];
 
-    let delivered_fraction = if active == 0 { 1.0 } else { delivered_cnt as f64 / active as f64 };
-    DeltaOutcome { applied, lost_edges, retransmissions, delivered_fraction, messages, beacon_lost }
+    let delivered_fraction = if tally.hops == 0 {
+        1.0
+    } else {
+        (tally.hops - tally.lost_edges.len()) as f64 / tally.hops as f64
+    };
+    DeltaOutcome {
+        applied,
+        lost_edges: tally.lost_edges,
+        retransmissions: tally.retransmissions,
+        delivered_fraction,
+        messages: tally.messages,
+        beacon_lost,
+    }
 }
 
 /// What a full-refresh collection did.
@@ -544,13 +495,13 @@ pub struct RefreshOutcome {
     pub messages: u32,
 }
 
-/// Runs a full from-scratch refresh: a trigger broadcast wakes the tree,
-/// every alive node forwards its *entire* merged batch (no bandwidth
-/// truncation — refreshes re-seed `last_shipped` for every delivered
-/// node, so they must carry everything), and delivered values overwrite
-/// the root's view and each node's last-shipped record. Optionally
-/// rebuilds per-root-child q-digests, charging their encoded bytes on
-/// the child's uplink.
+/// Runs a full from-scratch refresh: the ARQ collection of a full-sweep
+/// plan with dead nodes masked (a trigger broadcast wakes the tree, and
+/// every alive node forwards its *entire* merged batch — refreshes
+/// re-seed `last_shipped` for every delivered node, so they must carry
+/// everything). Delivered values overwrite the root's view and each
+/// node's last-shipped record. Optionally rebuilds per-root-child
+/// q-digests, charging their encoded bytes on the child's uplink.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_refresh_epoch(
     state: &mut ContinuousState,
@@ -565,114 +516,36 @@ pub(crate) fn run_refresh_epoch(
     meter: &mut EnergyMeter,
     tracer: &mut dyn Tracer,
 ) -> RefreshOutcome {
-    let n = topology.len();
-    let root = topology.root();
-    let mut messages = 0u32;
-
-    // Trigger: every alive node with an alive child broadcasts, exactly
-    // like a full-sweep plan's trigger phase.
-    for i in 0..n {
-        let u = NodeId::from_index(i);
-        if !alive[i] {
-            continue;
-        }
-        if topology.children(u).iter().any(|&c| alive[c.index()]) {
-            charge(meter, tracer, u, Phase::Trigger, energy.broadcast());
-            messages += 1;
-        }
-    }
-
-    // Full-forwarding collection with per-hop ARQ.
-    let mut outbox: Vec<Vec<(NodeId, f64)>> = vec![Vec::new(); n];
-    let mut sends: Vec<Option<EdgeSend>> = (0..n).map(|_| None).collect();
-    for &u in topology.post_order() {
-        if u == root || !alive[u.index()] {
-            continue;
-        }
-        let mut batch = vec![(u, values[u.index()])];
-        for &c in topology.children(u) {
-            batch.append(&mut outbox[c.index()]);
-        }
-        let link = attempt(failures, arq, seed, u);
-        sends[u.index()] = Some(EdgeSend { sent: batch.len() as u32, link });
-        if link.delivered {
-            outbox[u.index()] = batch;
-        }
-    }
-
-    let mut retransmissions = 0u32;
-    let mut lost_edges = Vec::new();
-    for e in topology.edges() {
-        let Some(send) = &sends[e.index()] else { continue };
-        let msg = energy.unicast_values(send.sent as usize);
-        charge(meter, tracer, e, Phase::Collection, msg);
-        let link = send.link;
-        messages += link.attempts;
-        let acked = link.attempts > 1 && link.delivered;
-        if link.attempts > 1 {
-            retransmissions += link.retries();
-            charge(
-                meter,
-                tracer,
-                e,
-                Phase::Retransmit,
-                link.retries() as f64 * msg + link.backoff_mj,
-            );
-            if link.delivered {
-                charge(meter, tracer, e, Phase::Retransmit, energy.per_message_mj);
-                messages += 1;
-            }
-        }
-        if !link.delivered {
-            lost_edges.push(e);
-        }
-        if tracer.enabled() {
-            tracer.record(TraceEvent::LinkDelivery {
-                child: e.0,
-                sent_values: send.sent,
-                attempts: link.attempts,
-                delivered: link.delivered,
-                acked,
-                backoff_mj: link.backoff_mj,
-            });
-        }
-    }
-
-    // A node's value reached the root iff every hop on its path
-    // delivered (parents-before-children walk, as in the lossy executor).
-    let mut delivered = vec![false; n];
-    delivered[root.index()] = true;
-    let mut used = 0usize;
-    let mut covered = 0usize;
-    for &u in topology.post_order().iter().rev() {
-        let Some(send) = &sends[u.index()] else { continue };
-        let parent = topology.parent(u).expect("non-root edge has a parent");
-        delivered[u.index()] = send.link.delivered && delivered[parent.index()];
-        used += 1;
-        covered += delivered[u.index()] as usize;
-    }
-    let delivered_fraction = if used == 0 { 1.0 } else { covered as f64 / used as f64 };
-
-    apply_refresh(
+    let mut sweep = Plan::full_sweep(topology);
+    mask_dead_edges(&mut sweep, topology, alive);
+    let lossless = FailureModel::none(topology.len());
+    let failures = failures.unwrap_or(&lossless);
+    let c = collect_arq(meter, &sweep, topology, energy, values, 1, failures, arq, seed, tracer);
+    let sketch_uplinks = apply_refresh(
         state,
         topology,
         alive,
         values,
-        &delivered,
+        &c.out.reached,
         sketch,
         energy,
         meter,
         tracer,
-        &mut messages,
     );
-
-    RefreshOutcome { delivered, lost_edges, retransmissions, delivered_fraction, messages }
+    RefreshOutcome {
+        delivered: c.out.reached,
+        lost_edges: c.links.lost_edges,
+        retransmissions: c.links.retransmissions,
+        delivered_fraction: c.out.delivered_fraction,
+        messages: c.triggers + c.links.messages + sketch_uplinks,
+    }
 }
 
 /// Applies a refresh's delivered values to the protocol state: view and
 /// last-shipped overwrite, custody superseding, and sketch rebuild (with
 /// per-root-child byte charges). Shared by the ARQ refresh above and the
-/// reliable exploration sweep (which delivers everything).
+/// reliable exploration sweep (which delivers everything). Returns the
+/// sketch uplinks sent.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn apply_refresh(
     state: &mut ContinuousState,
@@ -684,9 +557,9 @@ pub(crate) fn apply_refresh(
     energy: &EnergyModel,
     meter: &mut EnergyMeter,
     tracer: &mut dyn Tracer,
-    messages: &mut u32,
-) {
+) -> u32 {
     let n = topology.len();
+    let mut uplinks = 0;
     for i in 0..n {
         if alive[i] && delivered[i] {
             state.view[i] = values[i];
@@ -717,10 +590,11 @@ pub(crate) fn apply_refresh(
             let digest = QDigest::from_values(prec, &vals);
             let bytes = digest.encode().len();
             charge(meter, tracer, c, Phase::Collection, energy.per_byte_mj * bytes as f64);
-            *messages += 1;
+            uplinks += 1;
             state.sketches.push((c, digest));
         }
     }
+    uplinks
 }
 
 /// For each node, the root child whose subtree contains it (`None` for

@@ -1,9 +1,12 @@
 //! Energy-metered plan execution.
 
+use crate::runner::mask_dead_edges;
 use crate::trace::charge;
-use prospector_core::{run_plan, run_plan_lossy, run_proof_plan, Plan};
+use prospector_core::{run_plan, run_plan_lossy, run_proof_plan, LossyCollectionOutcome, Plan};
 use prospector_data::Reading;
-use prospector_net::{ArqPolicy, EnergyMeter, EnergyModel, FailureModel, NodeId, Phase, Topology};
+use prospector_net::{
+    ArqPolicy, EnergyMeter, EnergyModel, FailureModel, LinkAttempts, NodeId, Phase, Topology,
+};
 use prospector_obs::{NullTracer, TraceEvent, Tracer};
 use rand::rngs::StdRng;
 
@@ -41,21 +44,25 @@ impl ExecutionReport {
 
 /// Charges the subsequent-distribution trigger: a header-only broadcast at
 /// every participating node that has at least one participating child.
+/// Returns the number of broadcasts.
 fn charge_trigger(
     plan: &Plan,
     topology: &Topology,
     energy: &EnergyModel,
     meter: &mut EnergyMeter,
     tracer: &mut dyn Tracer,
-) {
+) -> u32 {
+    let mut broadcasts = 0;
     for u in (0..topology.len()).map(NodeId::from_index) {
         if !plan.visits(topology, u) {
             continue;
         }
         if topology.children(u).iter().any(|&c| plan.is_used(c)) {
             charge(meter, tracer, u, Phase::Trigger, energy.broadcast());
+            broadcasts += 1;
         }
     }
+    broadcasts
 }
 
 /// Charges per-edge unicast costs for the values actually sent, injecting
@@ -129,23 +136,8 @@ pub fn execute_plan_traced(
 /// Executes an approximate plan over a lossy radio with per-hop ARQ: each
 /// upward batch is sampled against `failures` and retried up to
 /// `policy.max_retries` times; a hop that exhausts its budget genuinely
-/// loses its subtree's batch and the answer is partial.
-///
-/// Energy accounting is exact to the attempt:
-/// * the **first** transmission of each used edge's batch is charged under
-///   [`Phase::Collection`] — exactly what the reliable path charges;
-/// * every retry resends the whole batch and is charged under
-///   [`Phase::Retransmit`], along with the seeded backoff idle-listening
-///   preceding it;
-/// * a delivery that needed at least one retry is confirmed with a
-///   header-only ack, also under [`Phase::Retransmit`] (the first
-///   attempt's ack is already folded into the reliable unicast cost, as
-///   in [`install_plan_lossy`](crate::dissemination::install_plan_lossy));
-///   like every edge charge, it is attributed to the edge's child.
-///
-/// Charges are applied in [`Topology::edges`] order, matching
-/// [`execute_plan`]'s order, so with a zero-loss model the meter is
-/// byte-identical to the reliable path (f64 accumulation order included).
+/// loses its subtree's batch and the answer is partial. Every hop is
+/// priced by [`charge_links`].
 #[allow(clippy::too_many_arguments)]
 pub fn execute_plan_arq(
     plan: &Plan,
@@ -187,34 +179,108 @@ pub fn execute_plan_arq_traced(
     tracer: &mut dyn Tracer,
 ) -> ExecutionReport {
     let mut meter = EnergyMeter::new(topology.len());
-    charge_trigger(plan, topology, energy, &mut meter, tracer);
+    let arq =
+        collect_arq(&mut meter, plan, topology, energy, values, k, failures, policy, seed, tracer);
+    ExecutionReport {
+        answer: arq.out.answer,
+        proven: 0,
+        meter,
+        lost_edges: arq.links.lost_edges,
+        retransmissions: arq.links.retransmissions,
+        delivered_fraction: arq.out.delivered_fraction,
+    }
+}
+
+/// One ARQ collection: what the kernel did, what the ledger counted, and
+/// the trigger broadcasts.
+pub(crate) struct ArqCollection {
+    pub out: LossyCollectionOutcome,
+    pub links: LinkTally,
+    pub triggers: u32,
+}
+
+/// The body of [`execute_plan_arq_traced`], charging onto `meter` after
+/// whatever it already holds. Callers pass an epoch's running meter to
+/// keep its f64 sums in charge order; merging a fresh meter into it would
+/// re-associate them.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn collect_arq(
+    meter: &mut EnergyMeter,
+    plan: &Plan,
+    topology: &Topology,
+    energy: &EnergyModel,
+    values: &[f64],
+    k: usize,
+    failures: &FailureModel,
+    policy: &ArqPolicy,
+    seed: u64,
+    tracer: &mut dyn Tracer,
+) -> ArqCollection {
+    let triggers = charge_trigger(plan, topology, energy, meter, tracer);
     let out = run_plan_lossy(plan, topology, values, k, failures, policy, seed);
-    let mut retransmissions = 0u32;
+    let links = charge_links(topology, energy, &out.sent, &out.links, meter, tracer);
+    ArqCollection { out, links, triggers }
+}
+
+/// What [`charge_links`] counted.
+pub(crate) struct LinkTally {
+    /// Hops played out (one per edge with a delivery record).
+    pub hops: usize,
+    /// Edges whose batch was lost, in [`Topology::edges`] order.
+    pub lost_edges: Vec<NodeId>,
+    /// Transmissions beyond each hop's first attempt, summed.
+    pub retransmissions: u32,
+    /// Every attempt plus every ack.
+    pub messages: u32,
+}
+
+/// The link ledger: prices every ARQ hop (`links[e]`, carrying `sent[e]`
+/// values) exactly to the attempt, in [`Topology::edges`] order — the
+/// order the reliable path charges in, so with a zero-loss model the
+/// meter is byte-identical to it (f64 accumulation order included):
+/// * the **first** transmission of each batch is charged under
+///   [`Phase::Collection`] — exactly what the reliable path charges;
+/// * every retry resends the whole batch and is charged under
+///   [`Phase::Retransmit`], along with the seeded backoff idle-listening
+///   preceding it;
+/// * a delivery that needed at least one retry is confirmed with a
+///   header-only ack, also under [`Phase::Retransmit`] (the first
+///   attempt's ack is already folded into the reliable unicast cost, as
+///   in plan dissemination); like every edge charge, it is attributed to
+///   the edge's child.
+///
+/// Each hop emits one `LinkDelivery` event after its charges.
+pub(crate) fn charge_links(
+    topology: &Topology,
+    energy: &EnergyModel,
+    sent: &[u32],
+    links: &[Option<LinkAttempts>],
+    meter: &mut EnergyMeter,
+    tracer: &mut dyn Tracer,
+) -> LinkTally {
+    let mut tally = LinkTally { hops: 0, lost_edges: Vec::new(), retransmissions: 0, messages: 0 };
     for e in topology.edges() {
-        if !plan.is_used(e) {
-            continue;
-        }
-        let msg = energy.unicast_values(out.sent[e.index()] as usize);
-        charge(&mut meter, tracer, e, Phase::Collection, msg);
-        let link = out.links[e.index()].expect("used edge has a delivery record");
+        let Some(link) = links[e.index()] else { continue };
+        let msg = energy.unicast_values(sent[e.index()] as usize);
+        charge(meter, tracer, e, Phase::Collection, msg);
         let acked = link.attempts > 1 && link.delivered;
         if link.attempts > 1 {
-            retransmissions += link.retries();
-            charge(
-                &mut meter,
-                tracer,
-                e,
-                Phase::Retransmit,
-                link.retries() as f64 * msg + link.backoff_mj,
-            );
-            if link.delivered {
-                charge(&mut meter, tracer, e, Phase::Retransmit, energy.per_message_mj);
+            let retries = link.retries() as f64 * msg + link.backoff_mj;
+            charge(meter, tracer, e, Phase::Retransmit, retries);
+            if acked {
+                charge(meter, tracer, e, Phase::Retransmit, energy.per_message_mj);
             }
+        }
+        tally.hops += 1;
+        tally.retransmissions += link.retries();
+        tally.messages += link.attempts + u32::from(acked);
+        if !link.delivered {
+            tally.lost_edges.push(e);
         }
         if tracer.enabled() {
             tracer.record(TraceEvent::LinkDelivery {
                 child: e.0,
-                sent_values: out.sent[e.index()],
+                sent_values: sent[e.index()],
                 attempts: link.attempts,
                 delivered: link.delivered,
                 acked,
@@ -222,14 +288,7 @@ pub fn execute_plan_arq_traced(
             });
         }
     }
-    ExecutionReport {
-        answer: out.answer,
-        proven: 0,
-        meter,
-        lost_edges: out.lost_edges,
-        retransmissions,
-        delivered_fraction: out.delivered_fraction,
-    }
+    tally
 }
 
 /// Executes a proof-carrying plan, additionally charging the proven-count
@@ -269,6 +328,43 @@ pub fn execute_proof_plan(
         delivered_fraction: 1.0,
     };
     (report, out)
+}
+
+/// The exploration sweep shared by the runner, the adaptive loop and the
+/// serving front end: the full-sweep plan with dead nodes masked, every
+/// reading delivered, its charges re-attributed to [`Phase::Sampling`]
+/// node by node. Returns the energy charged.
+pub fn charge_sweep(
+    topology: &Topology,
+    alive: &[bool],
+    energy: &EnergyModel,
+    values: &[f64],
+    meter: &mut EnergyMeter,
+    tracer: &mut dyn Tracer,
+) -> f64 {
+    let mut sweep = Plan::full_sweep(topology);
+    mask_dead_edges(&mut sweep, topology, alive);
+    let report = execute_plan(&sweep, topology, energy, values, 1, None);
+    charge_as(meter, &report.meter, Phase::Sampling, tracer)
+}
+
+/// Re-attributes all of `src`'s charges to `phase`, node by node,
+/// mirroring each re-attributed charge as an `Energy` event. Returns the
+/// energy charged.
+pub(crate) fn charge_as(
+    dst: &mut EnergyMeter,
+    src: &EnergyMeter,
+    phase: Phase,
+    tracer: &mut dyn Tracer,
+) -> f64 {
+    let mut total = 0.0;
+    for (i, &mj) in src.node_totals().iter().enumerate() {
+        if mj > 0.0 {
+            charge(dst, tracer, NodeId::from_index(i), phase, mj);
+            total += mj;
+        }
+    }
+    total
 }
 
 #[cfg(test)]

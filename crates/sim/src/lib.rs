@@ -19,10 +19,12 @@
 //! * [`adaptive`] — Section 4.4's re-sampling rate adaptation driven by
 //!   periodic exact audits.
 //!
-//! Every phase has a `_traced` variant taking a
-//! [`Tracer`](prospector_obs::Tracer): energy charges, link deliveries,
-//! faults and epoch summaries stream out as structured
-//! [`TraceEvent`](prospector_obs::TraceEvent)s. The untraced names
+//! Entry points that can be traced take a
+//! [`Tracer`](prospector_obs::Tracer), either as an argument
+//! ([`run_adaptive`]) or through a `_traced` twin of an untraced name
+//! ([`execute_plan_traced`]): energy charges, link deliveries, faults and
+//! epoch summaries stream out as structured
+//! [`TraceEvent`](prospector_obs::TraceEvent)s. The untraced twins
 //! delegate with a [`NullTracer`](prospector_obs::NullTracer) and cost
 //! nothing extra.
 
@@ -36,18 +38,15 @@ pub mod naive1;
 pub mod runner;
 mod trace;
 
-pub use adaptive::{
-    run_adaptive, run_adaptive_traced, AdaptiveAction, AdaptiveConfig, AdaptiveEpoch,
-};
-pub use backfill::{backfill_answer, backfill_answer_traced, AnswerEntry};
+pub use adaptive::{run_adaptive, AdaptiveAction, AdaptiveConfig, AdaptiveEpoch};
+pub use backfill::{backfill_answer, AnswerEntry};
 pub use continuous::{ContinuousState, Delta, DeltaOutcome, RefreshOutcome};
 pub use dissemination::{
-    install_cost, install_plan, install_plan_lossy, install_plan_lossy_traced, install_plan_traced,
-    DisseminationReport,
+    install_cost, install_plan, install_plan_lossy_traced, install_plan_traced, DisseminationReport,
 };
 pub use exact_exec::{run_exact, ExactResult};
 pub use exec::{
-    execute_plan, execute_plan_arq, execute_plan_arq_traced, execute_plan_traced,
+    charge_sweep, execute_plan, execute_plan_arq, execute_plan_arq_traced, execute_plan_traced,
     execute_proof_plan, ExecutionReport,
 };
 pub use naive1::run_naive1;

@@ -18,10 +18,10 @@
 //! unicasts retry a bounded number of times and nodes that never receive
 //! their new subplan keep executing the previous one.
 
-use crate::backfill::{backfill_answer, backfill_answer_traced, AnswerEntry};
+use crate::backfill::{backfill_answer, AnswerEntry};
 use crate::continuous::{apply_refresh, run_delta_epoch, run_refresh_epoch, ContinuousState};
 use crate::dissemination::{install_plan_lossy_traced, install_plan_traced};
-use crate::exec::{execute_plan, execute_plan_arq_traced, execute_plan_traced};
+use crate::exec::{charge_sweep, execute_plan_arq_traced, execute_plan_traced};
 use crate::trace::charge;
 use prospector_ckpt::{Checkpoint, CheckpointPolicy, CheckpointStore, StoreError};
 use prospector_core::{
@@ -586,36 +586,26 @@ impl<'a> ExperimentRunner<'a> {
         ctx
     }
 
-    /// Applies the faults scheduled for `epoch`; returns the nodes that
-    /// died. Charges detection + re-attachment under [`Phase::Repair`].
+    /// Applies the faults scheduled for `epoch`: the death stage, which
+    /// also discards the plan routing through the dead, then link
+    /// degradations. Returns the nodes that died.
     fn apply_faults(
         &mut self,
         epoch: u64,
         epoch_meter: &mut EnergyMeter,
         tracer: &mut dyn Tracer,
     ) -> Result<Vec<NodeId>, PlanError> {
-        let deaths: Vec<NodeId> = self
-            .config
-            .faults
-            .deaths_at(epoch)
-            .into_iter()
-            .filter(|d| d.index() < self.alive.len() && self.alive[d.index()])
-            .collect();
+        let deaths = apply_deaths(
+            &self.config.faults,
+            epoch,
+            &mut self.topology,
+            &mut self.alive,
+            &mut self.samples,
+            self.energy,
+            epoch_meter,
+            tracer,
+        )?;
         if !deaths.is_empty() {
-            for &d in &deaths {
-                if d != self.topology.root() {
-                    self.alive[d.index()] = false;
-                }
-                if tracer.enabled() {
-                    tracer.record(TraceEvent::NodeDeath { node: d.0 });
-                }
-            }
-            charge_repair(&self.topology, &self.alive, &deaths, self.energy, epoch_meter, tracer);
-            self.topology = self.topology.repair(&deaths)?;
-            if tracer.enabled() {
-                tracer.record(TraceEvent::TreeRepaired { deaths: deaths.len() as u32 });
-            }
-            self.samples.mask_nodes(&deaths);
             // The old plan routes through the dead node; discard it and
             // re-plan on the repaired tree immediately.
             self.plan = None;
@@ -663,7 +653,6 @@ impl<'a> ExperimentRunner<'a> {
         let mut epoch_meter = EnergyMeter::new(self.topology.len());
 
         let deaths = self.apply_faults(epoch, &mut epoch_meter, tracer)?;
-        let repaired = !deaths.is_empty();
         if let Some(cont) = self.cont.as_mut() {
             // Custody held at a dead node dies with it; scrubbing here
             // (before any transport) keeps the repair-forced refresh the
@@ -691,19 +680,14 @@ impl<'a> ExperimentRunner<'a> {
 
         // Exploration: full sweep feeds the window and answers exactly.
         if self.config.policy.should_sample(epoch) {
-            let mut sweep = Plan::full_sweep(&self.topology);
-            mask_dead_edges(&mut sweep, &self.topology, &self.alive);
-            let report = execute_plan(&sweep, &self.topology, self.energy, &values, k, None);
-            // Re-attribute the sweep to the sampling phase. Events mirror
-            // the epoch meter's charges (the re-attributed ones), not the
-            // throwaway per-execution meter.
-            for i in 0..self.topology.len() {
-                let node = NodeId::from_index(i);
-                let mj = report.meter.node_total(node);
-                if mj > 0.0 {
-                    charge(&mut epoch_meter, tracer, node, Phase::Sampling, mj);
-                }
-            }
+            charge_sweep(
+                &self.topology,
+                &self.alive,
+                self.energy,
+                &values,
+                &mut epoch_meter,
+                tracer,
+            );
             // Root-side gate on the sweep: implausible readings feed the
             // window (and the answer) as predictions, so a lying sensor
             // cannot poison the very history it is judged against.
@@ -736,27 +720,10 @@ impl<'a> ExperimentRunner<'a> {
             };
             self.samples.push(values);
             let report = EpochReport {
-                epoch,
                 sampled: true,
-                replanned: false,
-                accuracy,
-                energy_mj: epoch_meter.total(),
-                deaths,
-                repaired,
-                fallback_used: self.fallback_used(),
-                lost_edges: 0,
-                retransmissions: 0,
-                delivered_fraction: 1.0,
-                backfilled: 0,
-                retry_budget: self.arq.max_retries,
-                install_undelivered: 0,
-                flagged: gated.substituted,
-                quarantined: self.quarantined_count(),
-                readmitted: gated.readmitted,
-                deltas_shipped: 0,
                 full_refresh: self.cont.is_some(),
                 messages: cont_messages,
-                metrics: None,
+                ..self.report(epoch, accuracy, deaths, gated, &epoch_meter)
             };
             return Ok(self.finish_epoch(report, tracer));
         }
@@ -770,7 +737,6 @@ impl<'a> ExperimentRunner<'a> {
                 &values,
                 clean.as_deref(),
                 deaths,
-                repaired,
                 &mut epoch_meter,
                 tracer,
             );
@@ -840,9 +806,9 @@ impl<'a> ExperimentRunner<'a> {
             if install {
                 let used_edges =
                     self.topology.edges().filter(|&e| candidate.is_used(e)).count() as u32;
-                match &self.failures {
+                let (install_meter, undelivered, attempts) = match &self.failures {
                     Some(f) if !f.is_trivial() => {
-                        let (install_meter, delivery) = install_plan_lossy_traced(
+                        let (meter, delivery) = install_plan_lossy_traced(
                             &candidate,
                             &self.topology,
                             self.energy,
@@ -851,38 +817,32 @@ impl<'a> ExperimentRunner<'a> {
                             self.config.install_retries,
                             tracer,
                         );
-                        epoch_meter.merge(&install_meter);
-                        install_undelivered = delivery.undelivered.len();
-                        if tracer.enabled() {
-                            tracer.record(TraceEvent::PlanInstalled {
-                                edges: used_edges,
-                                undelivered: install_undelivered as u32,
-                                attempts: delivery.attempts,
-                            });
-                        }
-                        if !delivery.undelivered.is_empty() {
-                            // Nodes that never heard the new subplan keep
-                            // executing their old one.
-                            for &e in &delivery.undelivered {
-                                let old = self.plan.as_ref().map_or(0, |p| p.bandwidth(e));
-                                candidate.set_bandwidth(e, old);
-                            }
-                            candidate.repair_connectivity(&self.topology);
-                            mask_dead_edges(&mut candidate, &self.topology, &self.alive);
-                        }
+                        (meter, delivery.undelivered, delivery.attempts)
                     }
                     _ => {
-                        let install_meter =
+                        let meter =
                             install_plan_traced(&candidate, &self.topology, self.energy, tracer);
-                        epoch_meter.merge(&install_meter);
-                        if tracer.enabled() {
-                            tracer.record(TraceEvent::PlanInstalled {
-                                edges: used_edges,
-                                undelivered: 0,
-                                attempts: used_edges,
-                            });
-                        }
+                        (meter, Vec::new(), used_edges)
                     }
+                };
+                epoch_meter.merge(&install_meter);
+                install_undelivered = undelivered.len();
+                if tracer.enabled() {
+                    tracer.record(TraceEvent::PlanInstalled {
+                        edges: used_edges,
+                        undelivered: install_undelivered as u32,
+                        attempts,
+                    });
+                }
+                if !undelivered.is_empty() {
+                    // Nodes that never heard the new subplan keep executing
+                    // their old one.
+                    for &e in &undelivered {
+                        let old = self.plan.as_ref().map_or(0, |p| p.bandwidth(e));
+                        candidate.set_bandwidth(e, old);
+                    }
+                    candidate.repair_connectivity(&self.topology);
+                    mask_dead_edges(&mut candidate, &self.topology, &self.alive);
                 }
                 self.plan = Some(candidate);
                 self.plan_via = Some((traced.planner, traced.fallback_depth));
@@ -938,96 +898,54 @@ impl<'a> ExperimentRunner<'a> {
         // Graceful degradation at the root: estimate lost subtrees from
         // the sample window and answer over delivered + backfilled (+
         // gate-substituted) entries.
-        let entries: Vec<AnswerEntry> = if substituted.is_empty() {
-            backfill_answer_traced(
-                answer,
-                &report.lost_edges,
-                plan,
-                &self.topology,
-                &self.samples,
-                k,
-                tracer,
-            )
-        } else {
+        let mut entries =
+            backfill_answer(answer, &report.lost_edges, plan, &self.topology, &self.samples, k);
+        if !substituted.is_empty() {
             // Substituted entries compete by rank exactly like backfilled
-            // ones; `Backfill` events are only owed to estimates that
-            // survive the final cut, so emit them after the merge.
-            let mut entries =
-                backfill_answer(answer, &report.lost_edges, plan, &self.topology, &self.samples, k);
+            // ones.
             entries.extend(substituted.iter().copied());
             entries.sort_unstable_by(|a, b| a.reading.rank_cmp(&b.reading));
             entries.truncate(k);
-            if tracer.enabled() {
-                for e in entries.iter().filter(|e| {
-                    e.estimated && !substituted.iter().any(|s| s.reading.node == e.reading.node)
-                }) {
-                    tracer.record(TraceEvent::Backfill {
-                        node: e.reading.node.0,
-                        predicted: e.reading.value,
-                    });
-                }
-            }
-            entries
+        }
+        // `Backfill` events are owed only to window estimates that survive
+        // the final cut, not to gate substitutes.
+        let is_backfill = |e: &&AnswerEntry| {
+            e.estimated && !substituted.iter().any(|s| s.reading.node == e.reading.node)
         };
-        let backfilled = entries
-            .iter()
-            .filter(|e| {
-                e.estimated && !substituted.iter().any(|s| s.reading.node == e.reading.node)
-            })
-            .count();
+        if tracer.enabled() {
+            for e in entries.iter().filter(is_backfill) {
+                tracer.record(TraceEvent::Backfill {
+                    node: e.reading.node.0,
+                    predicted: e.reading.value,
+                });
+            }
+        }
+        let backfilled = entries.iter().filter(is_backfill).count();
         let truth = top_k_nodes(clean.as_deref().unwrap_or(&values), k);
         let hits = entries.iter().filter(|e| truth.contains(&e.reading.node)).count();
 
-        // Adaptive reliability: when too little of the network is heard
-        // from, first spend more on retries; once the budget is maxed,
-        // force a re-plan so a fallback chain can route around the loss
-        // (edge costs in `plan_context` already price the current ARQ).
-        if self.config.min_delivered > 0.0 && report.delivered_fraction < self.config.min_delivered
-        {
-            if self.arq.max_retries < self.config.max_retry_budget {
-                self.arq.max_retries += 1;
-                if tracer.enabled() {
-                    tracer.record(TraceEvent::RetryEscalated { max_retries: self.arq.max_retries });
-                }
-                if let Some(m) = self.metrics.as_mut() {
-                    m.count("retry_escalations", 1);
-                }
-            } else {
-                self.plan = None;
-                self.last_replan = None;
-                if tracer.enabled() {
-                    tracer.record(TraceEvent::ReplanForced {
-                        delivered_fraction: report.delivered_fraction,
-                    });
-                }
-                if let Some(m) = self.metrics.as_mut() {
-                    m.count("forced_replans", 1);
-                }
+        // Adaptive reliability, once the retry budget is maxed out: force
+        // a re-plan so a fallback chain can route around the loss (edge
+        // costs in `plan_context` already price the current ARQ).
+        if self.escalate_retries(report.delivered_fraction, "forced_replans", tracer) {
+            self.plan = None;
+            self.last_replan = None;
+            if tracer.enabled() {
+                tracer.record(TraceEvent::ReplanForced {
+                    delivered_fraction: report.delivered_fraction,
+                });
             }
         }
 
         let report = EpochReport {
-            epoch,
-            sampled: false,
             replanned,
-            accuracy: hits as f64 / k as f64,
-            energy_mj: epoch_meter.total(),
-            deaths,
-            repaired,
-            fallback_used: self.fallback_used(),
             lost_edges: report.lost_edges.len(),
             retransmissions: report.retransmissions,
             delivered_fraction: report.delivered_fraction,
             backfilled,
             retry_budget,
             install_undelivered,
-            flagged: gated.substituted,
-            quarantined: self.quarantined_count(),
-            readmitted: gated.readmitted,
-            deltas_shipped: 0,
-            full_refresh: false,
-            messages: 0,
-            metrics: None,
+            ..self.report(epoch, hits as f64 / k as f64, deaths, gated, &epoch_meter)
         };
         Ok(self.finish_epoch(report, tracer))
     }
@@ -1048,7 +966,6 @@ impl<'a> ExperimentRunner<'a> {
         values: &[f64],
         clean: Option<&[f64]>,
         deaths: Vec<NodeId>,
-        repaired: bool,
         epoch_meter: &mut EnergyMeter,
         tracer: &mut dyn Tracer,
     ) -> EpochReport {
@@ -1063,7 +980,7 @@ impl<'a> ExperimentRunner<'a> {
         // escalation) means silence can't be trusted; then the period.
         let refresh_reason: Option<&'static str> = if state.last_refresh().is_none() {
             Some("first")
-        } else if repaired {
+        } else if !deaths.is_empty() {
             Some("repair")
         } else if state.force_refresh() {
             Some("loss")
@@ -1159,49 +1076,84 @@ impl<'a> ExperimentRunner<'a> {
         let hits = answer.iter().filter(|r| truth.contains(&r.node)).count();
         messages += self.continuous_update_threshold(&mut state, policy, epoch_meter, tracer);
 
-        // Adaptive reliability, continuous flavour: spend more retries
-        // first; once maxed, the next epoch re-learns the network with a
-        // forced refresh instead of re-planning.
-        if self.config.min_delivered > 0.0 && delivered_fraction < self.config.min_delivered {
-            if self.arq.max_retries < self.config.max_retry_budget {
-                self.arq.max_retries += 1;
-                if tracer.enabled() {
-                    tracer.record(TraceEvent::RetryEscalated { max_retries: self.arq.max_retries });
-                }
-                if let Some(m) = self.metrics.as_mut() {
-                    m.count("retry_escalations", 1);
-                }
-            } else {
-                state.set_force_refresh(true);
-                if let Some(m) = self.metrics.as_mut() {
-                    m.count("forced_refreshes", 1);
-                }
-            }
+        // Adaptive reliability, continuous flavour: once the retry budget
+        // is maxed, the next epoch re-learns the network with a forced
+        // refresh instead of re-planning.
+        if self.escalate_retries(delivered_fraction, "forced_refreshes", tracer) {
+            state.set_force_refresh(true);
         }
 
         self.cont = Some(state);
         self.meter.merge(epoch_meter);
         EpochReport {
-            epoch,
-            sampled: false,
-            replanned: false,
-            accuracy: hits as f64 / k as f64,
-            energy_mj: epoch_meter.total(),
-            deaths,
-            repaired,
-            fallback_used: self.fallback_used(),
             lost_edges,
             retransmissions,
             delivered_fraction,
-            backfilled: 0,
             retry_budget,
+            deltas_shipped,
+            full_refresh,
+            messages,
+            ..self.report(epoch, hits as f64 / k as f64, deaths, gated, epoch_meter)
+        }
+    }
+
+    /// Adaptive reliability: when an epoch heard from less of the network
+    /// than `min_delivered`, spend one more retry per hop. Returns true
+    /// (counting `fallback_metric`) when the budget is already maxed out
+    /// and the caller must fall back instead.
+    fn escalate_retries(
+        &mut self,
+        delivered_fraction: f64,
+        fallback_metric: &str,
+        tracer: &mut dyn Tracer,
+    ) -> bool {
+        if self.config.min_delivered <= 0.0 || delivered_fraction >= self.config.min_delivered {
+            return false;
+        }
+        let escalate = self.arq.max_retries < self.config.max_retry_budget;
+        if escalate {
+            self.arq.max_retries += 1;
+            if tracer.enabled() {
+                tracer.record(TraceEvent::RetryEscalated { max_retries: self.arq.max_retries });
+            }
+        }
+        if let Some(m) = self.metrics.as_mut() {
+            m.count(if escalate { "retry_escalations" } else { fallback_metric }, 1);
+        }
+        !escalate
+    }
+
+    /// An epoch's report with the fields every kind of epoch fills alike;
+    /// each kind overrides what it measured.
+    fn report(
+        &self,
+        epoch: u64,
+        accuracy: f64,
+        deaths: Vec<NodeId>,
+        gated: GateTally,
+        epoch_meter: &EnergyMeter,
+    ) -> EpochReport {
+        EpochReport {
+            epoch,
+            sampled: false,
+            replanned: false,
+            accuracy,
+            energy_mj: epoch_meter.total(),
+            repaired: !deaths.is_empty(),
+            deaths,
+            fallback_used: self.fallback_used(),
+            lost_edges: 0,
+            retransmissions: 0,
+            delivered_fraction: 1.0,
+            backfilled: 0,
+            retry_budget: self.arq.max_retries,
             install_undelivered: 0,
             flagged: gated.substituted,
             quarantined: self.quarantined_count(),
             readmitted: gated.readmitted,
-            deltas_shipped,
-            full_refresh,
-            messages,
+            deltas_shipped: 0,
+            full_refresh: false,
+            messages: 0,
             metrics: None,
         }
     }
@@ -1225,19 +1177,17 @@ impl<'a> ExperimentRunner<'a> {
         if tracer.enabled() {
             tracer.record(TraceEvent::FullRefresh { reason: "sweep" });
         }
-        let delivered = self.alive.clone();
-        let mut messages = 0u32;
-        apply_refresh(
+        // Every alive node's reading was delivered.
+        let mut messages = apply_refresh(
             &mut state,
             &self.topology,
             &self.alive,
             raw,
-            &delivered,
+            &self.alive,
             policy.sketch,
             self.energy,
             epoch_meter,
             tracer,
-            &mut messages,
         );
         state.set_last_refresh(epoch);
         state.set_force_refresh(false);
@@ -1520,12 +1470,53 @@ impl<'a> ExperimentRunner<'a> {
     }
 }
 
+/// The death stage shared by the runner and the adaptive loop: applies
+/// the node deaths `faults` schedules for `epoch` — marks them dead,
+/// charges detection and re-attachment under [`Phase::Repair`], repairs
+/// the tree and masks them out of the sample window. Returns the nodes
+/// that died.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn apply_deaths(
+    faults: &FaultSchedule,
+    epoch: u64,
+    topology: &mut Topology,
+    alive: &mut [bool],
+    samples: &mut SampleSet,
+    energy: &EnergyModel,
+    meter: &mut EnergyMeter,
+    tracer: &mut dyn Tracer,
+) -> Result<Vec<NodeId>, PlanError> {
+    let deaths: Vec<NodeId> = faults
+        .deaths_at(epoch)
+        .into_iter()
+        .filter(|d| d.index() < alive.len() && alive[d.index()])
+        .collect();
+    if deaths.is_empty() {
+        return Ok(deaths);
+    }
+    for &d in &deaths {
+        if d != topology.root() {
+            alive[d.index()] = false;
+        }
+        if tracer.enabled() {
+            tracer.record(TraceEvent::NodeDeath { node: d.0 });
+        }
+    }
+    charge_repair(topology, alive, &deaths, energy, meter, tracer);
+    *topology = topology.repair(&deaths)?;
+    if tracer.enabled() {
+        tracer.record(TraceEvent::TreeRepaired { deaths: deaths.len() as u32 });
+    }
+    samples.mask_nodes(&deaths);
+    Ok(deaths)
+}
+
 /// Charges the energy of detecting `deaths` and re-attaching their
 /// orphaned children under [`Phase::Repair`], using the *pre-repair*
 /// topology: each dead node's first surviving ancestor broadcasts a
 /// failure probe after the silence, and every surviving child of a dead
 /// node pays a re-attachment handshake with its new parent.
-pub(crate) fn charge_repair(
+fn charge_repair(
     topology: &Topology,
     alive: &[bool],
     deaths: &[NodeId],

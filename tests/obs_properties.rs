@@ -7,8 +7,8 @@
 //!    (The identity is scoped to merge-free meters like a single
 //!    execution's; `EnergyMeter::merge` re-associates sums.)
 //! 2. The same reconstruction holds per node and per phase.
-//! 3. `LinkDelivery` events reproduce `ExecutionReport::retransmissions`
-//!    and the lost-edge count exactly.
+//! 3. `LinkDelivery` events reproduce `ExecutionReport::retransmissions`,
+//!    the lost-edge list and the delivered fraction exactly.
 
 use proptest::prelude::*;
 use prospector::core::Plan;
@@ -150,5 +150,23 @@ proptest! {
         let mut sorted = children.clone();
         sorted.sort_unstable();
         prop_assert_eq!(children, sorted, "Topology::edges order is ascending child id");
+        // Coverage, brute force: a used edge counts as delivered iff every
+        // hop from it up to the root has a delivered `LinkDelivery` event.
+        let hop_delivered = |u: NodeId| links.iter().any(|&(c, _, d)| c == u.0 && d);
+        let covered = links
+            .iter()
+            .filter(|&&(c, _, _)| {
+                let mut u = NodeId(c);
+                while u != topo.root() {
+                    if !hop_delivered(u) {
+                        return false;
+                    }
+                    u = topo.parent(u).expect("non-root node has a parent");
+                }
+                true
+            })
+            .count();
+        let expected = if links.is_empty() { 1.0 } else { covered as f64 / links.len() as f64 };
+        prop_assert_eq!(report.delivered_fraction.to_bits(), expected.to_bits());
     }
 }

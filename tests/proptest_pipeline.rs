@@ -125,6 +125,28 @@ proptest! {
         }
     }
 
+    // Proof tracking only observes the collection pass: on a
+    // proof-carrying plan it returns the plain pass's answer and sends the
+    // same batch size on every edge. Readings are drawn from a small range
+    // so rank ties are common.
+    #[test]
+    fn proof_tracking_only_observes_the_collection_pass(
+        topo in arb_topology(18),
+        raw in proptest::collection::vec(1u32..5, 18),
+        values_seed in 0u64..1000,
+        k in 1usize..6,
+    ) {
+        let n = topo.len();
+        let values: Vec<f64> = (0..n).map(|i| {
+            ((values_seed.wrapping_mul(i as u64 + 5).wrapping_mul(0x27D4EB2F)) % 13) as f64
+        }).collect();
+        let plan = make_plan(&topo, &raw, true);
+        let proof = run_proof_plan(&plan, &topo, &values, k);
+        let plain = run_plan(&plan, &topo, &values, k);
+        prop_assert_eq!(proof.answer, plain.answer);
+        prop_assert_eq!(proof.sent, plain.sent);
+    }
+
     #[test]
     fn exact_two_phase_always_exact(
         topo in arb_topology(16),

@@ -6,6 +6,7 @@
 use prospector::core::{ProspectorGreedy, ProspectorLpNoLf};
 use prospector::data::{RandomWalk, SamplePolicy};
 use prospector::net::{ArqPolicy, EnergyModel, FaultSchedule, NetworkBuilder, Phase};
+use prospector::obs::NullTracer;
 use prospector::sim::{run_adaptive, AdaptiveConfig, ExperimentConfig, ExperimentRunner};
 
 fn network(n: usize, seed: u64) -> prospector::net::Network {
@@ -78,13 +79,22 @@ fn adaptive_loop_spends_less_sampling_on_stable_data() {
 
     // Stable data.
     let mut stable = RandomWalk::new(25, 50.0, 6.0, 0.05, 0.2, 7);
-    let (_, stable_meter) =
-        run_adaptive(&net.topology, &em, &ProspectorGreedy, &mut stable, &cfg, 150).unwrap();
+    let (_, stable_meter) = run_adaptive(
+        &net.topology,
+        &em,
+        &ProspectorGreedy,
+        &mut stable,
+        &cfg,
+        150,
+        &mut NullTracer,
+    )
+    .unwrap();
 
     // Fast drift.
     let mut drift = RandomWalk::new(25, 50.0, 6.0, 4.0, 0.0, 7);
     let (_, drift_meter) =
-        run_adaptive(&net.topology, &em, &ProspectorGreedy, &mut drift, &cfg, 150).unwrap();
+        run_adaptive(&net.topology, &em, &ProspectorGreedy, &mut drift, &cfg, 150, &mut NullTracer)
+            .unwrap();
 
     let s = stable_meter.phase_total(Phase::Sampling);
     let d = drift_meter.phase_total(Phase::Sampling);
