@@ -3,37 +3,140 @@
 //! The simplex loop needs three operations on the basis matrix `B`:
 //!
 //! * **ftran**: solve `B α = a` (column direction),
-//! * **btran**: solve `Bᵀ y = c_B` (pricing vector),
+//! * **btran**: solve `Bᵀ y = c` (row direction: the duals `y = B⁻ᵀ c_B`,
+//!   or one row `ρ_r = B⁻ᵀ e_r` of the inverse),
 //! * **update**: replace the column in row `r` with the entering column,
 //!   whose ftran image `α` is already known.
+//!
+//! Both solves work in place on a [`SparseVec`]: dense values plus the
+//! list of rows that may hold a nonzero, left in ascending row order. The
+//! simplex walks that list for the ratio test, the basic-value update and
+//! the eta append instead of all `m` rows, and in that order, so every
+//! tie breaks as it would in a dense loop.
 //!
 //! [`DenseInverse`] stores `B⁻¹` explicitly (`O(m²)` memory, `O(m²)` per
 //! update) — simple and robust for small problems. [`EtaFile`] stores the
 //! product form of the inverse, `B⁻¹ = E_k ⋯ E_1` with sparse eta columns
-//! (the starting basis is the all-slack identity, so the file starts empty);
-//! updates are `O(nnz(α))` and both solves stream through the file. The eta
-//! file is truncated by re-pivoting from the identity when it grows past a
-//! threshold.
+//! (the starting basis is the all-slack identity, so the file starts
+//! empty); updates are `O(nnz(α))`. The eta file is truncated by
+//! re-pivoting from the identity when it grows past a threshold.
+//!
+//! # Hyper-sparse btran
+//!
+//! Every entry of the eta file, pivots included, lives in one flat arena
+//! of `(row, value, link)` triples. The link points at the next older
+//! entry in the same row, so the arena doubles as a per-row incidence
+//! index at 4 bytes per entry, with no per-eta or per-row allocation.
+//! Applying eta `E_k` in btran reads the rows of its entries and writes
+//! only its pivot row; when every row it reads is zero it changes nothing.
+//! [`EtaFile::btran`] therefore visits only etas on the incidence chains of
+//! nonzero rows: it starts a chain at each nonzero row of the right-hand
+//! side and at each row an applied eta fills in, and pops entries newest
+//! first from a heap, which is exactly reverse file order. On the pinned
+//! 1000-node LP+LF solve (`tests/lp_eta_path.rs`) a unit btran applies 13
+//! of the ~370 etas in the file on average (Hall & McKinnon,
+//! "Hyper-sparsity in the revised simplex method and how to exploit it",
+//! 2005). The result equals a plain reverse pass over the file bit for bit
+//! (up to the sign of zeros).
+//!
+//! # Pricing
+//!
+//! [`BasisRep::UPDATES_PRICES`] tells the simplex how each representation
+//! prices. With the eta file the simplex keeps its reduced costs across
+//! pivots and updates them from the pivot row `ρ_r`, one hyper-sparse unit
+//! btran per pivot. The dense inverse recomputes them from fresh duals at
+//! every pivot, which keeps its pivot sequence — and every plan built on
+//! it — exactly as it was. Updating would be faster there too, but it
+//! resolves some ties differently and so changes served answers (crate
+//! docs, "Pricing and hyper-sparsity").
+
+use std::collections::BinaryHeap;
+use std::ops::Range;
+
+/// A length-`m` vector together with the rows it may be nonzero in.
+///
+/// `val` is dense. [`SparseVec::rows`] lists every row holding a nonzero
+/// (and possibly rows that cancelled to zero), each once; both solves
+/// leave it in ascending order. Write through [`SparseVec::set`], or write
+/// `val` directly and call [`SparseVec::relist`].
+#[derive(Debug)]
+pub struct SparseVec {
+    /// Dense values.
+    pub val: Vec<f64>,
+    rows: Vec<u32>,
+    listed: Vec<bool>,
+}
+
+impl SparseVec {
+    /// The zero vector of length `m`.
+    pub fn new(m: usize) -> SparseVec {
+        SparseVec { val: vec![0.0; m], rows: Vec::new(), listed: vec![false; m] }
+    }
+
+    /// Rows that may hold a nonzero.
+    pub fn rows(&self) -> &[u32] {
+        &self.rows
+    }
+
+    /// Sets row `i` to `v`.
+    pub fn set(&mut self, i: usize, v: f64) {
+        self.val[i] = v;
+        self.list(i);
+    }
+
+    fn list(&mut self, i: usize) {
+        if !self.listed[i] {
+            self.listed[i] = true;
+            self.rows.push(i as u32);
+        }
+    }
+
+    /// Lists exactly the rows whose value is nonzero, in ascending order
+    /// (after writing `val` directly).
+    pub fn relist(&mut self) {
+        for &i in &self.rows {
+            self.listed[i as usize] = false;
+        }
+        self.rows.clear();
+        for (i, &v) in self.val.iter().enumerate() {
+            if v != 0.0 {
+                self.listed[i] = true;
+                self.rows.push(i as u32);
+            }
+        }
+    }
+
+    /// Zeroes the vector in time proportional to its listed rows.
+    pub fn clear(&mut self) {
+        for &i in &self.rows {
+            self.val[i as usize] = 0.0;
+            self.listed[i as usize] = false;
+        }
+        self.rows.clear();
+    }
+}
 
 /// Abstraction over how `B⁻¹` is represented.
 pub trait BasisRep {
+    /// Whether the simplex keeps reduced costs across pivots and updates
+    /// them from the pivot row, rather than recomputing them from fresh
+    /// duals at every pivot (module docs, "Pricing").
+    const UPDATES_PRICES: bool;
+
     /// Creates a representation of the identity basis of dimension `m`.
     fn identity(m: usize) -> Self;
 
-    /// Dimension `m`.
-    fn dim(&self) -> usize;
+    /// Solves `B α = v` in place.
+    fn ftran(&self, v: &mut SparseVec);
 
-    /// Solves `B α = rhs` in place.
-    fn ftran(&self, rhs: &mut [f64]);
-
-    /// Solves `Bᵀ y = rhs` in place.
-    fn btran(&self, rhs: &mut [f64]);
+    /// Solves `Bᵀ y = v` in place.
+    fn btran(&mut self, v: &mut SparseVec);
 
     /// Replaces the basic column of row `r`; `alpha` is the ftran image of
-    /// the entering column (`alpha[r]` is the pivot element).
+    /// the entering column (`alpha.val[r]` is the pivot element).
     ///
     /// Returns `false` if the pivot element is numerically unusable.
-    fn update(&mut self, alpha: &[f64], r: usize) -> bool;
+    fn update(&mut self, alpha: &SparseVec, r: usize) -> bool;
 
     /// A hint that the representation has grown enough that the caller
     /// should refactorize (rebuild from the basis column set).
@@ -53,6 +156,8 @@ pub struct DenseInverse {
 }
 
 impl BasisRep for DenseInverse {
+    const UPDATES_PRICES: bool = false;
+
     fn identity(m: usize) -> Self {
         let mut inv = vec![0.0; m * m];
         for i in 0..m {
@@ -61,44 +166,42 @@ impl BasisRep for DenseInverse {
         DenseInverse { m, inv }
     }
 
-    fn dim(&self) -> usize {
-        self.m
-    }
-
-    fn ftran(&self, rhs: &mut [f64]) {
-        debug_assert_eq!(rhs.len(), self.m);
+    fn ftran(&self, v: &mut SparseVec) {
+        debug_assert_eq!(v.val.len(), self.m);
         let m = self.m;
         let mut out = vec![0.0; m];
-        // out = B⁻¹ · rhs ; skip zero entries of rhs (it is usually sparse).
-        for (col, &v) in rhs.iter().enumerate() {
-            if v != 0.0 {
+        // out = B⁻¹ · v ; skip zero entries of v (it is usually sparse).
+        for (col, &x) in v.val.iter().enumerate() {
+            if x != 0.0 {
                 for (i, o) in out.iter_mut().enumerate() {
-                    *o += self.inv[i * m + col] * v;
+                    *o += self.inv[i * m + col] * x;
                 }
             }
         }
-        rhs.copy_from_slice(&out);
+        v.val.copy_from_slice(&out);
+        v.relist();
     }
 
-    fn btran(&self, rhs: &mut [f64]) {
-        debug_assert_eq!(rhs.len(), self.m);
+    fn btran(&mut self, v: &mut SparseVec) {
+        debug_assert_eq!(v.val.len(), self.m);
         let m = self.m;
         let mut out = vec![0.0; m];
-        // out = (B⁻¹)ᵀ · rhs = rowsᵀ; outⱼ = Σ_i rhs_i · inv[i][j]
-        for (i, &v) in rhs.iter().enumerate() {
-            if v != 0.0 {
+        // out = (B⁻¹)ᵀ · v = rowsᵀ; outⱼ = Σ_i v_i · inv[i][j]
+        for (i, &x) in v.val.iter().enumerate() {
+            if x != 0.0 {
                 let row = &self.inv[i * m..(i + 1) * m];
                 for (o, &a) in out.iter_mut().zip(row) {
-                    *o += v * a;
+                    *o += x * a;
                 }
             }
         }
-        rhs.copy_from_slice(&out);
+        v.val.copy_from_slice(&out);
+        v.relist();
     }
 
-    fn update(&mut self, alpha: &[f64], r: usize) -> bool {
+    fn update(&mut self, alpha: &SparseVec, r: usize) -> bool {
         let m = self.m;
-        let pivot = alpha[r];
+        let pivot = alpha.val[r];
         if pivot.abs() < PIVOT_TOL {
             return false;
         }
@@ -108,22 +211,23 @@ impl BasisRep for DenseInverse {
         for j in 0..m {
             self.inv[r * m + j] *= inv_pivot;
         }
-        for i in 0..m {
-            if i == r {
+        // Then eliminate column r from every other row α touches; the
+        // rows are independent, so their order does not matter.
+        for &i in alpha.rows() {
+            let i = i as usize;
+            let factor = alpha.val[i];
+            if i == r || factor == 0.0 {
                 continue;
             }
-            let factor = alpha[i];
-            if factor != 0.0 {
-                // row_i -= factor * row_r (row_r already scaled)
-                let (head, tail) = self.inv.split_at_mut(r.max(i) * m);
-                let (row_i, row_r) = if i < r {
-                    (&mut head[i * m..(i + 1) * m], &tail[..m])
-                } else {
-                    (&mut tail[..m], &head[r * m..(r + 1) * m])
-                };
-                for (a, &b) in row_i.iter_mut().zip(row_r.iter()) {
-                    *a -= factor * b;
-                }
+            // row_i -= factor * row_r (row_r already scaled)
+            let (head, tail) = self.inv.split_at_mut(r.max(i) * m);
+            let (row_i, row_r) = if i < r {
+                (&mut head[i * m..(i + 1) * m], &tail[..m])
+            } else {
+                (&mut tail[..m], &head[r * m..(r + 1) * m])
+            };
+            for (a, &b) in row_i.iter_mut().zip(row_r.iter()) {
+                *a -= factor * b;
             }
         }
         true
@@ -141,82 +245,167 @@ impl BasisRep for DenseInverse {
     }
 }
 
-/// One elementary transformation: column `col` replaced in row `r`.
-struct Eta {
-    r: usize,
-    /// 1 / pivot.
-    inv_pivot: f64,
-    /// Sparse off-pivot entries `(row, alpha_row)` of the entering column's
-    /// ftran image at update time.
-    entries: Vec<(u32, f64)>,
-}
+/// Ends an incidence chain.
+const NONE: u32 = u32::MAX;
 
 /// Product-form-of-the-inverse representation.
+///
+/// Eta `k` occupies the arena entries `start[k] .. start[k + 1]`: first its
+/// pivot entry (pivot row, `1 / pivot`), then the entering column's ftran
+/// image in every other row it touches, in ascending row order.
 pub struct EtaFile {
-    m: usize,
-    etas: Vec<Eta>,
-    nnz: usize,
-    /// Refactor hint threshold on stored non-zeros.
+    /// Arena index of each eta's pivot entry.
+    start: Vec<u32>,
+    /// Row of each arena entry.
+    row: Vec<u32>,
+    /// Value of each arena entry.
+    val: Vec<f64>,
+    /// Next older entry in the same row, or [`NONE`].
+    older: Vec<u32>,
+    /// Newest entry of each row, or [`NONE`]: the head of its chain.
+    newest: Vec<u32>,
+    /// Refactor hint threshold on stored entries.
     nnz_limit: usize,
+    /// btran's pending arena entries (scratch, empty between calls).
+    frontier: BinaryHeap<u32>,
+}
+
+impl EtaFile {
+    /// Number of etas in the file.
+    fn len(&self) -> usize {
+        self.start.len()
+    }
+
+    /// Arena entries of eta `k`, pivot first.
+    fn span(&self, k: usize) -> Range<usize> {
+        let end = self.start.get(k + 1).map_or(self.row.len(), |&s| s as usize);
+        self.start[k] as usize..end
+    }
+
+    /// The eta owning arena entry `e`.
+    fn eta_of(&self, e: usize) -> usize {
+        self.start.partition_point(|&s| s as usize <= e) - 1
+    }
+
+    fn push_entry(&mut self, i: usize, v: f64) {
+        let e = self.row.len() as u32;
+        self.row.push(i as u32);
+        self.val.push(v);
+        self.older.push(self.newest[i]);
+        self.newest[i] = e;
+    }
 }
 
 impl BasisRep for EtaFile {
+    const UPDATES_PRICES: bool = true;
+
     fn identity(m: usize) -> Self {
-        EtaFile { m, etas: Vec::new(), nnz: 0, nnz_limit: (64 * m).max(4096) }
+        EtaFile {
+            start: Vec::new(),
+            row: Vec::new(),
+            val: Vec::new(),
+            older: Vec::new(),
+            newest: vec![NONE; m],
+            nnz_limit: (64 * m).max(4096),
+            frontier: BinaryHeap::new(),
+        }
     }
 
-    fn dim(&self) -> usize {
-        self.m
-    }
-
-    fn ftran(&self, rhs: &mut [f64]) {
+    fn ftran(&self, v: &mut SparseVec) {
         // B⁻¹ = E_k ⋯ E_1, apply in file order.
-        for eta in &self.etas {
-            let vr = rhs[eta.r];
+        for k in 0..self.len() {
+            let span = self.span(k);
+            let p = span.start;
+            let r = self.row[p] as usize;
+            let vr = v.val[r];
             if vr != 0.0 {
-                let scaled = vr * eta.inv_pivot;
-                rhs[eta.r] = scaled;
-                for &(row, a) in &eta.entries {
-                    rhs[row as usize] -= a * scaled;
+                let scaled = vr * self.val[p];
+                v.val[r] = scaled;
+                for e in p + 1..span.end {
+                    let i = self.row[e] as usize;
+                    v.val[i] -= self.val[e] * scaled;
+                    v.list(i);
                 }
             }
         }
+        v.rows.sort_unstable();
     }
 
-    fn btran(&self, rhs: &mut [f64]) {
-        // (B⁻¹)ᵀ = E_1ᵀ ⋯ E_kᵀ, apply in reverse file order.
-        for eta in self.etas.iter().rev() {
-            let mut acc = rhs[eta.r];
-            for &(row, a) in &eta.entries {
-                acc -= a * rhs[row as usize];
+    fn btran(&mut self, v: &mut SparseVec) {
+        // (B⁻¹)ᵀ = E_1ᵀ ⋯ E_kᵀ, apply in reverse file order — but only the
+        // etas that read a nonzero (module docs, "Hyper-sparse btran").
+        let mut frontier = std::mem::take(&mut self.frontier);
+        for &i in &v.rows {
+            let head = self.newest[i as usize];
+            if v.val[i as usize] != 0.0 && head != NONE {
+                frontier.push(head);
             }
-            rhs[eta.r] = acc * eta.inv_pivot;
         }
+        // Entries pop in strictly decreasing order apart from duplicates,
+        // which pop back to back: two chains can meet at one entry, and
+        // one eta can be reached through several of its rows.
+        let (mut last_entry, mut last_eta) = (NONE, usize::MAX);
+        while let Some(e) = frontier.pop() {
+            if e == last_entry {
+                continue;
+            }
+            last_entry = e;
+            let e = e as usize;
+            if self.older[e] != NONE {
+                frontier.push(self.older[e]);
+            }
+            let k = self.eta_of(e);
+            if k == last_eta {
+                continue;
+            }
+            last_eta = k;
+            let span = self.span(k);
+            let p = span.start;
+            let r = self.row[p] as usize;
+            let before = v.val[r];
+            let mut acc = before;
+            for q in p + 1..span.end {
+                acc -= self.val[q] * v.val[self.row[q] as usize];
+            }
+            v.val[r] = acc * self.val[p];
+            if before == 0.0 && v.val[r] != 0.0 {
+                // Row r just filled in: older etas reading it now matter.
+                v.list(r);
+                if self.older[p] != NONE {
+                    frontier.push(self.older[p]);
+                }
+            }
+        }
+        self.frontier = frontier;
+        v.rows.sort_unstable();
     }
 
-    fn update(&mut self, alpha: &[f64], r: usize) -> bool {
-        let pivot = alpha[r];
+    fn update(&mut self, alpha: &SparseVec, r: usize) -> bool {
+        let pivot = alpha.val[r];
         if pivot.abs() < PIVOT_TOL {
             return false;
         }
-        let entries: Vec<(u32, f64)> = alpha
-            .iter()
-            .enumerate()
-            .filter(|&(i, &v)| i != r && v != 0.0)
-            .map(|(i, &v)| (i as u32, v))
-            .collect();
-        self.nnz += entries.len() + 1;
-        self.etas.push(Eta { r, inv_pivot: 1.0 / pivot, entries });
+        self.start.push(self.row.len() as u32);
+        self.push_entry(r, 1.0 / pivot);
+        for &i in alpha.rows() {
+            let a = alpha.val[i as usize];
+            if i as usize != r && a != 0.0 {
+                self.push_entry(i as usize, a);
+            }
+        }
         true
     }
 
     fn wants_refactor(&self) -> bool {
-        self.nnz > self.nnz_limit
+        self.row.len() > self.nnz_limit
     }
 
     fn reset(&mut self) {
-        self.etas.clear();
-        self.nnz = 0;
+        self.start.clear();
+        self.row.clear();
+        self.val.clear();
+        self.older.clear();
+        self.newest.fill(NONE);
     }
 }
 
@@ -224,9 +413,66 @@ impl BasisRep for EtaFile {
 mod tests {
     use super::*;
 
+    /// Deterministic pseudo-random numbers in `[-0.5, 0.5)` without
+    /// external crates.
+    fn xorshift(seed: u64) -> impl FnMut() -> f64 {
+        let mut state = seed;
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+        }
+    }
+
+    fn sparse(v: &[f64]) -> SparseVec {
+        let mut w = SparseVec::new(v.len());
+        w.val.copy_from_slice(v);
+        w.relist();
+        w
+    }
+
+    fn ftran<R: BasisRep>(rep: &R, v: &[f64]) -> Vec<f64> {
+        let mut w = sparse(v);
+        rep.ftran(&mut w);
+        check_listing(&w);
+        w.val
+    }
+
+    fn btran<R: BasisRep>(rep: &mut R, v: &[f64]) -> Vec<f64> {
+        let mut w = sparse(v);
+        rep.btran(&mut w);
+        check_listing(&w);
+        w.val
+    }
+
+    /// A solve must list every nonzero, each once, in ascending order.
+    fn check_listing(w: &SparseVec) {
+        assert!(w.rows().windows(2).all(|p| p[0] < p[1]), "rows not ascending: {:?}", w.rows());
+        for (i, &v) in w.val.iter().enumerate() {
+            assert!(v == 0.0 || w.rows().contains(&(i as u32)), "row {i} = {v} unlisted");
+        }
+    }
+
+    impl EtaFile {
+        /// btran by a plain reverse pass over every eta: the reference the
+        /// skip-idle pass must match.
+        fn btran_every_eta(&self, rhs: &mut [f64]) {
+            for k in (0..self.len()).rev() {
+                let span = self.span(k);
+                let r = self.row[span.start] as usize;
+                let mut acc = rhs[r];
+                for q in span.start + 1..span.end {
+                    acc -= self.val[q] * rhs[self.row[q] as usize];
+                }
+                rhs[r] = acc * self.val[span.start];
+            }
+        }
+    }
+
     fn apply_updates<R: BasisRep>(rep: &mut R, cols: &[Vec<f64>], rows: &[usize]) {
         for (col, &r) in cols.iter().zip(rows) {
-            let mut alpha = col.clone();
+            let mut alpha = sparse(col);
             rep.ftran(&mut alpha);
             assert!(rep.update(&alpha, r));
         }
@@ -237,15 +483,12 @@ mod tests {
     fn check_solves<R: BasisRep>(mut rep: R) {
         let c0 = vec![2.0, 1.0];
         let c1 = vec![1.0, 3.0];
-        apply_updates(&mut rep, &[c0.clone(), c1.clone()], &[0, 1]);
+        apply_updates(&mut rep, &[c0, c1], &[0, 1]);
         // B = [[2,1],[1,3]], det = 5. Solve B a = [1, 0] → a = [0.6, -0.2].
-        let mut a = vec![1.0, 0.0];
-        rep.ftran(&mut a);
+        let a = ftran(&rep, &[1.0, 0.0]);
         assert!((a[0] - 0.6).abs() < 1e-12 && (a[1] + 0.2).abs() < 1e-12);
-        // Bᵀ y = [1, 1] → y = [2/5, 1/5] since Bᵀ = [[2,1],[1,3]]ᵀ = [[2,1],[1,3]] is symmetric? No:
-        // Bᵀ = [[2,1],[1,3]] (B happens to be symmetric), y = B⁻¹ [1,1] = [0.4, 0.2].
-        let mut y = vec![1.0, 1.0];
-        rep.btran(&mut y);
+        // B is symmetric, so Bᵀ y = [1, 1] gives y = B⁻¹ [1, 1] = [0.4, 0.2].
+        let y = btran(&mut rep, &[1.0, 1.0]);
         assert!((y[0] - 0.4).abs() < 1e-12 && (y[1] - 0.2).abs() < 1e-12);
     }
 
@@ -261,63 +504,132 @@ mod tests {
 
     #[test]
     fn identity_is_noop() {
-        let rep = EtaFile::identity(3);
-        let mut v = vec![1.0, -2.0, 3.0];
-        rep.ftran(&mut v);
-        assert_eq!(v, vec![1.0, -2.0, 3.0]);
-        rep.btran(&mut v);
-        assert_eq!(v, vec![1.0, -2.0, 3.0]);
+        let mut rep = EtaFile::identity(3);
+        let v = [1.0, -2.0, 3.0];
+        assert_eq!(ftran(&rep, &v), v);
+        assert_eq!(btran(&mut rep, &v), v);
     }
 
     #[test]
     fn rejects_tiny_pivot() {
+        let alpha = sparse(&[1e-14, 1.0]);
         let mut rep = DenseInverse::identity(2);
-        let alpha = vec![1e-14, 1.0];
         assert!(!rep.update(&alpha, 0));
         let mut rep = EtaFile::identity(2);
         assert!(!rep.update(&alpha, 0));
+        assert_eq!(rep.len(), 0);
+    }
+
+    /// A sparse column with a dominant entry in `pivot_row` and about
+    /// `density` of the other rows filled.
+    fn sparse_col(next: &mut impl FnMut() -> f64, m: usize, pivot_row: usize) -> Vec<f64> {
+        (0..m)
+            .map(|i| {
+                if i == pivot_row {
+                    2.0 + next().abs()
+                } else if next() > 0.2 {
+                    next()
+                } else {
+                    0.0
+                }
+            })
+            .collect()
+    }
+
+    fn assert_close(u: &[f64], v: &[f64], tol: f64, what: &str) {
+        for (i, (a, b)) in u.iter().zip(v).enumerate() {
+            assert!((a - b).abs() < tol, "{what}: row {i}: {a} vs {b}");
+        }
+    }
+
+    /// Replaces basic columns in `rows` order on both representations and
+    /// checks that every ftran agrees along the way.
+    fn pivot_both(
+        next: &mut impl FnMut() -> f64,
+        dense: &mut DenseInverse,
+        eta: &mut EtaFile,
+        rows: impl Iterator<Item = usize>,
+    ) {
+        let m = dense.m;
+        for pivot_row in rows {
+            let col = sparse_col(next, m, pivot_row);
+            let mut a1 = sparse(&col);
+            dense.ftran(&mut a1);
+            let mut a2 = sparse(&col);
+            eta.ftran(&mut a2);
+            check_listing(&a2);
+            assert_close(&a1.val, &a2.val, 1e-9, "ftran");
+            // Skip replacements the two cannot both take (near-singular).
+            if a1.val[pivot_row].abs() > 1e-3 {
+                assert!(dense.update(&a1, pivot_row));
+                assert!(eta.update(&a2, pivot_row));
+            }
+        }
+    }
+
+    /// Both solves on dense and sparse right-hand sides, unit vectors
+    /// included; the skip-idle btran must equal a plain reverse pass.
+    fn check_agree(next: &mut impl FnMut() -> f64, dense: &mut DenseInverse, eta: &mut EtaFile) {
+        let m = dense.m;
+        let mut rhss: Vec<Vec<f64>> = (0..m)
+            .map(|i| {
+                let mut e = vec![0.0; m];
+                e[i] = 1.0;
+                e
+            })
+            .collect();
+        rhss.push((0..m).map(|_| next()).collect());
+        rhss.push((0..m).map(|_| if next() > 0.3 { next() } else { 0.0 }).collect());
+        for rhs in &rhss {
+            assert_close(&ftran(dense, rhs), &ftran(eta, rhs), 1e-8, "ftran");
+            let skip = btran(eta, rhs);
+            let mut plain = rhs.clone();
+            eta.btran_every_eta(&mut plain);
+            assert_eq!(skip, plain, "skip-idle btran differs from the plain pass");
+            assert_close(&btran(dense, rhs), &skip, 1e-8, "btran");
+        }
     }
 
     #[test]
     fn dense_and_eta_agree_on_random_updates() {
-        // Deterministic pseudo-random sequence without external crates.
-        let mut state = 0x9e3779b97f4a7c15u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
-        };
+        let mut next = xorshift(0x9e37_79b9_7f4a_7c15);
         let m = 8;
         let mut dense = DenseInverse::identity(m);
         let mut eta = EtaFile::identity(m);
-        for pivot_row in 0..m {
-            let col: Vec<f64> =
-                (0..m).map(|i| if i == pivot_row { 2.0 + next().abs() } else { next() }).collect();
-            let mut a1 = col.clone();
-            dense.ftran(&mut a1);
-            let mut a2 = col.clone();
-            eta.ftran(&mut a2);
-            for (u, v) in a1.iter().zip(&a2) {
-                assert!((u - v).abs() < 1e-9, "ftran mismatch");
-            }
-            assert!(dense.update(&a1, pivot_row));
-            assert!(eta.update(&a2, pivot_row));
-        }
-        let rhs: Vec<f64> = (0..m).map(|_| next()).collect();
-        let mut f1 = rhs.clone();
-        dense.ftran(&mut f1);
-        let mut f2 = rhs.clone();
-        eta.ftran(&mut f2);
-        for (u, v) in f1.iter().zip(&f2) {
-            assert!((u - v).abs() < 1e-8);
-        }
-        let mut b1 = rhs.clone();
-        dense.btran(&mut b1);
-        let mut b2 = rhs;
-        eta.btran(&mut b2);
-        for (u, v) in b1.iter().zip(&b2) {
-            assert!((u - v).abs() < 1e-8);
-        }
+        pivot_both(&mut next, &mut dense, &mut eta, 0..m);
+        check_agree(&mut next, &mut dense, &mut eta);
+
+        // More replacements than rows: rows are replaced again and again,
+        // so chains run through several etas of the same pivot row.
+        let rows: Vec<usize> = (0..5 * m).map(|_| ((next() + 0.5) * m as f64) as usize).collect();
+        pivot_both(&mut next, &mut dense, &mut eta, rows.into_iter());
+        assert!(eta.len() > m);
+        check_agree(&mut next, &mut dense, &mut eta);
+
+        // Refactor from scratch: the incidence index must start over.
+        dense.reset();
+        eta.reset();
+        assert_eq!(eta.len(), 0);
+        check_agree(&mut next, &mut dense, &mut eta);
+        pivot_both(&mut next, &mut dense, &mut eta, (0..m).rev().chain(0..m));
+        check_agree(&mut next, &mut dense, &mut eta);
+    }
+
+    #[test]
+    fn btran_skips_etas_that_read_only_zeros() {
+        // Two disjoint 2×2 blocks: a unit btran in one block must not
+        // touch the other, and still match the plain pass.
+        let mut eta = EtaFile::identity(4);
+        apply_updates(
+            &mut eta,
+            &[vec![2.0, 1.0, 0.0, 0.0], vec![0.0, 0.0, 3.0, 1.0], vec![1.0, 3.0, 0.0, 0.0]],
+            &[0, 2, 1],
+        );
+        let mut w = sparse(&[0.0, 0.0, 1.0, 0.0]);
+        eta.btran(&mut w);
+        assert_eq!(w.rows(), &[2]);
+        let mut plain = vec![0.0, 0.0, 1.0, 0.0];
+        eta.btran_every_eta(&mut plain);
+        assert_eq!(w.val, plain);
     }
 }

@@ -18,9 +18,41 @@
 //!   ([`basis::DenseInverse`], simple and good for small problems) and a
 //!   product-form-of-the-inverse eta file ([`basis::EtaFile`], which exploits
 //!   the extreme sparsity of the Prospector constraint matrices);
+//!   [`BasisChoice::Auto`] takes the eta file above 600 rows;
 //! * Dantzig pricing with an automatic switch to Bland's rule after a run of
 //!   degenerate pivots, bound-flip pivots, and periodic resync of the basic
 //!   solution for numerical hygiene.
+//!
+//! # Pricing and hyper-sparsity
+//!
+//! Reduced costs `d = c − Aᵀy` are computed row-wise, from the problem's
+//! own rows with the row scale applied on the fly, so the solver keeps no
+//! row-wise copy of the matrix. How often they are computed depends on the
+//! basis representation ([`basis::BasisRep::UPDATES_PRICES`]):
+//!
+//! * On the **eta file** the simplex keeps `d` across pivots. After each
+//!   basis change it updates `d` from the pivot row: `ρ_r = B⁻ᵀe_r` comes
+//!   from a unit btran, and `d −= θ Aᵀρ_r` with `θ = d_q / α_r`. It
+//!   recomputes `d` from fresh duals at phase start, at every resync or
+//!   refactor, and before it declares optimality, so drift cannot end a
+//!   solve. The eta file's btran visits only etas that read a nonzero,
+//!   through per-row incidence links threaded in its entry arena. On the
+//!   pinned 1000-node LP+LF solve (`tests/lp_eta_path.rs`, 745 pivots)
+//!   `ρ_r` has 2.4 nonzeros on average and a unit btran applies 13 of the
+//!   ~370 etas in the file: Hall & McKinnon's hyper-sparse case. The ratio test, the
+//!   basic-value update and the eta append walk `α`'s nonzero list (~36
+//!   entries there) rather than all `m` rows.
+//! * On the **dense inverse** the simplex recomputes `d` at every pivot,
+//!   which keeps every pivot, and every plan built on it, exactly as
+//!   before. Updating `d` there measured faster on the serving workload's
+//!   small LPs, with plan time ~25% lower. But rounding resolves some
+//!   ties differently: pivot counts moved and served accuracy and energy
+//!   changed in their low digits. This is fixed per representation, not
+//!   an option.
+//!
+//! Both paths choose the same entering column for the same `d`, and both
+//! walk rows in ascending order, so ties break as in a dense loop. The eta
+//! path can still resolve a near-tie differently after rounding drift.
 //!
 //! # Example
 //!

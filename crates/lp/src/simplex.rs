@@ -8,13 +8,18 @@
 //! identity the natural starting basis; rows whose slack cannot absorb the
 //! initial residual receive an artificial variable driven out by a phase-1
 //! objective.
+//!
+//! Pricing keeps a reduced cost per variable. The basis representation
+//! decides whether those costs are recomputed from fresh duals at every
+//! pivot or carried across pivots by pivot-row updates (crate docs,
+//! "Pricing and hyper-sparsity").
 
 // The simplex kernels walk several parallel arrays (basis, x, alpha, bounds)
 // by row index; iterator/zip chains obscure the math, so range loops stay.
 #![allow(clippy::needless_range_loop)]
 
-use crate::basis::{BasisRep, DenseInverse, EtaFile};
-use crate::problem::{Cmp, Problem, Sense};
+use crate::basis::{BasisRep, DenseInverse, EtaFile, SparseVec};
+use crate::problem::{Cmp, Problem, Row, Sense};
 use crate::status::{LpError, Solution, Status};
 
 /// Which basis representation to use.
@@ -70,17 +75,21 @@ enum VarState {
 
 /// Standardized problem: `maximize c·v` s.t. `A v = b`, `l ≤ v ≤ u`, where
 /// `v` stacks structural, slack and artificial variables.
-struct Std {
+struct Std<'a> {
     m: usize,
     n_struct: usize,
     /// Sparse columns for every variable (slack/artificial columns included).
     cols: Vec<Vec<(u32, f64)>>,
+    /// The problem's own rows: pricing reads `A` row by row from them,
+    /// scaling on the fly, rather than from a second row-wise copy.
+    rows: &'a [Row],
     lower: Vec<f64>,
     upper: Vec<f64>,
     /// Phase-2 objective (maximize).
     obj: Vec<f64>,
     b: Vec<f64>,
-    /// Variables that start basic, one per row.
+    /// Variables that start basic, one per row: the row's slack, or its
+    /// artificial when the slack cannot absorb the starting residual.
     basis: Vec<u32>,
     /// Initial values for all variables.
     x0: Vec<f64>,
@@ -90,7 +99,25 @@ struct Std {
     row_scale: Vec<f64>,
 }
 
-fn standardize(p: &Problem) -> Std {
+impl Std<'_> {
+    /// `d -= w · A_r`: subtracts `w` times row `r` of the standardized
+    /// matrix (structural coefficients, the slack, and the artificial if
+    /// the row has one).
+    fn sub_row(&self, r: usize, w: f64, d: &mut [f64]) {
+        let scale = self.row_scale[r];
+        for &(var, c) in &self.rows[r].coeffs {
+            d[var as usize] -= w * (c * scale);
+        }
+        let slack = self.n_struct + r;
+        d[slack] -= w;
+        let start = self.basis[r] as usize;
+        if start != slack {
+            d[start] -= w;
+        }
+    }
+}
+
+fn standardize(p: &Problem) -> Std<'_> {
     let n = p.num_vars();
     let m = p.num_constraints();
     let sense_mul = match p.sense {
@@ -183,11 +210,36 @@ fn standardize(p: &Problem) -> Std {
         }
     }
 
-    Std { m, n_struct: n, cols, lower, upper, obj, b, basis, x0, n_artificial, row_scale }
+    Std {
+        m,
+        n_struct: n,
+        cols,
+        rows: &p.rows,
+        lower,
+        upper,
+        obj,
+        b,
+        basis,
+        x0,
+        n_artificial,
+        row_scale,
+    }
+}
+
+/// How the reduced costs `d` relate to the current basis.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Prices {
+    /// Out of date: recompute before the next pricing.
+    Stale,
+    /// Updated from pivot rows since the last recompute, so they carry
+    /// rounding drift.
+    Updated,
+    /// Recomputed from fresh duals for the current basis.
+    Fresh,
 }
 
 struct Simplex<'a, R: BasisRep> {
-    std: &'a Std,
+    std: &'a Std<'a>,
     opt: &'a SolverOptions,
     rep: R,
     /// Working bounds (artificials are pinned to zero after phase 1).
@@ -196,6 +248,14 @@ struct Simplex<'a, R: BasisRep> {
     state: Vec<VarState>,
     basis: Vec<u32>,
     x: Vec<f64>,
+    /// Reduced costs `c_j − yᵀa_j` for the objective being optimized;
+    /// meaningful for nonbasic `j` only.
+    d: Vec<f64>,
+    prices: Prices,
+    /// Scratch: the entering column's ftran image `α`.
+    alpha: SparseVec,
+    /// Scratch: the duals, or the pivot row `ρ_r = B⁻ᵀ e_r`.
+    rho: SparseVec,
     iterations: usize,
     degenerate_run: usize,
     bland: bool,
@@ -208,7 +268,7 @@ enum StepResult {
 }
 
 impl<'a, R: BasisRep> Simplex<'a, R> {
-    fn new(std: &'a Std, opt: &'a SolverOptions) -> Self {
+    fn new(std: &'a Std<'a>, opt: &'a SolverOptions) -> Self {
         let n_total = std.cols.len();
         let mut state = vec![VarState::AtLower; n_total];
         for j in 0..n_total {
@@ -230,6 +290,10 @@ impl<'a, R: BasisRep> Simplex<'a, R> {
             state,
             basis: std.basis.clone(),
             x: std.x0.clone(),
+            d: vec![0.0; n_total],
+            prices: Prices::Stale,
+            alpha: SparseVec::new(std.m),
+            rho: SparseVec::new(std.m),
             iterations: 0,
             degenerate_run: 0,
             bland: false,
@@ -244,10 +308,12 @@ impl<'a, R: BasisRep> Simplex<'a, R> {
         }
     }
 
-    /// Recomputes basic values from the nonbasic ones (numerical hygiene).
+    /// Recomputes basic values from the nonbasic ones (numerical hygiene),
+    /// and marks the reduced costs for recomputation too.
     fn resync(&mut self) {
-        let m = self.std.m;
-        let mut v = self.std.b.clone();
+        let v = &mut self.alpha;
+        v.clear();
+        v.val.copy_from_slice(&self.std.b);
         for (j, col) in self.std.cols.iter().enumerate() {
             if matches!(self.state[j], VarState::Basic(_)) {
                 continue;
@@ -255,14 +321,16 @@ impl<'a, R: BasisRep> Simplex<'a, R> {
             let xj = self.x[j];
             if xj != 0.0 {
                 for &(r, a) in col {
-                    v[r as usize] -= a * xj;
+                    v.val[r as usize] -= a * xj;
                 }
             }
         }
-        self.rep.ftran(&mut v);
-        for r in 0..m {
-            self.x[self.basis[r] as usize] = v[r];
+        v.relist();
+        self.rep.ftran(v);
+        for (r, &b) in self.basis.iter().enumerate() {
+            self.x[b as usize] = v.val[r];
         }
+        self.prices = Prices::Stale;
     }
 
     /// Rebuilds the basis representation from the current basis columns.
@@ -273,17 +341,13 @@ impl<'a, R: BasisRep> Simplex<'a, R> {
         // Rows whose basic variable is exactly its own slack need no pivot.
         let mut pending: Vec<usize> =
             (0..m).filter(|&r| self.basis[r] as usize != n_struct_slack_base + r).collect();
-        let mut alpha = vec![0.0; m];
         while !pending.is_empty() {
             let mut progressed = false;
             let mut next_pending = Vec::with_capacity(pending.len());
             for &r in &pending {
-                alpha.iter_mut().for_each(|v| *v = 0.0);
-                for &(row, a) in &self.std.cols[self.basis[r] as usize] {
-                    alpha[row as usize] = a;
-                }
-                self.rep.ftran(&mut alpha);
-                if self.rep.update(&alpha, r) {
+                self.load_column(self.basis[r] as usize);
+                self.rep.ftran(&mut self.alpha);
+                if self.rep.update(&self.alpha, r) {
                     progressed = true;
                 } else {
                     next_pending.push(r);
@@ -298,29 +362,67 @@ impl<'a, R: BasisRep> Simplex<'a, R> {
         Ok(())
     }
 
-    /// Reduced costs for the given objective, via btran.
-    fn pricing_vector(&self, obj: &[f64]) -> Vec<f64> {
-        let mut y = vec![0.0; self.std.m];
-        for (r, &v) in self.basis.iter().enumerate() {
-            y[r] = obj[v as usize];
-        }
-        self.rep.btran(&mut y);
-        y
-    }
-
-    fn reduced_cost(&self, j: usize, obj: &[f64], y: &[f64]) -> f64 {
-        let mut d = obj[j];
+    /// Loads column `j` of the standardized matrix into `alpha`.
+    fn load_column(&mut self, j: usize) {
+        self.alpha.clear();
         for &(r, a) in &self.std.cols[j] {
-            d -= y[r as usize] * a;
+            self.alpha.set(r as usize, a);
         }
-        d
     }
 
-    /// Chooses an entering variable; `None` means optimal for `obj`.
-    fn choose_entering(&self, obj: &[f64], y: &[f64], banned: &[usize]) -> Option<(usize, f64)> {
+    /// Leaves the duals `y = B⁻ᵀ c_B` for `obj` in `rho`.
+    fn load_duals(&mut self, obj: &[f64]) {
+        self.rho.clear();
+        for (r, &v) in self.basis.iter().enumerate() {
+            let c = obj[v as usize];
+            if c != 0.0 {
+                self.rho.set(r, c);
+            }
+        }
+        self.rep.btran(&mut self.rho);
+    }
+
+    /// Recomputes every reduced cost from fresh duals, reading `A` row by
+    /// row: `d = c − Aᵀy`.
+    fn price(&mut self, obj: &[f64]) {
+        self.load_duals(obj);
+        self.d.copy_from_slice(obj);
+        for &r in self.rho.rows() {
+            let y = self.rho.val[r as usize];
+            if y != 0.0 {
+                self.std.sub_row(r as usize, y, &mut self.d);
+            }
+        }
+        self.prices = Prices::Fresh;
+    }
+
+    /// Carries the reduced costs across the pivot that brings `q` into row
+    /// `r` in place of `leaving`, before the basis representation is
+    /// updated. The duals move by `θ ρ_r` with `θ = d_q / α_r`, so
+    /// `d −= θ Aᵀρ_r`; `ρ_r` comes from a unit btran, which the eta file
+    /// serves from a handful of etas.
+    fn update_prices(&mut self, q: usize, r: usize, leaving: usize) {
+        let theta = self.d[q] / self.alpha.val[r];
+        self.rho.clear();
+        self.rho.set(r, 1.0);
+        self.rep.btran(&mut self.rho);
+        for &i in self.rho.rows() {
+            let w = theta * self.rho.val[i as usize];
+            if w != 0.0 {
+                self.std.sub_row(i as usize, w, &mut self.d);
+            }
+        }
+        self.d[q] = 0.0;
+        self.d[leaving] = -theta;
+        self.prices = Prices::Updated;
+    }
+
+    /// Chooses an entering variable from the reduced costs; `None` means
+    /// none improves by more than the tolerance.
+    fn choose_entering(&self, banned: &[usize]) -> Option<usize> {
         let tol = self.opt.opt_tol;
         let mut best: Option<(usize, f64)> = None;
-        for j in 0..self.std.cols.len() {
+        for (j, &d) in self.d.iter().enumerate() {
             if banned.contains(&j) {
                 continue;
             }
@@ -332,19 +434,18 @@ impl<'a, R: BasisRep> Simplex<'a, R> {
             if self.lower[j] == self.upper[j] {
                 continue; // fixed
             }
-            let d = self.reduced_cost(j, obj, y);
             if d * eligible_dir <= tol {
                 continue;
             }
             if self.bland {
-                return Some((j, d));
+                return Some(j);
             }
             match best {
                 Some((_, bd)) if bd.abs() >= d.abs() => {}
                 _ => best = Some((j, d)),
             }
         }
-        best
+        best.map(|(j, _)| j)
     }
 
     /// One simplex step for the objective `obj`.
@@ -352,17 +453,21 @@ impl<'a, R: BasisRep> Simplex<'a, R> {
         if self.rep.wants_refactor() {
             self.refactor()?;
         }
-        let y = self.pricing_vector(obj);
+        if !R::UPDATES_PRICES || self.prices == Prices::Stale {
+            self.price(obj);
+        }
         let mut banned: Vec<usize> = Vec::new();
         loop {
-            let Some((j, _d)) = self.choose_entering(obj, &y, &banned) else {
-                return Ok(if banned.is_empty() {
-                    StepResult::Optimal
-                } else {
-                    // Every improving column had only unusable pivots; treat
-                    // as converged at tolerance rather than cycling forever.
-                    StepResult::Optimal
-                });
+            let Some(j) = self.choose_entering(&banned) else {
+                if self.prices != Prices::Fresh {
+                    // Updated prices drift: confirm against fresh duals.
+                    self.price(obj);
+                    continue;
+                }
+                // Optimal — or every improving column had only unusable
+                // pivots; treat that as converged at tolerance rather
+                // than cycling forever.
+                return Ok(StepResult::Optimal);
             };
             let sigma = match self.state[j] {
                 VarState::AtLower => 1.0,
@@ -370,20 +475,17 @@ impl<'a, R: BasisRep> Simplex<'a, R> {
                 VarState::Basic(_) => unreachable!(),
             };
 
-            let m = self.std.m;
-            let mut alpha = vec![0.0; m];
-            for &(r, a) in &self.std.cols[j] {
-                alpha[r as usize] = a;
-            }
-            self.rep.ftran(&mut alpha);
+            self.load_column(j);
+            self.rep.ftran(&mut self.alpha);
 
-            // Ratio test.
+            // Ratio test over α's nonzeros, in row order.
             let own_range = self.upper[j] - self.lower[j]; // may be inf
             let mut t_min = own_range;
             let mut leave: Option<(usize, VarState)> = None; // (row, bound hit)
             let mut leave_pivot = 0.0f64;
-            for r in 0..m {
-                let a = alpha[r];
+            for &r in self.alpha.rows() {
+                let r = r as usize;
+                let a = self.alpha.val[r];
                 if a.abs() < 1e-11 {
                     continue;
                 }
@@ -418,15 +520,8 @@ impl<'a, R: BasisRep> Simplex<'a, R> {
             match leave {
                 None => {
                     // Bound flip: entering travels to its opposite bound.
-                    let t = own_range;
-                    self.x[j] += sigma * t;
-                    for r in 0..m {
-                        let a = alpha[r];
-                        if a != 0.0 {
-                            let bvar = self.basis[r] as usize;
-                            self.x[bvar] -= sigma * t * a;
-                        }
-                    }
+                    // The basis, and with it every reduced cost, stays.
+                    self.move_along(j, sigma * own_range);
                     self.state[j] = if sigma > 0.0 { VarState::AtUpper } else { VarState::AtLower };
                     self.iterations += 1;
                     return Ok(StepResult::Pivoted);
@@ -441,14 +536,7 @@ impl<'a, R: BasisRep> Simplex<'a, R> {
                         continue;
                     }
                     let t = t_min;
-                    self.x[j] += sigma * t;
-                    for rr in 0..m {
-                        let a = alpha[rr];
-                        if a != 0.0 {
-                            let bvar = self.basis[rr] as usize;
-                            self.x[bvar] -= sigma * t * a;
-                        }
-                    }
+                    self.move_along(j, sigma * t);
                     let leaving = self.basis[r] as usize;
                     // Pin the leaving variable exactly to the bound it hit.
                     self.x[leaving] = match hit {
@@ -456,10 +544,13 @@ impl<'a, R: BasisRep> Simplex<'a, R> {
                         VarState::AtUpper => self.upper[leaving],
                         VarState::Basic(_) => unreachable!(),
                     };
+                    if R::UPDATES_PRICES {
+                        self.update_prices(j, r, leaving);
+                    }
                     self.state[leaving] = hit;
                     self.basis[r] = j as u32;
                     self.state[j] = VarState::Basic(r as u32);
-                    if !self.rep.update(&alpha, r) {
+                    if !self.rep.update(&self.alpha, r) {
                         return Err(LpError::SingularBasis);
                     }
                     self.iterations += 1;
@@ -478,10 +569,24 @@ impl<'a, R: BasisRep> Simplex<'a, R> {
         }
     }
 
+    /// Moves entering variable `j` by `step` and the basic variables with
+    /// it, along `α`.
+    fn move_along(&mut self, j: usize, step: f64) {
+        self.x[j] += step;
+        for &r in self.alpha.rows() {
+            let a = self.alpha.val[r as usize];
+            if a != 0.0 {
+                let bvar = self.basis[r as usize] as usize;
+                self.x[bvar] -= step * a;
+            }
+        }
+    }
+
     /// Runs the simplex loop to optimality for the objective `obj`.
     fn optimize(&mut self, obj: &[f64]) -> Result<Status, LpError> {
         let limit = self.max_iterations();
         let mut since_resync = 0usize;
+        self.prices = Prices::Stale;
         loop {
             if self.iterations >= limit {
                 return Ok(Status::IterationLimit);
@@ -532,31 +637,31 @@ fn run<R: BasisRep>(std: &Std, p: &Problem, opt: &SolverOptions) -> Result<Solut
         let status = sx.optimize(&obj1)?;
         let infeas = -sx.objective(&obj1);
         if status == Status::IterationLimit {
-            return Ok(finish(p, std, &sx, Status::IterationLimit));
+            return Ok(finish(p, std, &mut sx, Status::IterationLimit));
         }
         if infeas > opt.feas_tol.max(1e-6) {
-            return Ok(finish(p, std, &sx, Status::Infeasible));
+            return Ok(finish(p, std, &mut sx, Status::Infeasible));
         }
         sx.fix_artificials(std.n_artificial);
     }
 
     let status = sx.optimize(&std.obj)?;
-    Ok(finish(p, std, &sx, status))
+    Ok(finish(p, std, &mut sx, status))
 }
 
-fn finish<R: BasisRep>(p: &Problem, std: &Std, sx: &Simplex<R>, status: Status) -> Solution {
+fn finish<R: BasisRep>(p: &Problem, std: &Std, sx: &mut Simplex<R>, status: Status) -> Solution {
     let x: Vec<f64> = sx.x[..std.n_struct].to_vec();
     let raw: f64 = p.obj.iter().zip(&x).map(|(c, v)| c * v).sum();
     let duals = if status == Status::Optimal {
         // y = c_B B⁻¹ at the optimum; map back through the row scaling and
         // the internal sense flip (the dual of the original problem's row
         // r is ∂obj/∂rhs_r in the *original* sense).
-        let y = sx.pricing_vector(&std.obj);
+        sx.load_duals(&std.obj);
         let sense_mul = match p.sense {
             Sense::Maximize => 1.0,
             Sense::Minimize => -1.0,
         };
-        Some(y.iter().zip(&std.row_scale).map(|(&v, &s)| v * s * sense_mul).collect())
+        Some(sx.rho.val.iter().zip(&std.row_scale).map(|(&v, &s)| v * s * sense_mul).collect())
     } else {
         None
     };

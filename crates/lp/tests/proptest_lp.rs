@@ -5,12 +5,16 @@
 //! solver (a) reports optimality, (b) returns a feasible point, and (c)
 //! beats the construction point and a cloud of random feasible candidates.
 //! Fractional knapsacks additionally have a closed-form optimum the solver
-//! must match exactly, and the dense and eta-file paths must agree.
+//! must match exactly, and the dense and eta-file paths must agree, also
+//! on LP+LF-shaped programs long enough to pass the resync period.
 
 use proptest::prelude::*;
-use prospector_lp::{solve_with_options, BasisChoice, Cmp, Problem, Sense, SolverOptions, Status};
+use prospector_lp::{
+    solve_with_options, BasisChoice, Cmp, Problem, Sense, SolverOptions, Status, VarId,
+};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::collections::BTreeMap;
 
 /// Builds a random feasible LP: maximize c·x over x ∈ [0,1]^n with rows
 /// a·x ≤ a·x0 + margin for a known x0 ∈ [0,1]^n.
@@ -35,6 +39,91 @@ fn random_feasible_lp(seed: u64, n: usize, m: usize) -> (Problem, Vec<f64>) {
         p.add_constraint(coeffs.iter().map(|&(j, a)| (vars[j], a)), Cmp::Le, lhs_at_x0 + margin);
     }
     (p, x0)
+}
+
+/// Builds a program shaped like the planner's LP+LF formulation over a
+/// random tree of 150–300 nodes and 6–9 samples of 3–5 top nodes each:
+/// per edge on a path from a top node to the root, a bandwidth variable
+/// `w_e` and a visit variable `y_e`; per (sample, top node), a delivery
+/// variable `x` worth 1. Rows: `x ≤ y` of the node's edge, `y_e ≤ y` of
+/// the parent edge, `Σ x ≤ w_e` per (sample, edge), and one budget row
+/// over `w` and `y` that affords a random share of every used edge.
+/// Hundreds of columns and rows, and typically 130–300 pivots: most cases
+/// pass the 120-pivot resync period and build up pricing drift.
+fn random_lp_lf(seed: u64) -> Problem {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x1f1f);
+    let nodes = rng.random_range(150..300usize);
+    let samples = rng.random_range(6..10usize);
+    let k = rng.random_range(3..6usize);
+    // Node 0 is the root; edge i joins node i to its parent.
+    let parent: Vec<usize> =
+        (0..nodes).map(|i| if i == 0 { 0 } else { rng.random_range(0..i) }).collect();
+    let mut below = vec![1usize; nodes];
+    for i in (1..nodes).rev() {
+        below[parent[i]] += below[i];
+    }
+    let path = |mut i: usize| {
+        let mut edges = Vec::new();
+        while i != 0 {
+            edges.push(i);
+            i = parent[i];
+        }
+        edges
+    };
+    let tops: Vec<Vec<usize>> = (0..samples)
+        .map(|_| {
+            let mut top: Vec<usize> = Vec::new();
+            while top.len() < k {
+                let i = rng.random_range(1..nodes);
+                if !top.contains(&i) {
+                    top.push(i);
+                }
+            }
+            top
+        })
+        .collect();
+
+    let mut p = Problem::new(Sense::Maximize);
+    let mut relevant = vec![false; nodes];
+    for &i in tops.iter().flatten() {
+        for e in path(i) {
+            relevant[e] = true;
+        }
+    }
+    let mut w: Vec<Option<VarId>> = vec![None; nodes];
+    let mut y: Vec<Option<VarId>> = vec![None; nodes];
+    let mut budget_terms = Vec::new();
+    let mut full_cost = 0.0;
+    for e in (1..nodes).filter(|&e| relevant[e]) {
+        let (value_cost, message_cost) = (rng.random_range(0.5..2.0), rng.random_range(1.0..3.0));
+        let we = p.add_var(0.0, below[e].min(k) as f64, 0.0);
+        let ye = p.add_var(0.0, 1.0, 0.0);
+        budget_terms.push((we, value_cost));
+        budget_terms.push((ye, message_cost));
+        full_cost += value_cost * below[e].min(k) as f64 + message_cost;
+        w[e] = Some(we);
+        y[e] = Some(ye);
+    }
+    let mut through: BTreeMap<(usize, usize), Vec<VarId>> = BTreeMap::new();
+    for (j, top) in tops.iter().enumerate() {
+        for &i in top {
+            let x = p.add_var(0.0, 1.0, 1.0);
+            p.add_constraint([(x, 1.0), (y[i].unwrap(), -1.0)], Cmp::Le, 0.0);
+            for e in path(i) {
+                through.entry((j, e)).or_default().push(x);
+            }
+        }
+    }
+    for e in (1..nodes).filter(|&e| relevant[e] && parent[e] != 0) {
+        p.add_constraint([(y[e].unwrap(), 1.0), (y[parent[e]].unwrap(), -1.0)], Cmp::Le, 0.0);
+    }
+    for (&(_, e), xs) in &through {
+        let terms = xs.iter().map(|&x| (x, 1.0)).chain([(w[e].unwrap(), -1.0)]);
+        p.add_constraint(terms, Cmp::Le, 0.0);
+    }
+    let share = rng.random_range(0.1..0.8);
+    p.add_constraint(budget_terms, Cmp::Le, share * full_cost);
+    p
 }
 
 fn check_feasible(p: &Problem, x: &[f64], tol: f64) {
@@ -69,14 +158,17 @@ proptest! {
     }
 
     #[test]
-    fn dense_and_eta_agree_on_random_lps(seed in 0u64..10_000, n in 2usize..14, m in 1usize..12) {
-        let (p, _) = random_feasible_lp(seed, n, m);
+    fn dense_and_eta_agree_on_random_lps(
+        seed in 0u64..10_000, n in 2usize..14, m in 1usize..12, shape in 0u8..4
+    ) {
+        // One case in four is LP+LF-shaped, with hundreds of columns.
+        let p = if shape == 0 { random_lp_lf(seed) } else { random_feasible_lp(seed, n, m).0 };
         let d = solve_with_options(&p, &SolverOptions { basis: BasisChoice::Dense, ..Default::default() }).unwrap();
         let e = solve_with_options(&p, &SolverOptions { basis: BasisChoice::Eta, ..Default::default() }).unwrap();
         prop_assert_eq!(d.status, Status::Optimal);
         prop_assert_eq!(e.status, Status::Optimal);
         prop_assert!((d.objective - e.objective).abs() < 1e-6,
-            "dense {} vs eta {}", d.objective, e.objective);
+            "seed {seed} shape {shape}: dense {} vs eta {}", d.objective, e.objective);
     }
 
     #[test]
