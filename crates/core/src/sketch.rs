@@ -212,42 +212,91 @@ impl QDigest {
     /// allows. Queries and encoding apply this automatically; calling it
     /// eagerly only trims memory.
     pub fn compress(&mut self) {
-        let budget = self.total / self.precision.compression;
-        if budget == 0 {
-            return;
-        }
-        for level in (1..=self.precision.depth).rev() {
-            let lo_id = 1u64 << level;
-            let hi_id = (1u64 << (level + 1)) - 1;
-            let parents: Vec<u64> =
-                self.counts.range(lo_id..=hi_id).map(|(&id, _)| id >> 1).collect();
-            let mut last = 0u64;
-            for p in parents {
-                if p == last {
-                    continue; // both siblings listed this parent once already
-                }
-                last = p;
-                let a = self.counts.get(&(2 * p)).copied().unwrap_or(0);
-                let b = self.counts.get(&(2 * p + 1)).copied().unwrap_or(0);
-                let c = self.counts.get(&p).copied().unwrap_or(0);
-                if a + b + c <= budget {
-                    self.counts.remove(&(2 * p));
-                    self.counts.remove(&(2 * p + 1));
-                    self.counts.insert(p, a + b + c);
-                }
-            }
-        }
+        self.counts = self.compressed().into_iter().collect();
     }
 
-    /// Cumulative counts per stored node ordered by the *highest* leaf
-    /// bucket the node can cover — the classic q-digest rank ordering.
-    fn ranked_nodes(&self) -> Vec<(u64, u64, u64)> {
-        // (max_bucket, min_bucket, count), sorted ascending.
+    /// The canonical compression of the stored counts as `(node id,
+    /// count)` pairs in ascending id order, leaving `self` untouched.
+    ///
+    /// One merge walk over flat sorted vectors, deepest level first.
+    /// Heap ids order the stored nodes level by level, so each level is
+    /// a contiguous run of the sorted input. A level's nodes are its
+    /// stored ones overlaid with the parents the level below merged
+    /// into (a merged parent's count already includes its stored one).
+    /// Siblings are adjacent in that run, and their parents' stored
+    /// counts are read with a cursor advancing through the level above:
+    /// `O(nodes · depth)` with no map and no per-parent lookup.
+    ///
+    /// Every parent owns its own pair of children, so the merges within
+    /// a level never interact: each decision reads its pair as the level
+    /// below left it and its parent's stored count, exactly as a
+    /// level-by-level sweep that edits the counts in place would.
+    fn compressed(&self) -> Vec<(u64, u64)> {
+        let stored: Vec<(u64, u64)> = self.counts.iter().map(|(&id, &c)| (id, c)).collect();
+        let budget = self.total / self.precision.compression;
+        if budget == 0 {
+            return stored;
+        }
+        // Survivors, deepest level first; `blocks[d]` is where the d-th
+        // level from the bottom starts.
+        let mut kept: Vec<(u64, u64)> = Vec::with_capacity(stored.len());
+        let mut blocks = Vec::with_capacity(self.precision.depth as usize + 1);
+        // `carried`: the parents the level below merged into, ascending;
+        // `merged` collects this level's for the level above.
+        let (mut carried, mut merged) = (Vec::new(), Vec::new());
+        let mut level_nodes = Vec::new();
+        let mut end = stored.len();
+        for level in (1..=self.precision.depth).rev() {
+            let start = stored[..end].partition_point(|&(id, _)| id < 1u64 << level);
+            let parents_start =
+                stored[..start].partition_point(|&(id, _)| id < 1u64 << (level - 1));
+            let parents = &stored[parents_start..start];
+            overlay(&stored[start..end], &carried, &mut level_nodes);
+            blocks.push(kept.len());
+            let mut cursor = 0;
+            let mut nodes = level_nodes.iter().copied().peekable();
+            while let Some((id, a)) = nodes.next() {
+                let p = id >> 1;
+                let sibling = nodes.next_if(|&(s, _)| s >> 1 == p);
+                while cursor < parents.len() && parents[cursor].0 < p {
+                    cursor += 1;
+                }
+                let c = parents.get(cursor).filter(|&&(q, _)| q == p).map_or(0, |&(_, c)| c);
+                let sum = a + sibling.map_or(0, |(_, b)| b) + c;
+                if sum <= budget {
+                    merged.push((p, sum));
+                } else {
+                    kept.push((id, a));
+                    kept.extend(sibling);
+                }
+            }
+            std::mem::swap(&mut carried, &mut merged);
+            merged.clear();
+            end = start;
+        }
+        // The root level has no parent to merge into.
+        blocks.push(kept.len());
+        overlay(&stored[..end], &carried, &mut level_nodes);
+        kept.extend_from_slice(&level_nodes);
+        // Levels were produced bottom-up; ascending ids run top-down.
+        let mut out = Vec::with_capacity(kept.len());
+        let mut hi = kept.len();
+        for &lo in blocks.iter().rev() {
+            out.extend_from_slice(&kept[lo..hi]);
+            hi = lo;
+        }
+        out
+    }
+
+    /// `nodes` (compressed, ascending id) as `(max_bucket, min_bucket,
+    /// count)` sorted ascending: cumulative counts in this order are the
+    /// classic q-digest ranks, ordered by the *highest* leaf bucket each
+    /// node can cover.
+    fn ranked_nodes(&self, nodes: &[(u64, u64)]) -> Vec<(u64, u64, u64)> {
         let depth = self.precision.depth;
-        let mut v: Vec<(u64, u64, u64)> = self
-            .counts
+        let mut v: Vec<(u64, u64, u64)> = nodes
             .iter()
-            .map(|(&id, &c)| {
+            .map(|&(id, c)| {
                 let level = 63 - id.leading_zeros();
                 let span = depth - level; // levels below this node
                 let first_leaf = id << span;
@@ -268,12 +317,10 @@ impl QDigest {
         if self.total == 0 {
             return None;
         }
-        let mut canon = self.clone();
-        canon.compress();
-        let target = (phi.clamp(0.0, 1.0) * canon.total as f64).ceil() as u64;
+        let target = (phi.clamp(0.0, 1.0) * self.total as f64).ceil() as u64;
         let mut seen = 0u64;
         let mut last = None;
-        for (max_b, _min_b, c) in canon.ranked_nodes() {
+        for (max_b, _min_b, c) in self.ranked_nodes(&self.compressed()) {
             seen += c;
             last = Some(max_b);
             if seen >= target {
@@ -290,10 +337,7 @@ impl QDigest {
     /// `b` contributes fully. The true quantized rank exceeds this by at
     /// most `ε·n` after compression.
     pub fn rank_of_bucket(&self, b: u64) -> u64 {
-        let mut canon = self.clone();
-        canon.compress();
-        canon
-            .ranked_nodes()
+        self.ranked_nodes(&self.compressed())
             .into_iter()
             .take_while(|&(max_b, _, _)| max_b <= b)
             .map(|(_, _, c)| c)
@@ -312,16 +356,15 @@ impl QDigest {
     /// pairs. Equal multisets encode to equal bytes regardless of
     /// insertion or merge order.
     pub fn encode(&self) -> Vec<u8> {
-        let mut canon = self.clone();
-        canon.compress();
-        let mut out = Vec::with_capacity(44 + canon.counts.len() * 16);
-        out.extend_from_slice(&canon.precision.depth.to_le_bytes());
-        out.extend_from_slice(&canon.precision.compression.to_le_bytes());
-        out.extend_from_slice(&canon.precision.lo.to_bits().to_le_bytes());
-        out.extend_from_slice(&canon.precision.hi.to_bits().to_le_bytes());
-        out.extend_from_slice(&canon.total.to_le_bytes());
-        out.extend_from_slice(&(canon.counts.len() as u64).to_le_bytes());
-        for (&id, &c) in &canon.counts {
+        let nodes = self.compressed();
+        let mut out = Vec::with_capacity(44 + nodes.len() * 16);
+        out.extend_from_slice(&self.precision.depth.to_le_bytes());
+        out.extend_from_slice(&self.precision.compression.to_le_bytes());
+        out.extend_from_slice(&self.precision.lo.to_bits().to_le_bytes());
+        out.extend_from_slice(&self.precision.hi.to_bits().to_le_bytes());
+        out.extend_from_slice(&self.total.to_le_bytes());
+        out.extend_from_slice(&(nodes.len() as u64).to_le_bytes());
+        for (id, c) in nodes {
             out.extend_from_slice(&id.to_le_bytes());
             out.extend_from_slice(&c.to_le_bytes());
         }
@@ -374,6 +417,27 @@ impl QDigest {
     pub fn node_count(&self) -> usize {
         self.counts.len()
     }
+}
+
+/// Overlays two id-sorted runs of `(node id, count)` into `out`: the
+/// union of both, ascending, where an id present in both takes `over`'s
+/// count.
+fn overlay(base: &[(u64, u64)], over: &[(u64, u64)], out: &mut Vec<(u64, u64)>) {
+    out.clear();
+    let (mut i, mut j) = (0, 0);
+    while i < base.len() && j < over.len() {
+        let (b, o) = (base[i], over[j]);
+        if b.0 < o.0 {
+            out.push(b);
+            i += 1;
+        } else {
+            out.push(o);
+            j += 1;
+            i += usize::from(b.0 == o.0);
+        }
+    }
+    out.extend_from_slice(&base[i..]);
+    out.extend_from_slice(&over[j..]);
 }
 
 #[cfg(test)]
@@ -466,5 +530,152 @@ mod tests {
         let values = [3.0, 99.5, 17.25, 240.0];
         let d = QDigest::from_values(prec(), &values);
         assert!(d.upper_bound().unwrap() >= 240.0);
+    }
+
+    /// The map-based compression the one-pass walk replaced, kept as its
+    /// oracle: level by level from the leaves, each stored node's parent
+    /// is looked up and edited in a `BTreeMap`.
+    fn reference_compress(d: &mut QDigest) {
+        let budget = d.total / d.precision.compression;
+        if budget == 0 {
+            return;
+        }
+        for level in (1..=d.precision.depth).rev() {
+            let lo_id = 1u64 << level;
+            let hi_id = (1u64 << (level + 1)) - 1;
+            let parents: Vec<u64> = d.counts.range(lo_id..=hi_id).map(|(&id, _)| id >> 1).collect();
+            let mut last = 0u64;
+            for p in parents {
+                if p == last {
+                    continue; // both siblings listed this parent once already
+                }
+                last = p;
+                let a = d.counts.get(&(2 * p)).copied().unwrap_or(0);
+                let b = d.counts.get(&(2 * p + 1)).copied().unwrap_or(0);
+                let c = d.counts.get(&p).copied().unwrap_or(0);
+                if a + b + c <= budget {
+                    d.counts.remove(&(2 * p));
+                    d.counts.remove(&(2 * p + 1));
+                    d.counts.insert(p, a + b + c);
+                }
+            }
+        }
+    }
+
+    /// The encoding that went with [`reference_compress`]: compress a
+    /// clone, then serialize its map.
+    fn reference_encode(d: &QDigest) -> Vec<u8> {
+        let mut canon = d.clone();
+        reference_compress(&mut canon);
+        let mut out = Vec::with_capacity(44 + canon.counts.len() * 16);
+        out.extend_from_slice(&canon.precision.depth.to_le_bytes());
+        out.extend_from_slice(&canon.precision.compression.to_le_bytes());
+        out.extend_from_slice(&canon.precision.lo.to_bits().to_le_bytes());
+        out.extend_from_slice(&canon.precision.hi.to_bits().to_le_bytes());
+        out.extend_from_slice(&canon.total.to_le_bytes());
+        out.extend_from_slice(&(canon.counts.len() as u64).to_le_bytes());
+        for (&id, &c) in &canon.counts {
+            out.extend_from_slice(&id.to_le_bytes());
+            out.extend_from_slice(&c.to_le_bytes());
+        }
+        out
+    }
+
+    /// `n` readings on `[0, 100]` quantized to `depth` bits, in one of
+    /// four shapes: 0 uniform over and past the domain (with NaN and
+    /// ±∞, which clamp), 1 all identical, 2 pairs of sibling buckets
+    /// `2j` and `2j + 1`, 3 a cluster a few buckets wide.
+    fn oracle_values(depth: u32, shape: u8, n: usize, rng: &mut impl rand::RngExt) -> Vec<f64> {
+        let buckets = 1u64 << depth;
+        let width = 100.0 / buckets as f64;
+        let at = |b: u64| (b as f64 + 0.5) * width;
+        let same = rng.random_range(0..buckets);
+        let center = rng.random_range(0..buckets);
+        (0..n)
+            .map(|i| match shape {
+                0 => match rng.random_range(0..40) {
+                    0 => f64::NAN,
+                    1 => f64::INFINITY,
+                    2 => f64::NEG_INFINITY,
+                    _ => rng.random_range(-10.0..110.0),
+                },
+                1 => at(same),
+                2 => {
+                    let pair = rng.random_range(0..buckets.div_ceil(2).min(8)) * 2;
+                    at((pair + (i as u64 & 1)).min(buckets - 1))
+                }
+                _ => at((center + rng.random_range(0..6u64)).min(buckets - 1)),
+            })
+            .collect()
+    }
+
+    // The one-pass walk compresses exactly like the map-based reference:
+    // same stored counts, same encoded bytes, on plain, merged and
+    // already-compressed digests at every depth and at budgets 0, 1,
+    // ≥ total and in between.
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(400))]
+
+        #[test]
+        fn one_pass_compression_matches_the_map_reference(
+            depth in 1u32..=24,
+            shape in 0u8..4,
+            budget in 0u8..4,
+            parts in 0u8..3,
+            precompress in 0u8..2,
+            seed in 0u64..u64::MAX,
+        ) {
+            use rand::{RngExt, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let n = rng.random_range(0..300);
+            let a = oracle_values(depth, shape, n, &mut rng);
+            let m = if parts > 0 { rng.random_range(0..200) } else { 0 };
+            let b = oracle_values(depth, shape, m, &mut rng);
+            let total = (a.len() + b.len()) as u64;
+            let compression = match budget {
+                0 => total + 1,     // budget 0: nothing merges
+                1 => total.max(1),  // budget 1: only lone nodes rise
+                2 => 1,             // budget = total: everything may merge
+                _ => rng.random_range(1..=64),
+            };
+            let p = SketchPrecision { depth, compression, lo: 0.0, hi: 100.0 };
+            let mut d = QDigest::from_values(p, &a);
+            if parts > 0 {
+                let mut other = QDigest::from_values(p, &b);
+                if parts == 2 {
+                    // Interior nodes in the input, as after a decode.
+                    reference_compress(&mut other);
+                }
+                d.merge(&other);
+            }
+            if precompress == 1 {
+                reference_compress(&mut d);
+            }
+            let mut expect = d.clone();
+            reference_compress(&mut expect);
+            let mut got = d.clone();
+            got.compress();
+            proptest::prop_assert_eq!(&got.counts, &expect.counts);
+            proptest::prop_assert_eq!(got.total, d.total);
+            proptest::prop_assert_eq!(d.encode(), reference_encode(&d));
+            proptest::prop_assert_eq!(got.encode(), reference_encode(&got));
+        }
+    }
+
+    #[test]
+    fn sibling_pair_at_budget_merges_into_parent() {
+        // 33 values at compression 16: budget 2. Buckets 4 and 5 hold one
+        // value each and rise to their parent (256 + 4) / 2 = 130; bucket
+        // 6's lone value rises to 131; at the next level 2 + 1 > 2, so
+        // both stay. The far cluster's leaves hold 10 each and stay put.
+        let mut values = vec![4.5, 5.5, 6.5];
+        values.extend((0..30).map(|i| 200.5 + (i % 3) as f64 * 10.0));
+        let mut d = QDigest::from_values(prec(), &values);
+        let mut expect = d.clone();
+        reference_compress(&mut expect);
+        d.compress();
+        assert_eq!(d.counts, expect.counts);
+        let nodes: Vec<(u64, u64)> = d.counts.iter().map(|(&id, &c)| (id, c)).collect();
+        assert_eq!(nodes, vec![(130, 2), (131, 1), (456, 10), (466, 10), (476, 10)]);
     }
 }

@@ -8,9 +8,14 @@
 //! carries mutable state and cannot regenerate an arbitrary epoch after
 //! a crash-resume.
 //!
-//! Both sources here are **stateless per epoch**: `values(e)` is a pure
-//! function of the configuration and `e`, so checkpoint/resume replays
+//! Both sources here are **pure per epoch**: `values(e)` is a function
+//! of the configuration and `e` alone, so checkpoint/resume replays
 //! identically and any epoch can be queried out of order.
+//! [`DriftField`] keeps a one-epoch memo — the last epoch it served and
+//! that epoch's readings — so that the next epoch costs only the nodes
+//! that redraw. The memo holds exactly one epoch, and every other query
+//! (a repeat, a skip, a step backwards, a fresh clone's first call)
+//! takes the stateless scan; either way the result is the same bits.
 
 use crate::source::ValueSource;
 use crate::stats::{mix_seed, normal};
@@ -28,6 +33,8 @@ pub struct DriftField {
     std_devs: Vec<f64>,
     change_prob: f64,
     seed: u64,
+    /// The last epoch served and its readings.
+    memo: Option<(u64, Vec<f64>)>,
 }
 
 impl DriftField {
@@ -36,7 +43,7 @@ impl DriftField {
         assert_eq!(means.len(), std_devs.len());
         assert!(std_devs.iter().all(|s| *s >= 0.0), "negative std dev");
         assert!((0.0..=1.0).contains(&change_prob), "change_prob outside [0, 1]");
-        DriftField { means, std_devs, change_prob, seed }
+        DriftField { means, std_devs, change_prob, seed, memo: None }
     }
 
     /// Means uniform in `mean_range`, standard deviations uniform in
@@ -78,6 +85,12 @@ impl DriftField {
     fn draw_epoch(&self, epoch: u64, i: usize) -> u64 {
         (0..=epoch).rev().find(|&e| self.changes_at(e, i)).unwrap_or(0)
     }
+
+    /// Node `i`'s reading as drawn at change epoch `e`.
+    fn draw(&self, e: u64, i: usize) -> f64 {
+        let mut rng = StdRng::seed_from_u64(mix_seed(self.seed, e, 0x3_0000 + i as u64));
+        normal(&mut rng, self.means[i], self.std_devs[i])
+    }
 }
 
 impl ValueSource for DriftField {
@@ -86,13 +99,21 @@ impl ValueSource for DriftField {
     }
 
     fn values(&mut self, epoch: u64) -> Vec<f64> {
-        (0..self.means.len())
-            .map(|i| {
-                let e = self.draw_epoch(epoch, i);
-                let mut rng = StdRng::seed_from_u64(mix_seed(self.seed, e, 0x3_0000 + i as u64));
-                normal(&mut rng, self.means[i], self.std_devs[i])
-            })
-            .collect()
+        let row = match self.memo.take() {
+            // A node that does not change at `epoch` holds its reading
+            // from `epoch - 1`: only the changers redraw.
+            Some((last, mut row)) if epoch.checked_sub(1) == Some(last) => {
+                for (i, v) in row.iter_mut().enumerate() {
+                    if self.changes_at(epoch, i) {
+                        *v = self.draw(epoch, i);
+                    }
+                }
+                row
+            }
+            _ => (0..self.means.len()).map(|i| self.draw(self.draw_epoch(epoch, i), i)).collect(),
+        };
+        self.memo = Some((epoch, row.clone()));
+        row
     }
 
     fn name(&self) -> &'static str {
@@ -164,6 +185,10 @@ mod tests {
         assert!(v0.iter().zip(&v1).any(|(a, b)| a.to_bits() != b.to_bits()));
     }
 
+    /// `values(e)` is a pure function of `e`: whatever sequence of
+    /// epochs a field has served, and whatever its one-epoch memo holds,
+    /// it returns the bits a fresh field's first call (the stateless
+    /// scan) returns.
     #[test]
     fn values_are_reproducible_and_order_independent() {
         let mut s = DriftField::random(6, 0.0..50.0, 0.5..1.5, 0.3, 11);
@@ -172,6 +197,28 @@ mod tests {
         for e in (0..12).rev() {
             let v = s2.values(e);
             assert_eq!(v, forward[e as usize], "epoch {e}");
+        }
+
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        for change_prob in [0.0, 0.1, 1.0] {
+            let make = || DriftField::random(40, 10.0..90.0, 0.5..3.0, change_prob, 23);
+            let fresh = |e: u64| bits(make().values(e));
+            // Forward runs (memo hits), a repeat, skips, and backward steps.
+            let epochs = [0, 1, 2, 3, 3, 4, 9, 10, 11, 7, 6, 30, 31, 0, 1, 2];
+            let mut s = make();
+            let mut mid_run = None;
+            for (step, &e) in epochs.iter().enumerate() {
+                assert_eq!(bits(s.values(e)), fresh(e), "p={change_prob}, step {step}, epoch {e}");
+                if step == 8 {
+                    mid_run = Some(s.clone());
+                }
+            }
+            // A clone taken mid-run (last served epoch 11) carries on from
+            // its own memo.
+            let mut c = mid_run.expect("cloned at step 8");
+            for e in [12, 13, 13, 20, 19] {
+                assert_eq!(bits(c.values(e)), fresh(e), "p={change_prob}, clone, epoch {e}");
+            }
         }
     }
 

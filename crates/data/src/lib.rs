@@ -37,7 +37,7 @@ pub use collector::{full_sweep_cost, SamplePolicy};
 pub use drift::{DriftField, PiecewiseConstant};
 pub use gaussian::IndependentGaussian;
 pub use intel::IntelLabLike;
-pub use samples::{top_k_nodes, Reading, SamplePartsError, SampleSet};
+pub use samples::{top_k_nodes, Band, BandTable, Reading, SamplePartsError, SampleSet};
 pub use source::ValueSource;
 pub use subset::{AnswerSpec, SubsetSampleSet};
 pub use walk::RandomWalk;

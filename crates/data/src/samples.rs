@@ -109,6 +109,48 @@ impl std::fmt::Display for SamplePartsError {
 
 impl std::error::Error for SamplePartsError {}
 
+/// One node's gate inputs: its plausibility band `[lo, hi]` and the
+/// window prediction a rejected reading is replaced with.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Band {
+    pub lo: f64,
+    pub hi: f64,
+    pub predicted: f64,
+}
+
+/// Every node's [`Band`] over one window, from
+/// [`SampleSet::band_table`]. A node has a band exactly when
+/// [`SampleSet::prediction_band`] returns one.
+#[derive(Debug, Clone)]
+pub struct BandTable {
+    need: usize,
+    count: Vec<u32>,
+    mean: Vec<f64>,
+    lo: Vec<f64>,
+    hi: Vec<f64>,
+}
+
+impl BandTable {
+    /// `node`'s band, `None` when its window holds fewer than
+    /// `max(min_window, 2)` finite readings.
+    pub fn get(&self, node: NodeId) -> Option<Band> {
+        let i = node.index();
+        (self.count[i] as usize >= self.need).then(|| Band {
+            lo: self.lo[i],
+            hi: self.hi[i],
+            predicted: self.mean[i],
+        })
+    }
+}
+
+/// The band `mean ± z·max(σ, min_sigma)`, with σ the sample standard
+/// deviation of `count >= 2` readings whose squared deviations from
+/// `mean` sum to `sq`.
+fn band_edges(mean: f64, sq: f64, count: usize, z: f64, min_sigma: f64) -> (f64, f64) {
+    let sigma = (sq / (count - 1) as f64).sqrt().max(min_sigma);
+    (mean - z * sigma, mean + z * sigma)
+}
+
 /// A sliding window of full-network samples plus the derived top-k sets.
 ///
 /// ```
@@ -138,6 +180,8 @@ pub struct SampleSet {
     bits: VecDeque<Vec<u64>>,
     /// Number of samples in which each node appears in the top k.
     column_counts: Vec<u32>,
+    /// Bumped by every change to the window's readings (push, mask).
+    generation: u64,
 }
 
 impl SampleSet {
@@ -155,6 +199,7 @@ impl SampleSet {
             ones: VecDeque::new(),
             bits: VecDeque::new(),
             column_counts: vec![0; n],
+            generation: 0,
         }
     }
 
@@ -202,7 +247,7 @@ impl SampleSet {
         // carry them: rebuild from the restored top-k sets.
         let words = n.div_ceil(64);
         let bits = ones.iter().map(|one| pack_row(one, words)).collect();
-        Ok(SampleSet { n, k, capacity, window, ones, bits, column_counts })
+        Ok(SampleSet { n, k, capacity, window, ones, bits, column_counts, generation: 0 })
     }
 
     /// Window capacity (maximum retained samples).
@@ -228,6 +273,15 @@ impl SampleSet {
         self.bits.push_back(pack_row(&top, self.words_per_row()));
         self.window.push_back(values);
         self.ones.push_back(top);
+        self.generation += 1;
+    }
+
+    /// A counter that changes whenever the window's readings do (every
+    /// [`SampleSet::push`] and every non-empty
+    /// [`SampleSet::mask_nodes`]). Anything derived from the readings —
+    /// a [`BandTable`], say — stays valid while this reads the same.
+    pub fn generation(&self) -> u64 {
+        self.generation
     }
 
     /// Number of samples currently in the window.
@@ -313,6 +367,7 @@ impl SampleSet {
             return;
         }
         self.column_counts.fill(0);
+        self.generation += 1;
         let words = self.words_per_row();
         for ((row, ones), bits) in
             self.window.iter_mut().zip(self.ones.iter_mut()).zip(self.bits.iter_mut())
@@ -388,8 +443,49 @@ impl SampleSet {
                 sq += (v - mean) * (v - mean);
             }
         }
-        let sigma = (sq / (count - 1) as f64).sqrt().max(min_sigma);
-        Some((mean - z * sigma, mean + z * sigma))
+        Some(band_edges(mean, sq, count, z, min_sigma))
+    }
+
+    /// [`SampleSet::prediction_band`] and [`SampleSet::predicted_value`]
+    /// for every node at once, in two row-major passes over the window
+    /// instead of three column walks per node. Each node's sums run over
+    /// its readings in the same (oldest-first) order as the per-node
+    /// calls, so every entry equals theirs bit for bit.
+    pub fn band_table(&self, z: f64, min_sigma: f64, min_window: usize) -> BandTable {
+        let n = self.n;
+        let mut count = vec![0u32; n];
+        // Sums, then means.
+        let mut mean = vec![0.0; n];
+        for row in &self.window {
+            for ((m, c), &v) in mean.iter_mut().zip(&mut count).zip(row) {
+                if v.is_finite() {
+                    *m += v;
+                    *c += 1;
+                }
+            }
+        }
+        for (m, &c) in mean.iter_mut().zip(&count) {
+            if c > 0 {
+                *m /= c as f64;
+            }
+        }
+        // Squared deviations, then the band edges.
+        let mut lo = vec![0.0; n];
+        for row in &self.window {
+            for ((sq, &m), &v) in lo.iter_mut().zip(&mean).zip(row) {
+                if v.is_finite() {
+                    *sq += (v - m) * (v - m);
+                }
+            }
+        }
+        let need = min_window.max(2);
+        let mut hi = vec![0.0; n];
+        for (((l, h), &m), &c) in lo.iter_mut().zip(&mut hi).zip(&mean).zip(&count) {
+            if c as usize >= need {
+                (*l, *h) = band_edges(m, *l, c as usize, z, min_sigma);
+            }
+        }
+        BandTable { need, count, mean, lo, hi }
     }
 
     /// Nodes among `candidates` whose value in sample `j` is strictly
@@ -628,6 +724,78 @@ mod tests {
         let mut short = SampleSet::new(1, 1, 4);
         short.push(vec![7.0]);
         assert_eq!(short.prediction_band(NodeId(0), 2.0, 0.5, 0), None);
+    }
+
+    /// Every node's bulk band equals its per-node `prediction_band` plus
+    /// `predicted_value`, compared bit for bit (`None` where they abstain).
+    fn assert_table_matches_per_node(s: &SampleSet, z: f64, min_sigma: f64, min_window: usize) {
+        let table = s.band_table(z, min_sigma, min_window);
+        for i in 0..s.num_nodes() {
+            let node = NodeId::from_index(i);
+            let bulk = table.get(node).map(|b| [b.lo, b.hi, b.predicted].map(f64::to_bits));
+            let per_node = s.prediction_band(node, z, min_sigma, min_window).map(|(lo, hi)| {
+                let predicted = s.predicted_value(node).expect("band implies history");
+                [lo, hi, predicted].map(f64::to_bits)
+            });
+            assert_eq!(bulk, per_node, "node {i} of a {}-sample window", s.len());
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn band_table_matches_per_node_calls(
+            n in 1usize..40,
+            capacity in 1usize..8,
+            pushes in 0usize..14,
+            min_window in 0usize..6,
+            z in 0.5f64..10.0,
+            min_sigma in 0.0f64..2.0,
+            mask_after in 0usize..16,
+            seed in 0u64..u64::MAX,
+        ) {
+            use rand::{RngExt, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut s = SampleSet::new(n, 1, capacity);
+            // Empty, then shorter than `min_window`, then full and evicting.
+            assert_table_matches_per_node(&s, z, min_sigma, min_window);
+            for p in 0..pushes {
+                let row = (0..n)
+                    .map(|_| match rng.random_range(0..24) {
+                        0 => f64::NAN,
+                        1 => f64::INFINITY,
+                        2 => f64::NEG_INFINITY,
+                        3 => 1e308, // finite, but sums overflow
+                        _ => rng.random_range(-50.0..50.0),
+                    })
+                    .collect();
+                s.push(row);
+                if p == mask_after {
+                    let dead: Vec<NodeId> = (0..n)
+                        .filter(|_| rng.random_range(0..3) == 0)
+                        .map(NodeId::from_index)
+                        .collect();
+                    s.mask_nodes(&dead);
+                }
+                assert_table_matches_per_node(&s, z, min_sigma, min_window);
+            }
+        }
+    }
+
+    #[test]
+    fn generation_moves_with_the_readings() {
+        let mut s = SampleSet::new(3, 1, 2);
+        let g0 = s.generation();
+        s.push(vec![1.0, 2.0, 3.0]);
+        let g1 = s.generation();
+        assert_ne!(g1, g0, "push");
+        s.mask_nodes(&[]);
+        assert_eq!(s.generation(), g1, "an empty mask changes nothing");
+        s.mask_nodes(&[NodeId(2)]);
+        let g2 = s.generation();
+        assert_ne!(g2, g1, "mask");
+        s.push(vec![4.0, 5.0, 6.0]);
+        s.push(vec![7.0, 8.0, 9.0]); // evicts
+        assert_ne!(s.generation(), g2, "push at capacity");
     }
 
     #[test]

@@ -576,18 +576,21 @@ pub(crate) fn apply_refresh(
     if let Some(prec) = sketch {
         // One q-digest per alive root-child subtree over the values that
         // actually arrived; its encoded bytes ride the child's uplink.
+        // One pass buckets the arrivals by subtree, in node order.
         let root = topology.root();
-        let owner = subtree_owner(topology, root);
+        let children = topology.children(root);
+        let mut arrived: Vec<Vec<f64>> = vec![Vec::new(); children.len()];
+        for (i, slot) in subtree_slots(topology, root).into_iter().enumerate() {
+            if let Some(slot) = slot.filter(|_| alive[i] && delivered[i]) {
+                arrived[slot].push(values[i]);
+            }
+        }
         state.sketches.clear();
-        for &c in topology.children(root) {
+        for (&c, vals) in children.iter().zip(&arrived) {
             if !alive[c.index()] {
                 continue;
             }
-            let vals: Vec<f64> = (0..n)
-                .filter(|&i| alive[i] && delivered[i] && owner[i] == Some(c))
-                .map(|i| values[i])
-                .collect();
-            let digest = QDigest::from_values(prec, &vals);
+            let digest = QDigest::from_values(prec, vals);
             let bytes = digest.encode().len();
             charge(meter, tracer, c, Phase::Collection, energy.per_byte_mj * bytes as f64);
             uplinks += 1;
@@ -597,19 +600,20 @@ pub(crate) fn apply_refresh(
     uplinks
 }
 
-/// For each node, the root child whose subtree contains it (`None` for
-/// the root itself).
-fn subtree_owner(topology: &Topology, root: NodeId) -> Vec<Option<NodeId>> {
-    let mut owner: Vec<Option<NodeId>> = vec![None; topology.len()];
+/// For each node, the position among the root's children of the one
+/// whose subtree contains it (`None` for the root itself).
+fn subtree_slots(topology: &Topology, root: NodeId) -> Vec<Option<usize>> {
+    let mut slot: Vec<Option<usize>> = vec![None; topology.len()];
+    for (s, &c) in topology.children(root).iter().enumerate() {
+        slot[c.index()] = Some(s);
+    }
     // Parents precede children in reverse post order.
     for &u in topology.post_order().iter().rev() {
-        if u == root {
-            continue;
+        if let Some(p) = topology.parent(u).filter(|&p| p != root) {
+            slot[u.index()] = slot[p.index()];
         }
-        let p = topology.parent(u).expect("non-root node has a parent");
-        owner[u.index()] = if p == root { Some(u) } else { owner[p.index()] };
     }
-    owner
+    slot
 }
 
 #[cfg(test)]

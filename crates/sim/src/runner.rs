@@ -27,7 +27,9 @@ use prospector_ckpt::{Checkpoint, CheckpointPolicy, CheckpointStore, StoreError}
 use prospector_core::{
     evaluate, ContinuousPolicy, GatePolicy, Plan, PlanContext, PlanError, Planner, TrustState,
 };
-use prospector_data::{top_k_nodes, Reading, SamplePolicy, SampleSet, ValueSource};
+use prospector_data::{
+    top_k_nodes, Band, BandTable, Reading, SamplePolicy, SampleSet, ValueSource,
+};
 use prospector_net::{
     epoch_seed, ArqPolicy, EnergyMeter, EnergyModel, FailureModel, FaultSchedule, NodeId, Phase,
     Topology,
@@ -317,6 +319,11 @@ pub struct ExperimentRunner<'a> {
     /// Continuous-protocol state, present exactly when
     /// [`ExperimentConfig::continuous`] is.
     cont: Option<ContinuousState>,
+    /// Continuous mode only: the gate bands of the window whose
+    /// [`SampleSet::generation`] is paired with them. Every continuous
+    /// epoch audits the whole view, and between sweeps the window does
+    /// not change, so one table serves many epochs.
+    bands: Option<(u64, BandTable)>,
     meter: EnergyMeter,
     rng: StdRng,
     /// Aggregate metrics; populated only after
@@ -365,6 +372,7 @@ impl<'a> ExperimentRunner<'a> {
             alive: vec![true; topology.len()],
             trust: vec![TrustState::default(); topology.len()],
             cont: config.continuous.as_ref().map(|_| ContinuousState::new(topology.len())),
+            bands: None,
             meter: EnergyMeter::new(topology.len()),
             rng,
             metrics: None,
@@ -524,6 +532,7 @@ impl<'a> ExperimentRunner<'a> {
             alive: ckpt.alive,
             trust: ckpt.trust,
             cont,
+            bands: None,
             meter: ckpt.meter,
             rng: StdRng::from_state(ckpt.rng_state),
             metrics: ckpt.metrics.as_ref().map(MetricsRegistry::from_snapshot),
@@ -883,7 +892,8 @@ impl<'a> ExperimentRunner<'a> {
         let mut gated = GateTally::default();
         if let Some(policy) = self.config.gate {
             for &reading in &report.answer {
-                match self.gate_reading(reading, epoch, &policy, &mut gated, tracer) {
+                let band = node_band(&self.samples, reading.node, &policy);
+                match self.gate_reading(reading, band, epoch, &policy, &mut gated, tracer) {
                     Some(prediction) => {
                         substituted.push(AnswerEntry { reading: prediction, estimated: true })
                     }
@@ -1047,6 +1057,7 @@ impl<'a> ExperimentRunner<'a> {
         // the delta-vs-refresh-every-epoch equivalence tests pin down.
         let mut gated = GateTally::default();
         if let Some(gate_policy) = self.config.gate {
+            let bands = self.window_bands(&gate_policy);
             for i in 0..self.topology.len() {
                 if !self.alive[i] {
                     continue;
@@ -1055,14 +1066,14 @@ impl<'a> ExperimentRunner<'a> {
                 if !v.is_finite() {
                     continue;
                 }
-                let reading = Reading { node: NodeId::from_index(i), value: v };
-                let eff = match self.gate_reading(reading, epoch, &gate_policy, &mut gated, tracer)
-                {
-                    Some(prediction) => prediction.value,
-                    None => v,
-                };
-                state.set_eff(i, eff);
+                let node = NodeId::from_index(i);
+                let reading = Reading { node, value: v };
+                let band = bands.get(node);
+                let substitute =
+                    self.gate_reading(reading, band, epoch, &gate_policy, &mut gated, tracer);
+                state.set_eff(i, substitute.map_or(v, |prediction| prediction.value));
             }
+            self.bands = Some((self.samples.generation(), bands));
         } else {
             for i in 0..self.topology.len() {
                 if self.alive[i] {
@@ -1248,7 +1259,18 @@ impl<'a> ExperimentRunner<'a> {
         self.trust.iter().filter(|t| t.is_quarantined()).count()
     }
 
-    /// Gates one delivered reading against its prediction band, updating
+    /// The window's gate bands for a pass over every node. In continuous
+    /// mode the table built for an earlier epoch is reused while the
+    /// window's readings are unchanged; otherwise one row-major pass
+    /// builds it.
+    fn window_bands(&mut self, policy: &GatePolicy) -> BandTable {
+        match self.bands.take() {
+            Some((generation, table)) if generation == self.samples.generation() => table,
+            _ => self.samples.band_table(policy.z, policy.min_sigma, policy.min_window),
+        }
+    }
+
+    /// Gates one delivered reading against its node's `band`, updating
     /// the node's trust state. Returns the prediction to substitute when
     /// the reading is out-of-band or the node is quarantined, `None` when
     /// the reading is kept (in-band and trusted, or no band exists yet —
@@ -1256,19 +1278,16 @@ impl<'a> ExperimentRunner<'a> {
     fn gate_reading(
         &mut self,
         reading: Reading,
+        band: Option<Band>,
         epoch: u64,
         policy: &GatePolicy,
         tally: &mut GateTally,
         tracer: &mut dyn Tracer,
     ) -> Option<Reading> {
         let node = reading.node;
-        let (lo, hi) =
-            self.samples.prediction_band(node, policy.z, policy.min_sigma, policy.min_window)?;
+        let Band { lo, hi, predicted } = band?;
         let in_band = reading.value >= lo && reading.value <= hi;
         let t = self.trust[node.index()].observe(in_band, epoch, policy);
-        // A band implies at least two finite readings, so a prediction
-        // always exists here.
-        let predicted = self.samples.predicted_value(node).expect("band implies history");
         if tracer.enabled() {
             if t.flagged {
                 tracer.record(TraceEvent::ReadingFlagged {
@@ -1303,7 +1322,9 @@ impl<'a> ExperimentRunner<'a> {
 
     /// Gates a sweep's readings in place: every alive node is observed,
     /// and flagged or quarantined nodes contribute their window
-    /// prediction to the new sample instead of their reported value.
+    /// prediction to the new sample instead of their reported value. The
+    /// band table dies with the sweep: the sample it gates is pushed
+    /// next, which changes the window.
     fn gate_sweep(
         &mut self,
         epoch: u64,
@@ -1312,12 +1333,16 @@ impl<'a> ExperimentRunner<'a> {
         tracer: &mut dyn Tracer,
     ) -> GateTally {
         let mut tally = GateTally::default();
+        let bands = self.window_bands(policy);
         for (i, value) in values.iter_mut().enumerate() {
             if !value.is_finite() {
                 continue;
             }
-            let reading = Reading { node: NodeId::from_index(i), value: *value };
-            if let Some(prediction) = self.gate_reading(reading, epoch, policy, &mut tally, tracer)
+            let node = NodeId::from_index(i);
+            let reading = Reading { node, value: *value };
+            let band = bands.get(node);
+            if let Some(prediction) =
+                self.gate_reading(reading, band, epoch, policy, &mut tally, tracer)
             {
                 *value = prediction.value;
             }
@@ -1543,6 +1568,17 @@ fn charge_repair(
             }
         }
     }
+}
+
+/// `node`'s gate band from two walks down its window column: for gates
+/// that see a handful of readings (the classic answer), where a
+/// whole-window [`BandTable`] would cost more than it saves.
+fn node_band(samples: &SampleSet, node: NodeId, policy: &GatePolicy) -> Option<Band> {
+    let (lo, hi) = samples.prediction_band(node, policy.z, policy.min_sigma, policy.min_window)?;
+    // A band implies at least two finite readings, so a prediction
+    // always exists here.
+    let predicted = samples.predicted_value(node).expect("band implies history");
+    Some(Band { lo, hi, predicted })
 }
 
 /// Silences dead nodes: their readings become `-inf` so they can never
