@@ -1,8 +1,9 @@
 //! Criterion micro-benchmarks for the in-tree simplex solver on
-//! Prospector-shaped LPs (dense inverse vs eta file).
+//! Prospector-shaped LPs, one on each side of its 600-row split: the small
+//! LP runs on the dense inverse, the medium one on the eta file.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use prospector_lp::{solve_with_options, BasisChoice, Cmp, Problem, Sense, SolverOptions};
+use prospector_lp::{Cmp, Problem, Sense};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::hint::black_box;
@@ -43,24 +44,10 @@ fn bench_solver(c: &mut Criterion) {
     group.sample_size(10);
 
     let small = lp_lf_shaped(40, 8, 8, 1);
-    group.bench_function("dense_small", |b| {
-        let opt = SolverOptions { basis: BasisChoice::Dense, ..Default::default() };
-        b.iter(|| black_box(solve_with_options(&small, &opt).unwrap()))
-    });
-    group.bench_function("eta_small", |b| {
-        let opt = SolverOptions { basis: BasisChoice::Eta, ..Default::default() };
-        b.iter(|| black_box(solve_with_options(&small, &opt).unwrap()))
-    });
-
+    group.bench_function("small", |b| b.iter(|| black_box(black_box(&small).solve().unwrap())));
     let medium = lp_lf_shaped(120, 15, 20, 2);
-    group.bench_function("dense_medium", |b| {
-        let opt = SolverOptions { basis: BasisChoice::Dense, ..Default::default() };
-        b.iter(|| black_box(solve_with_options(&medium, &opt).unwrap()))
-    });
-    group.bench_function("eta_medium", |b| {
-        let opt = SolverOptions { basis: BasisChoice::Eta, ..Default::default() };
-        b.iter(|| black_box(solve_with_options(&medium, &opt).unwrap()))
-    });
+    assert!(small.num_constraints() <= 600 && medium.num_constraints() > 600);
+    group.bench_function("medium", |b| b.iter(|| black_box(black_box(&medium).solve().unwrap())));
     group.finish();
 }
 

@@ -15,11 +15,14 @@
 //! tie breaks as it would in a dense loop.
 //!
 //! [`DenseInverse`] stores `B⁻¹` explicitly (`O(m²)` memory, `O(m²)` per
-//! update) — simple and robust for small problems. [`EtaFile`] stores the
-//! product form of the inverse, `B⁻¹ = E_k ⋯ E_1` with sparse eta columns
-//! (the starting basis is the all-slack identity, so the file starts
-//! empty); updates are `O(nnz(α))`. The eta file is truncated by
-//! re-pivoting from the identity when it grows past a threshold.
+//! update) — simple and robust for small problems; the simplex uses it up
+//! to 600 rows. [`EtaFile`] stores the product form of the inverse,
+//! `B⁻¹ = E_k ⋯ E_1` with sparse eta columns (the starting basis is the
+//! all-slack identity, so the file starts empty); updates are
+//! `O(nnz(α))`. The eta file is truncated by re-pivoting the basis
+//! columns from the identity when it grows past a threshold (the simplex's
+//! `refactor` picks each column's row by threshold pivoting with a
+//! Markowitz count, to limit fill-in).
 //!
 //! # Hyper-sparse btran
 //!
@@ -41,14 +44,11 @@
 //!
 //! # Pricing
 //!
-//! [`BasisRep::UPDATES_PRICES`] tells the simplex how each representation
-//! prices. With the eta file the simplex keeps its reduced costs across
-//! pivots and updates them from the pivot row `ρ_r`, one hyper-sparse unit
-//! btran per pivot. The dense inverse recomputes them from fresh duals at
-//! every pivot, which keeps its pivot sequence — and every plan built on
-//! it — exactly as it was. Updating would be faster there too, but it
-//! resolves some ties differently and so changes served answers (crate
-//! docs, "Pricing and hyper-sparsity").
+//! On both representations the simplex keeps its reduced costs across
+//! pivots and updates them from the pivot row `ρ_r = B⁻ᵀe_r`, one unit
+//! btran per pivot (crate docs, "Pricing and hyper-sparsity"). On the
+//! dense inverse that btran returns row `r` of `B⁻¹`; on the eta file it
+//! is hyper-sparse.
 
 use std::collections::BinaryHeap;
 use std::ops::Range;
@@ -118,11 +118,6 @@ impl SparseVec {
 
 /// Abstraction over how `B⁻¹` is represented.
 pub trait BasisRep {
-    /// Whether the simplex keeps reduced costs across pivots and updates
-    /// them from the pivot row, rather than recomputing them from fresh
-    /// duals at every pivot (module docs, "Pricing").
-    const UPDATES_PRICES: bool;
-
     /// Creates a representation of the identity basis of dimension `m`.
     fn identity(m: usize) -> Self;
 
@@ -144,6 +139,9 @@ pub trait BasisRep {
 
     /// Resets to the identity (used when refactorizing from scratch).
     fn reset(&mut self);
+
+    /// Marks the end of a refactorization: the basis columns are back in.
+    fn rebuilt(&mut self) {}
 }
 
 const PIVOT_TOL: f64 = 1e-10;
@@ -156,8 +154,6 @@ pub struct DenseInverse {
 }
 
 impl BasisRep for DenseInverse {
-    const UPDATES_PRICES: bool = false;
-
     fn identity(m: usize) -> Self {
         let mut inv = vec![0.0; m * m];
         for i in 0..m {
@@ -264,7 +260,9 @@ pub struct EtaFile {
     older: Vec<u32>,
     /// Newest entry of each row, or [`NONE`]: the head of its chain.
     newest: Vec<u32>,
-    /// Refactor hint threshold on stored entries.
+    /// Refactor hint threshold on stored entries: `64 m` (at least 4096),
+    /// raised to twice what a rebuild leaves, so that a basis whose rebuild
+    /// fills in past half the limit is not rebuilt again at every pivot.
     nnz_limit: usize,
     /// btran's pending arena entries (scratch, empty between calls).
     frontier: BinaryHeap<u32>,
@@ -297,8 +295,6 @@ impl EtaFile {
 }
 
 impl BasisRep for EtaFile {
-    const UPDATES_PRICES: bool = true;
-
     fn identity(m: usize) -> Self {
         EtaFile {
             start: Vec::new(),
@@ -406,6 +402,10 @@ impl BasisRep for EtaFile {
         self.val.clear();
         self.older.clear();
         self.newest.fill(NONE);
+    }
+
+    fn rebuilt(&mut self) {
+        self.nnz_limit = self.nnz_limit.max(2 * self.row.len());
     }
 }
 
@@ -613,6 +613,25 @@ mod tests {
         check_agree(&mut next, &mut dense, &mut eta);
         pivot_both(&mut next, &mut dense, &mut eta, (0..m).rev().chain(0..m));
         check_agree(&mut next, &mut dense, &mut eta);
+    }
+
+    #[test]
+    fn a_rebuild_that_fills_in_raises_the_refactor_threshold() {
+        // 40 rows: the threshold starts at its 4096-entry floor.
+        let m = 40;
+        let mut eta = EtaFile::identity(m);
+        let alpha = sparse(&vec![1.0; m]);
+        for r in 0..m {
+            assert!(eta.update(&alpha, r));
+        }
+        eta.rebuilt();
+        assert_eq!(eta.nnz_limit, 4096, "1600 entries stay under half the floor");
+        for r in 0..m {
+            assert!(eta.update(&alpha, r));
+        }
+        eta.rebuilt();
+        assert_eq!(eta.nnz_limit, 6400, "3200 entries double the threshold");
+        assert!(!eta.wants_refactor());
     }
 
     #[test]

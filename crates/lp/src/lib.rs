@@ -14,45 +14,50 @@
 //! * a phase-1 with artificial variables establishes feasibility when the
 //!   all-slack starting basis is out of bounds (the Prospector LPs start
 //!   feasible, but the solver is general);
-//! * two interchangeable basis representations: a dense explicit inverse
-//!   ([`basis::DenseInverse`], simple and good for small problems) and a
-//!   product-form-of-the-inverse eta file ([`basis::EtaFile`], which exploits
-//!   the extreme sparsity of the Prospector constraint matrices);
-//!   [`BasisChoice::Auto`] takes the eta file above 600 rows;
+//! * two basis representations, chosen by size: a dense explicit inverse
+//!   ([`basis::DenseInverse`]) up to 600 rows and a product-form-of-the-inverse
+//!   eta file ([`basis::EtaFile`], which exploits the extreme sparsity of the
+//!   Prospector constraint matrices) above;
 //! * Dantzig pricing with an automatic switch to Bland's rule after a run of
 //!   degenerate pivots, bound-flip pivots, and periodic resync of the basic
 //!   solution for numerical hygiene.
+//!
+//! # Basis representation by size
+//!
+//! [`Problem::solve`] is the only entry point, and nothing about the solve
+//! is settable: the representation follows from the row count, and the
+//! tolerances, the resync period and the Bland trigger are constants. Each
+//! representation is the faster one where it runs, as measured on a 2-CPU
+//! VM. The serving workload's LPs have 18–193 rows (`serve_mix`, seed 1);
+//! an eta-file-only solver was slower there (`queries_per_s` 41.0k →
+//! 37.2k at seed 7), because the eta file's heap-driven btran costs 2.8×
+//! the dense inverse's. Field-sized LP+LF plans (`plan_heavy`, 969–1206
+//! rows) solve on the eta file in 23% of the dense inverse's time.
 //!
 //! # Pricing and hyper-sparsity
 //!
 //! Reduced costs `d = c − Aᵀy` are computed row-wise, from the problem's
 //! own rows with the row scale applied on the fly, so the solver keeps no
-//! row-wise copy of the matrix. How often they are computed depends on the
-//! basis representation ([`basis::BasisRep::UPDATES_PRICES`]):
+//! row-wise copy of the matrix. On both representations the simplex keeps
+//! `d` across pivots. After each basis change it updates `d` from the
+//! pivot row: `ρ_r = B⁻ᵀe_r` comes from a unit btran, and `d −= θ Aᵀρ_r`
+//! with `θ = d_q / α_r`. It recomputes `d` from fresh duals at phase
+//! start, at every resync or refactor, and before it declares optimality,
+//! so drift cannot end a solve.
 //!
-//! * On the **eta file** the simplex keeps `d` across pivots. After each
-//!   basis change it updates `d` from the pivot row: `ρ_r = B⁻ᵀe_r` comes
-//!   from a unit btran, and `d −= θ Aᵀρ_r` with `θ = d_q / α_r`. It
-//!   recomputes `d` from fresh duals at phase start, at every resync or
-//!   refactor, and before it declares optimality, so drift cannot end a
-//!   solve. The eta file's btran visits only etas that read a nonzero,
+//! * On the **dense inverse** the unit btran returns row `r` of `B⁻¹`.
+//! * On the **eta file** btran visits only etas that read a nonzero,
 //!   through per-row incidence links threaded in its entry arena. On the
 //!   pinned 1000-node LP+LF solve (`tests/lp_eta_path.rs`, 745 pivots)
 //!   `ρ_r` has 2.4 nonzeros on average and a unit btran applies 13 of the
-//!   ~370 etas in the file: Hall & McKinnon's hyper-sparse case. The ratio test, the
-//!   basic-value update and the eta append walk `α`'s nonzero list (~36
-//!   entries there) rather than all `m` rows.
-//! * On the **dense inverse** the simplex recomputes `d` at every pivot,
-//!   which keeps every pivot, and every plan built on it, exactly as
-//!   before. Updating `d` there measured faster on the serving workload's
-//!   small LPs, with plan time ~25% lower. But rounding resolves some
-//!   ties differently: pivot counts moved and served accuracy and energy
-//!   changed in their low digits. This is fixed per representation, not
-//!   an option.
+//!   ~370 etas in the file: Hall & McKinnon's hyper-sparse case. The ratio
+//!   test, the basic-value update and the eta append walk `α`'s nonzero
+//!   list (~36 entries there) rather than all `m` rows.
 //!
-//! Both paths choose the same entering column for the same `d`, and both
-//! walk rows in ascending order, so ties break as in a dense loop. The eta
-//! path can still resolve a near-tie differently after rounding drift.
+//! Both representations choose the same entering column for the same `d`,
+//! and both walk rows in ascending order, so ties break as in a dense loop.
+//! Updated prices can still resolve a near-tie differently from fresh ones
+//! after rounding drift.
 //!
 //! # Example
 //!
@@ -71,9 +76,12 @@
 
 pub mod basis;
 pub mod problem;
-pub mod simplex;
+mod simplex;
 pub mod status;
 
 pub use problem::{Cmp, Problem, Sense, VarId};
-pub use simplex::{solve_with_options, BasisChoice, SolverOptions};
 pub use status::{LpError, Solution, Status};
+
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod common;

@@ -1,6 +1,6 @@
 //! Problem construction API.
 
-use crate::simplex::{solve_with_options, SolverOptions};
+use crate::simplex;
 use crate::status::{LpError, Solution};
 
 /// Optimization direction.
@@ -133,9 +133,10 @@ impl Problem {
         Ok(())
     }
 
-    /// Solves with default options.
+    /// Solves the problem: on a dense basis inverse up to 600 rows and on
+    /// an eta file above (crate docs).
     pub fn solve(&self) -> Result<Solution, LpError> {
-        solve_with_options(self, &SolverOptions::default())
+        simplex::solve(self)
     }
 }
 

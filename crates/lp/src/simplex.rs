@@ -9,10 +9,8 @@
 //! initial residual receive an artificial variable driven out by a phase-1
 //! objective.
 //!
-//! Pricing keeps a reduced cost per variable. The basis representation
-//! decides whether those costs are recomputed from fresh duals at every
-//! pivot or carried across pivots by pivot-row updates (crate docs,
-//! "Pricing and hyper-sparsity").
+//! Pricing keeps a reduced cost per variable and carries it across pivots
+//! by pivot-row updates (crate docs, "Pricing and hyper-sparsity").
 
 // The simplex kernels walk several parallel arrays (basis, x, alpha, bounds)
 // by row index; iterator/zip chains obscure the math, so range loops stay.
@@ -22,49 +20,17 @@ use crate::basis::{BasisRep, DenseInverse, EtaFile, SparseVec};
 use crate::problem::{Cmp, Problem, Row, Sense};
 use crate::status::{LpError, Solution, Status};
 
-/// Which basis representation to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BasisChoice {
-    /// Pick based on problem size (dense below [`SolverOptions::dense_limit`] rows).
-    Auto,
-    /// Explicit dense inverse.
-    Dense,
-    /// Product-form eta file (sparse).
-    Eta,
-}
-
-/// Tunable solver parameters. `Default` suits the Prospector LPs.
-#[derive(Debug, Clone)]
-pub struct SolverOptions {
-    /// Bound/feasibility tolerance.
-    pub feas_tol: f64,
-    /// Reduced-cost optimality tolerance.
-    pub opt_tol: f64,
-    /// Hard iteration cap; `0` selects `200 · (m + n) + 20_000`.
-    pub max_iterations: usize,
-    /// Basis representation.
-    pub basis: BasisChoice,
-    /// Rows above which `Auto` picks the eta file.
-    pub dense_limit: usize,
-    /// Recompute the basic solution from scratch every this many pivots.
-    pub resync_period: usize,
-    /// Consecutive degenerate pivots before switching to Bland's rule.
-    pub bland_trigger: usize,
-}
-
-impl Default for SolverOptions {
-    fn default() -> Self {
-        SolverOptions {
-            feas_tol: 1e-7,
-            opt_tol: 1e-7,
-            max_iterations: 0,
-            basis: BasisChoice::Auto,
-            dense_limit: 600,
-            resync_period: 120,
-            bland_trigger: 80,
-        }
-    }
-}
+/// Rows up to which the basis is a dense inverse; larger LPs use the eta
+/// file (crate docs, "Basis representation by size").
+const DENSE_LIMIT: usize = 600;
+/// Reduced-cost optimality tolerance.
+const OPT_TOL: f64 = 1e-7;
+/// Phase-1 infeasibility above which the problem is declared infeasible.
+const INFEASIBLE_TOL: f64 = 1e-6;
+/// Basic values are recomputed from the nonbasic ones every this many pivots.
+const RESYNC_PERIOD: usize = 120;
+/// Consecutive degenerate pivots before switching to Bland's rule.
+const BLAND_TRIGGER: usize = 80;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum VarState {
@@ -240,7 +206,6 @@ enum Prices {
 
 struct Simplex<'a, R: BasisRep> {
     std: &'a Std<'a>,
-    opt: &'a SolverOptions,
     rep: R,
     /// Working bounds (artificials are pinned to zero after phase 1).
     lower: Vec<f64>,
@@ -268,7 +233,7 @@ enum StepResult {
 }
 
 impl<'a, R: BasisRep> Simplex<'a, R> {
-    fn new(std: &'a Std<'a>, opt: &'a SolverOptions) -> Self {
+    fn new(std: &'a Std<'a>) -> Self {
         let n_total = std.cols.len();
         let mut state = vec![VarState::AtLower; n_total];
         for j in 0..n_total {
@@ -283,7 +248,6 @@ impl<'a, R: BasisRep> Simplex<'a, R> {
         }
         Simplex {
             std,
-            opt,
             rep: R::identity(std.m),
             lower: std.lower.clone(),
             upper: std.upper.clone(),
@@ -301,11 +265,7 @@ impl<'a, R: BasisRep> Simplex<'a, R> {
     }
 
     fn max_iterations(&self) -> usize {
-        if self.opt.max_iterations > 0 {
-            self.opt.max_iterations
-        } else {
-            200 * (self.std.m + self.std.cols.len()) + 20_000
-        }
+        200 * (self.std.m + self.std.cols.len()) + 20_000
     }
 
     /// Recomputes basic values from the nonbasic ones (numerical hygiene),
@@ -334,30 +294,50 @@ impl<'a, R: BasisRep> Simplex<'a, R> {
     }
 
     /// Rebuilds the basis representation from the current basis columns.
+    ///
+    /// Rows whose basic variable is their own slack keep the identity's
+    /// column. Every other column is pivoted into a still-free row by
+    /// threshold pivoting: among the free rows where its ftran image is at
+    /// least a tenth of its largest there, the one touched by the fewest
+    /// columns still to be placed (Markowitz's count), which limits
+    /// fill-in. The basis is permuted to match, so a nonsingular basis
+    /// rebuilds whichever rows its columns held.
     fn refactor(&mut self) -> Result<(), LpError> {
         self.rep.reset();
         let m = self.std.m;
-        let n_struct_slack_base = self.std.n_struct;
-        // Rows whose basic variable is exactly its own slack need no pivot.
-        let mut pending: Vec<usize> =
-            (0..m).filter(|&r| self.basis[r] as usize != n_struct_slack_base + r).collect();
-        while !pending.is_empty() {
-            let mut progressed = false;
-            let mut next_pending = Vec::with_capacity(pending.len());
-            for &r in &pending {
-                self.load_column(self.basis[r] as usize);
-                self.rep.ftran(&mut self.alpha);
-                if self.rep.update(&self.alpha, r) {
-                    progressed = true;
-                } else {
-                    next_pending.push(r);
-                }
+        let pending: Vec<usize> =
+            (0..m).filter(|&r| self.basis[r] as usize != self.std.n_struct + r).collect();
+        let mut free = vec![false; m];
+        let mut touch = vec![0u32; m];
+        for &r in &pending {
+            free[r] = true;
+            for &(i, _) in &self.std.cols[self.basis[r] as usize] {
+                touch[i as usize] += 1;
             }
-            if !progressed {
-                return Err(LpError::SingularBasis);
-            }
-            pending = next_pending;
         }
+        let mut placed = self.basis.clone();
+        for r in pending {
+            let j = self.basis[r] as usize;
+            for &(i, _) in &self.std.cols[j] {
+                touch[i as usize] -= 1;
+            }
+            self.load_column(j);
+            self.rep.ftran(&mut self.alpha);
+            let (rows, val) = (self.alpha.rows(), &self.alpha.val);
+            let free_rows = || rows.iter().map(|&i| i as usize).filter(|&i| free[i]);
+            let big = free_rows().map(|i| val[i].abs()).fold(0.0, f64::max);
+            let row = free_rows().filter(|&i| val[i].abs() >= 0.1 * big).min_by_key(|&i| touch[i]);
+            match row {
+                Some(row) if self.rep.update(&self.alpha, row) => {
+                    free[row] = false;
+                    placed[row] = j as u32;
+                    self.state[j] = VarState::Basic(row as u32);
+                }
+                _ => return Err(LpError::SingularBasis),
+            }
+        }
+        self.basis = placed;
+        self.rep.rebuilt();
         self.resync();
         Ok(())
     }
@@ -399,8 +379,8 @@ impl<'a, R: BasisRep> Simplex<'a, R> {
     /// Carries the reduced costs across the pivot that brings `q` into row
     /// `r` in place of `leaving`, before the basis representation is
     /// updated. The duals move by `θ ρ_r` with `θ = d_q / α_r`, so
-    /// `d −= θ Aᵀρ_r`; `ρ_r` comes from a unit btran, which the eta file
-    /// serves from a handful of etas.
+    /// `d −= θ Aᵀρ_r`; `ρ_r` comes from a unit btran: row `r` of the dense
+    /// inverse, or a handful of etas from the eta file.
     fn update_prices(&mut self, q: usize, r: usize, leaving: usize) {
         let theta = self.d[q] / self.alpha.val[r];
         self.rho.clear();
@@ -420,7 +400,6 @@ impl<'a, R: BasisRep> Simplex<'a, R> {
     /// Chooses an entering variable from the reduced costs; `None` means
     /// none improves by more than the tolerance.
     fn choose_entering(&self, banned: &[usize]) -> Option<usize> {
-        let tol = self.opt.opt_tol;
         let mut best: Option<(usize, f64)> = None;
         for (j, &d) in self.d.iter().enumerate() {
             if banned.contains(&j) {
@@ -434,7 +413,7 @@ impl<'a, R: BasisRep> Simplex<'a, R> {
             if self.lower[j] == self.upper[j] {
                 continue; // fixed
             }
-            if d * eligible_dir <= tol {
+            if d * eligible_dir <= OPT_TOL {
                 continue;
             }
             if self.bland {
@@ -453,7 +432,7 @@ impl<'a, R: BasisRep> Simplex<'a, R> {
         if self.rep.wants_refactor() {
             self.refactor()?;
         }
-        if !R::UPDATES_PRICES || self.prices == Prices::Stale {
+        if self.prices == Prices::Stale {
             self.price(obj);
         }
         let mut banned: Vec<usize> = Vec::new();
@@ -544,9 +523,7 @@ impl<'a, R: BasisRep> Simplex<'a, R> {
                         VarState::AtUpper => self.upper[leaving],
                         VarState::Basic(_) => unreachable!(),
                     };
-                    if R::UPDATES_PRICES {
-                        self.update_prices(j, r, leaving);
-                    }
+                    self.update_prices(j, r, leaving);
                     self.state[leaving] = hit;
                     self.basis[r] = j as u32;
                     self.state[j] = VarState::Basic(r as u32);
@@ -556,7 +533,7 @@ impl<'a, R: BasisRep> Simplex<'a, R> {
                     self.iterations += 1;
                     if t <= 1e-10 {
                         self.degenerate_run += 1;
-                        if self.degenerate_run > self.opt.bland_trigger {
+                        if self.degenerate_run > BLAND_TRIGGER {
                             self.bland = true;
                         }
                     } else {
@@ -596,7 +573,7 @@ impl<'a, R: BasisRep> Simplex<'a, R> {
                 StepResult::Unbounded => return Ok(Status::Unbounded),
                 StepResult::Pivoted => {
                     since_resync += 1;
-                    if since_resync >= self.opt.resync_period {
+                    if since_resync >= RESYNC_PERIOD {
                         self.resync();
                         since_resync = 0;
                     }
@@ -623,8 +600,8 @@ impl<'a, R: BasisRep> Simplex<'a, R> {
     }
 }
 
-fn run<R: BasisRep>(std: &Std, p: &Problem, opt: &SolverOptions) -> Result<Solution, LpError> {
-    let mut sx = Simplex::<R>::new(std, opt);
+fn run<R: BasisRep>(std: &Std, p: &Problem) -> Result<Solution, LpError> {
+    let mut sx = Simplex::<R>::new(std);
 
     // Phase 1: drive artificials to zero (maximize -Σ|z|; the sign of
     // each term follows the artificial's bounded side).
@@ -639,7 +616,7 @@ fn run<R: BasisRep>(std: &Std, p: &Problem, opt: &SolverOptions) -> Result<Solut
         if status == Status::IterationLimit {
             return Ok(finish(p, std, &mut sx, Status::IterationLimit));
         }
-        if infeas > opt.feas_tol.max(1e-6) {
+        if infeas > INFEASIBLE_TOL {
             return Ok(finish(p, std, &mut sx, Status::Infeasible));
         }
         sx.fix_artificials(std.n_artificial);
@@ -668,8 +645,9 @@ fn finish<R: BasisRep>(p: &Problem, std: &Std, sx: &mut Simplex<R>, status: Stat
     Solution { status, objective: raw, x, duals, iterations: sx.iterations }
 }
 
-/// Solves `p` with explicit options.
-pub fn solve_with_options(p: &Problem, opt: &SolverOptions) -> Result<Solution, LpError> {
+/// Solves `p` on the dense inverse up to [`DENSE_LIMIT`] rows and on the eta
+/// file above.
+pub(crate) fn solve(p: &Problem) -> Result<Solution, LpError> {
     p.validate()?;
     if p.num_constraints() == 0 {
         // Pure box problem: each variable goes to its best bound.
@@ -703,30 +681,26 @@ pub fn solve_with_options(p: &Problem, opt: &SolverOptions) -> Result<Solution, 
     }
 
     let std = standardize(p);
-    let use_dense = match opt.basis {
-        BasisChoice::Dense => true,
-        BasisChoice::Eta => false,
-        BasisChoice::Auto => std.m <= opt.dense_limit,
-    };
-    if use_dense {
-        run::<DenseInverse>(&std, p, opt)
+    if std.m <= DENSE_LIMIT {
+        run::<DenseInverse>(&std, p)
     } else {
-        match run::<EtaFile>(&std, p, opt) {
-            Ok(sol) => Ok(sol),
-            // Sparse numerical trouble: fall back to the dense inverse.
-            Err(LpError::SingularBasis) => run::<DenseInverse>(&std, p, opt),
-            Err(e) => Err(e),
-        }
+        run::<EtaFile>(&std, p)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::problem::{Cmp, Problem, Sense};
+    use crate::common::{random_feasible_lp, random_lp_lf};
+    use proptest::prelude::*;
 
     fn solve(p: &Problem) -> Solution {
         p.solve().expect("solve should not error")
+    }
+
+    /// Solves `p` on the basis representation `R`, whatever its size.
+    fn solve_on<R: BasisRep>(p: &Problem) -> Solution {
+        run::<R>(&standardize(p), p).expect("solve should not error")
     }
 
     #[test]
@@ -938,19 +912,86 @@ mod tests {
                 .collect();
             p.add_constraint(coeffs, Cmp::Le, 10.0 + r as f64);
         }
-        let d = solve_with_options(
-            &p,
-            &SolverOptions { basis: BasisChoice::Dense, ..Default::default() },
-        )
-        .unwrap();
-        let e = solve_with_options(
-            &p,
-            &SolverOptions { basis: BasisChoice::Eta, ..Default::default() },
-        )
-        .unwrap();
-        assert_eq!(d.status, Status::Optimal);
-        assert_eq!(e.status, Status::Optimal);
-        assert!((d.objective - e.objective).abs() < 1e-6);
+        // `random_lp_lf(2661)` (279 rows) refactors its eta file with basic
+        // columns in permuted rows.
+        for p in [p, random_lp_lf(2661).problem] {
+            let d = solve_on::<DenseInverse>(&p);
+            let e = solve_on::<EtaFile>(&p);
+            assert_eq!(d.status, Status::Optimal);
+            assert_eq!(e.status, Status::Optimal);
+            assert!((d.objective - e.objective).abs() < 1e-6);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn dense_and_eta_agree_on_random_lps(
+            seed in 0u64..10_000, n in 2usize..14, m in 1usize..12, shape in 0u8..4
+        ) {
+            // One case in four is LP+LF-shaped, with hundreds of columns.
+            let lp = if shape == 0 { random_lp_lf(seed) } else { random_feasible_lp(seed, n, m).0 };
+            let d = solve_on::<DenseInverse>(&lp.problem);
+            let e = solve_on::<EtaFile>(&lp.problem);
+            prop_assert_eq!(d.status, Status::Optimal);
+            prop_assert_eq!(e.status, Status::Optimal);
+            prop_assert!((d.objective - e.objective).abs() < 1e-6,
+                "seed {seed} shape {shape}: dense {} vs eta {}", d.objective, e.objective);
+        }
+    }
+
+    /// Refactors a basis that holds the slacks of rows 0 and 1 in swapped
+    /// rows and a structural column in row 2, then checks that ftran and
+    /// btran solve against it.
+    fn refactor_rebuilds_permuted_basis<R: BasisRep>() {
+        let mut p = Problem::new(Sense::Maximize);
+        let x = p.add_var(0.0, 1.0, 1.0);
+        p.add_constraint([(x, 1.0)], Cmp::Le, 1.0);
+        p.add_constraint([(x, 2.0)], Cmp::Le, 3.0);
+        p.add_constraint([(x, 4.0)], Cmp::Le, 5.0);
+        let std = standardize(&p);
+        let mut sx = Simplex::<R>::new(&std);
+        let (s0, s1, s2) = (std.n_struct, std.n_struct + 1, std.n_struct + 2);
+        sx.basis = vec![s1 as u32, s0 as u32, x.index() as u32];
+        for (r, &j) in sx.basis.iter().enumerate() {
+            sx.state[j as usize] = VarState::Basic(r as u32);
+        }
+        sx.state[s2] = VarState::AtLower;
+        sx.refactor().expect("a nonsingular basis must rebuild");
+
+        let basis = sx.basis.clone();
+        let mut in_basis = basis.clone();
+        in_basis.sort_unstable();
+        assert_eq!(in_basis, [x.index() as u32, s0 as u32, s1 as u32]);
+        for (r, &j) in basis.iter().enumerate() {
+            assert_eq!(sx.state[j as usize], VarState::Basic(r as u32));
+            // B α = a_j: the basic column of row r maps to e_r.
+            sx.load_column(j as usize);
+            sx.rep.ftran(&mut sx.alpha);
+            for i in 0..std.m {
+                let e = if i == r { 1.0 } else { 0.0 };
+                assert!((sx.alpha.val[i] - e).abs() < 1e-12, "ftran of row {r}'s column");
+            }
+        }
+        // Bᵀ y = c: y · a_j = c_r for the basic column of every row r.
+        let c = [3.0, -2.0, 0.5];
+        sx.rho.clear();
+        for (r, &v) in c.iter().enumerate() {
+            sx.rho.set(r, v);
+        }
+        sx.rep.btran(&mut sx.rho);
+        for (r, &j) in basis.iter().enumerate() {
+            let dot: f64 =
+                std.cols[j as usize].iter().map(|&(i, a)| a * sx.rho.val[i as usize]).sum();
+            assert!((dot - c[r]).abs() < 1e-12, "btran: row {r} reads {dot}, not {}", c[r]);
+        }
+    }
+
+    #[test]
+    fn refactor_rebuilds_permuted_basis_on_both_representations() {
+        refactor_rebuilds_permuted_basis::<DenseInverse>();
+        refactor_rebuilds_permuted_basis::<EtaFile>();
     }
 
     #[test]

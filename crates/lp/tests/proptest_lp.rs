@@ -5,126 +5,17 @@
 //! solver (a) reports optimality, (b) returns a feasible point, and (c)
 //! beats the construction point and a cloud of random feasible candidates.
 //! Fractional knapsacks additionally have a closed-form optimum the solver
-//! must match exactly, and the dense and eta-file paths must agree, also
-//! on LP+LF-shaped programs long enough to pass the resync period.
+//! must match exactly. Every optimum must carry an optimality certificate,
+//! on LPs on both sides of the solver's 600-row split between the dense
+//! inverse and the eta file.
 
+mod common;
+
+use common::{lp_lf, random_feasible_lp, random_lp_lf, Lp};
 use proptest::prelude::*;
-use prospector_lp::{
-    solve_with_options, BasisChoice, Cmp, Problem, Sense, SolverOptions, Status, VarId,
-};
+use prospector_lp::{Cmp, Problem, Sense, Status, VarId};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use std::collections::BTreeMap;
-
-/// Builds a random feasible LP: maximize c·x over x ∈ [0,1]^n with rows
-/// a·x ≤ a·x0 + margin for a known x0 ∈ [0,1]^n.
-fn random_feasible_lp(seed: u64, n: usize, m: usize) -> (Problem, Vec<f64>) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut p = Problem::new(Sense::Maximize);
-    let c: Vec<f64> = (0..n).map(|_| rng.random_range(-5.0..5.0)).collect();
-    let vars: Vec<_> = c.iter().map(|&ci| p.add_var(0.0, 1.0, ci)).collect();
-    let x0: Vec<f64> = (0..n).map(|_| rng.random_range(0.0..1.0)).collect();
-    for _ in 0..m {
-        let mut coeffs = Vec::new();
-        for j in 0..n {
-            if rng.random_bool(0.5) {
-                coeffs.push((j, rng.random_range(-3.0..3.0)));
-            }
-        }
-        if coeffs.is_empty() {
-            continue;
-        }
-        let lhs_at_x0: f64 = coeffs.iter().map(|&(j, a)| a * x0[j]).sum();
-        let margin = rng.random_range(0.0..2.0);
-        p.add_constraint(coeffs.iter().map(|&(j, a)| (vars[j], a)), Cmp::Le, lhs_at_x0 + margin);
-    }
-    (p, x0)
-}
-
-/// Builds a program shaped like the planner's LP+LF formulation over a
-/// random tree of 150–300 nodes and 6–9 samples of 3–5 top nodes each:
-/// per edge on a path from a top node to the root, a bandwidth variable
-/// `w_e` and a visit variable `y_e`; per (sample, top node), a delivery
-/// variable `x` worth 1. Rows: `x ≤ y` of the node's edge, `y_e ≤ y` of
-/// the parent edge, `Σ x ≤ w_e` per (sample, edge), and one budget row
-/// over `w` and `y` that affords a random share of every used edge.
-/// Hundreds of columns and rows, and typically 130–300 pivots: most cases
-/// pass the 120-pivot resync period and build up pricing drift.
-fn random_lp_lf(seed: u64) -> Problem {
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x1f1f);
-    let nodes = rng.random_range(150..300usize);
-    let samples = rng.random_range(6..10usize);
-    let k = rng.random_range(3..6usize);
-    // Node 0 is the root; edge i joins node i to its parent.
-    let parent: Vec<usize> =
-        (0..nodes).map(|i| if i == 0 { 0 } else { rng.random_range(0..i) }).collect();
-    let mut below = vec![1usize; nodes];
-    for i in (1..nodes).rev() {
-        below[parent[i]] += below[i];
-    }
-    let path = |mut i: usize| {
-        let mut edges = Vec::new();
-        while i != 0 {
-            edges.push(i);
-            i = parent[i];
-        }
-        edges
-    };
-    let tops: Vec<Vec<usize>> = (0..samples)
-        .map(|_| {
-            let mut top: Vec<usize> = Vec::new();
-            while top.len() < k {
-                let i = rng.random_range(1..nodes);
-                if !top.contains(&i) {
-                    top.push(i);
-                }
-            }
-            top
-        })
-        .collect();
-
-    let mut p = Problem::new(Sense::Maximize);
-    let mut relevant = vec![false; nodes];
-    for &i in tops.iter().flatten() {
-        for e in path(i) {
-            relevant[e] = true;
-        }
-    }
-    let mut w: Vec<Option<VarId>> = vec![None; nodes];
-    let mut y: Vec<Option<VarId>> = vec![None; nodes];
-    let mut budget_terms = Vec::new();
-    let mut full_cost = 0.0;
-    for e in (1..nodes).filter(|&e| relevant[e]) {
-        let (value_cost, message_cost) = (rng.random_range(0.5..2.0), rng.random_range(1.0..3.0));
-        let we = p.add_var(0.0, below[e].min(k) as f64, 0.0);
-        let ye = p.add_var(0.0, 1.0, 0.0);
-        budget_terms.push((we, value_cost));
-        budget_terms.push((ye, message_cost));
-        full_cost += value_cost * below[e].min(k) as f64 + message_cost;
-        w[e] = Some(we);
-        y[e] = Some(ye);
-    }
-    let mut through: BTreeMap<(usize, usize), Vec<VarId>> = BTreeMap::new();
-    for (j, top) in tops.iter().enumerate() {
-        for &i in top {
-            let x = p.add_var(0.0, 1.0, 1.0);
-            p.add_constraint([(x, 1.0), (y[i].unwrap(), -1.0)], Cmp::Le, 0.0);
-            for e in path(i) {
-                through.entry((j, e)).or_default().push(x);
-            }
-        }
-    }
-    for e in (1..nodes).filter(|&e| relevant[e] && parent[e] != 0) {
-        p.add_constraint([(y[e].unwrap(), 1.0), (y[parent[e]].unwrap(), -1.0)], Cmp::Le, 0.0);
-    }
-    for (&(_, e), xs) in &through {
-        let terms = xs.iter().map(|&x| (x, 1.0)).chain([(w[e].unwrap(), -1.0)]);
-        p.add_constraint(terms, Cmp::Le, 0.0);
-    }
-    let share = rng.random_range(0.1..0.8);
-    p.add_constraint(budget_terms, Cmp::Le, share * full_cost);
-    p
-}
 
 fn check_feasible(p: &Problem, x: &[f64], tol: f64) {
     assert_eq!(x.len(), p.num_vars());
@@ -138,15 +29,74 @@ fn objective_at(c: &[f64], x: &[f64]) -> f64 {
     c.iter().zip(x).map(|(a, b)| a * b).sum()
 }
 
+/// Solves `lp` through [`Problem::solve`] and checks the optimum's
+/// certificate: the point is primal feasible, each row dual has the sign
+/// its comparison allows, and the primal objective equals the dual
+/// objective `bᵀy + Σ_j max(d_j l_j, d_j u_j)` with `d = c − Aᵀy` (`min`
+/// when minimizing), all within 1e-6. Returns the objective.
+fn check_certificate(lp: &Lp) -> f64 {
+    const TOL: f64 = 1e-6;
+    let sol = lp.problem.solve().unwrap();
+    assert_eq!(sol.status, Status::Optimal);
+    for (j, &xj) in sol.x.iter().enumerate() {
+        assert!(xj >= lp.lower[j] - TOL && xj <= lp.upper[j] + TOL, "x[{j}] = {xj} out of bounds");
+    }
+    for (r, (terms, cmp, rhs)) in lp.rows.iter().enumerate() {
+        let lhs: f64 = terms.iter().map(|&(j, a)| a * sol.x[j]).sum();
+        let ok = match cmp {
+            Cmp::Le => lhs <= rhs + TOL,
+            Cmp::Ge => lhs >= rhs - TOL,
+            Cmp::Eq => (lhs - rhs).abs() <= TOL,
+        };
+        assert!(ok, "row {r}: {lhs} {cmp:?} {rhs}");
+    }
+
+    // Duals are ∂objective/∂rhs in the problem's own sense: relaxing a row
+    // cannot hurt, so a maximization's ≤ row has y ≥ 0 and its ≥ row y ≤ 0,
+    // and the other way round when minimizing.
+    let y = sol.duals.as_ref().expect("an optimum carries duals");
+    assert_eq!(y.len(), lp.rows.len());
+    let sense = if lp.sense == Sense::Maximize { 1.0 } else { -1.0 };
+    for (r, (_, cmp, _)) in lp.rows.iter().enumerate() {
+        let ok = match cmp {
+            Cmp::Le => sense * y[r] >= -TOL,
+            Cmp::Ge => sense * y[r] <= TOL,
+            Cmp::Eq => true,
+        };
+        assert!(ok, "row {r}: {cmp:?} row has dual {}", y[r]);
+    }
+
+    let mut d = lp.obj.clone();
+    let mut dual = 0.0;
+    for (r, (terms, _, rhs)) in lp.rows.iter().enumerate() {
+        dual += rhs * y[r];
+        for &(j, a) in terms {
+            d[j] -= a * y[r];
+        }
+    }
+    for (j, &dj) in d.iter().enumerate() {
+        let (at_lower, at_upper) = (dj * lp.lower[j], dj * lp.upper[j]);
+        dual += if sense > 0.0 { at_lower.max(at_upper) } else { at_lower.min(at_upper) };
+    }
+    assert!(
+        (sol.objective - dual).abs() < TOL,
+        "primal {} vs dual {dual} ({} rows)",
+        sol.objective,
+        lp.rows.len()
+    );
+    sol.objective
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
     fn solver_beats_construction_point(seed in 0u64..10_000, n in 2usize..12, m in 1usize..10) {
-        let (p, x0) = random_feasible_lp(seed, n, m);
+        let (lp, x0) = random_feasible_lp(seed, n, m);
+        let p = &lp.problem;
         let sol = p.solve().unwrap();
         prop_assert_eq!(sol.status, Status::Optimal);
-        check_feasible(&p, &sol.x, 1e-6);
+        check_feasible(p, &sol.x, 1e-6);
         // The solver's optimum must be at least the value at the known
         // feasible point x0. The generator is deterministic in `seed`, so
         // the objective coefficients can be replayed from the RNG stream.
@@ -158,17 +108,20 @@ proptest! {
     }
 
     #[test]
-    fn dense_and_eta_agree_on_random_lps(
-        seed in 0u64..10_000, n in 2usize..14, m in 1usize..12, shape in 0u8..4
-    ) {
-        // One case in four is LP+LF-shaped, with hundreds of columns.
-        let p = if shape == 0 { random_lp_lf(seed) } else { random_feasible_lp(seed, n, m).0 };
-        let d = solve_with_options(&p, &SolverOptions { basis: BasisChoice::Dense, ..Default::default() }).unwrap();
-        let e = solve_with_options(&p, &SolverOptions { basis: BasisChoice::Eta, ..Default::default() }).unwrap();
-        prop_assert_eq!(d.status, Status::Optimal);
-        prop_assert_eq!(e.status, Status::Optimal);
-        prop_assert!((d.objective - e.objective).abs() < 1e-6,
-            "seed {seed} shape {shape}: dense {} vs eta {}", d.objective, e.objective);
+    fn optimum_carries_a_certificate(seed in 0u64..10_000, n in 2usize..14, m in 1usize..12) {
+        let (lp, _) = random_feasible_lp(seed, n, m);
+        let max = check_certificate(&lp);
+        // The mirrored minimization exercises the dual signs of the other
+        // sense and must find the same optimum, negated.
+        let min = check_certificate(&lp.mirrored());
+        prop_assert!((max + min).abs() < 1e-6, "max {max} vs mirrored min {min}");
+    }
+
+    #[test]
+    fn lp_lf_optimum_carries_a_certificate(seed in 0u64..10_000) {
+        let lp = random_lp_lf(seed);
+        prop_assert!(lp.rows.len() <= 600, "{} rows: not on the dense inverse", lp.rows.len());
+        check_certificate(&lp);
     }
 
     #[test]
@@ -235,8 +188,7 @@ proptest! {
     #[test]
     fn tiny_lps_match_grid_search(seed in 0u64..5_000) {
         // 2-variable LPs checked against a fine feasible-grid scan.
-        let (p, _) = random_feasible_lp(seed, 2, 3);
-        let sol = p.solve().unwrap();
+        let sol = random_feasible_lp(seed, 2, 3).0.problem.solve().unwrap();
         prop_assert_eq!(sol.status, Status::Optimal);
 
         let mut rng = StdRng::seed_from_u64(seed);
@@ -275,5 +227,16 @@ proptest! {
         }
         prop_assert!(sol.objective >= best - 1e-4,
             "solver {} below grid best {}", sol.objective, best);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    #[test]
+    fn field_sized_lp_lf_optimum_carries_a_certificate(seed in 0u64..10_000) {
+        let lp = lp_lf(seed, 600..900, 14..18, 7..10);
+        prop_assert!(lp.rows.len() > 600, "{} rows: not on the eta file", lp.rows.len());
+        check_certificate(&lp);
     }
 }

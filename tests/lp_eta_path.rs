@@ -1,21 +1,21 @@
-//! Pins the LP solver's eta-file path on one LP+LF plan.
+//! Pins the LP solver's eta-file path on LP+LF plans.
 //!
 //! Every golden trace is a 13-node scenario whose LPs are small enough for
 //! the dense inverse, so nothing else pins the sparse path the planner
-//! takes on real fields. This test builds one LP+LF instance the way the
-//! `plan_heavy` benchmark workload does at seed 1 — a 1000-node
-//! constant-density field, k = 10, a ten-sample window and a budget of
-//! half of NAIVE-k — and pins its pivot count, its objective and the
-//! plan's bandwidth on every edge. A change to pricing, the ratio test or
-//! the eta file that moves a single pivot shows up here.
+//! takes on real fields. These tests build LP+LF instances the way the
+//! `plan_heavy` benchmark workload does — a 1000-node constant-density
+//! field, k = 10, a ten-sample window and a budget of half of NAIVE-k. At
+//! seed 1 they pin the pivot count, the objective and the plan's bandwidth
+//! on every edge; at seeds 2–5 the pivot count and the objective. A change
+//! to pricing, the ratio test or the eta file that moves a single pivot
+//! shows up here.
 
-use prospector::core::{Plan, PlanContext, Planner, ProspectorLpLf};
+use prospector::core::{Plan, PlanContext, PlannedWith, Planner, ProspectorLpLf};
 use prospector::data::{IndependentGaussian, SampleSet, ValueSource};
 use prospector::net::{EnergyModel, NetworkBuilder, NodeId, Topology};
 use prospector::sim::execute_plan;
 use std::collections::BTreeSet;
 
-const SEED: u64 = 1;
 const N: usize = 1000;
 const K: usize = 10;
 
@@ -51,15 +51,19 @@ const BANDWIDTHS: [(usize, u32); 263] = [
     (981, 1), (986, 1), (990, 1),
 ];
 
-/// The field, the ten-sample window and the budget.
-fn instance() -> (Topology, SampleSet, f64) {
+/// `(seed, pivots, objective)` of the same instance at more seeds.
+const MORE_SEEDS: [(u64, usize, f64); 4] =
+    [(2, 650, 100.0), (3, 700, 100.0), (4, 701, 100.0), (5, 721, 100.0)];
+
+/// The field, the ten-sample window and the budget at `seed`.
+fn instance(seed: u64) -> (Topology, SampleSet, f64) {
     let side = 40.0 * (N as f64).sqrt();
     let network = NetworkBuilder::new(N, side, side, 70.0)
-        .seed(SEED)
+        .seed(seed)
         .build()
         .expect("constant-density placement connects");
     let topo = network.topology;
-    let mut source = IndependentGaussian::random(N, 40.0..60.0, 1.0..4.0, SEED ^ 0x9a55);
+    let mut source = IndependentGaussian::random(N, 40.0..60.0, 1.0..4.0, seed ^ 0x9a55);
     let energy = EnergyModel::mica2();
     let naive = execute_plan(&Plan::naive_k(&topo, K), &topo, &energy, &source.values(0), K, None)
         .total_mj();
@@ -86,16 +90,21 @@ fn bandwidth_rows(topo: &Topology, samples: &SampleSet) -> usize {
         .sum()
 }
 
-#[test]
-fn lp_lf_plan_on_the_eta_path_is_pinned() {
-    let (topo, samples, budget) = instance();
-    // `BasisChoice::Auto` picks the eta file above 600 rows.
+/// Plans the instance at `seed` with LP+LF, on the eta file: the solver
+/// takes it above 600 rows.
+fn plan(seed: u64) -> (Topology, PlannedWith) {
+    let (topo, samples, budget) = instance(seed);
     let rows = bandwidth_rows(&topo, &samples);
     assert!(rows > 600, "only {rows} bandwidth rows: the LP would stay on the dense inverse");
-
     let energy = EnergyModel::mica2();
     let ctx = PlanContext::new(&topo, &energy, &samples, budget);
     let planned = ProspectorLpLf.plan_traced(&ctx).expect("LP+LF plans the field");
+    (topo, planned)
+}
+
+#[test]
+fn lp_lf_plan_on_the_eta_path_is_pinned() {
+    let (topo, planned) = plan(1);
     let lp = planned.lp.expect("LP+LF reports solver statistics");
     let bandwidths: Vec<(usize, u32)> = topo
         .edges()
@@ -106,4 +115,13 @@ fn lp_lf_plan_on_the_eta_path_is_pinned() {
     assert_eq!(lp.iterations, 745);
     assert!((lp.objective - 99.0).abs() < 1e-9, "objective {}", lp.objective);
     assert_eq!(bandwidths, BANDWIDTHS);
+}
+
+#[test]
+fn lp_lf_pivots_on_the_eta_path_are_pinned_at_more_seeds() {
+    for (seed, pivots, objective) in MORE_SEEDS {
+        let lp = plan(seed).1.lp.expect("LP+LF reports solver statistics");
+        assert_eq!(lp.iterations, pivots, "seed {seed}");
+        assert!((lp.objective - objective).abs() < 1e-9, "seed {seed}: objective {}", lp.objective);
+    }
 }
