@@ -928,9 +928,9 @@ pub fn dfault(fast: bool) -> FigureResult {
 /// Extension: the loss-rate × retry-budget grid behind `BENCH_loss.json`.
 /// For each uniform per-hop loss rate and ARQ retry budget the plan is
 /// rebuilt with loss-aware edge costs, scored analytically over the sample
-/// window ([`expected_accuracy_under_loss`], parallel but bit-identical to
-/// serial) and executed over the eval epochs so Collection + Retransmit
-/// energy is metered to the attempt.
+/// window ([`evaluate::expected_accuracy_under_loss`], parallel but
+/// bit-identical to serial) and executed over the eval epochs so
+/// Collection + Retransmit energy is metered to the attempt.
 pub fn e_loss(fast: bool) -> FigureResult {
     use prospector_core::evaluate::expected_accuracy_under_loss;
     use prospector_net::{epoch_seed, ArqPolicy, FailureModel};

@@ -5,9 +5,8 @@
 //! the usable network, an LP can turn degenerate, or a tightened budget
 //! can fall below what a proof-carrying plan requires. [`FallbackPlanner`]
 //! chains planners from most to least sophisticated and returns the first
-//! plan that succeeds, recording through
-//! [`Planner::plan_traced`](crate::Planner::plan_traced) which link
-//! actually produced the answer.
+//! plan that succeeds, recording through [`Planner::plan_traced`] which
+//! link actually produced the answer.
 
 use crate::error::PlanError;
 use crate::greedy::ProspectorGreedy;

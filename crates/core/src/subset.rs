@@ -1,7 +1,7 @@
 //! Generalized subset-query planning (Section 3's generalization).
 //!
 //! The Prospector framework only needs a Boolean answer matrix: "set
-//! M[j][i] = 1 if node i contributes to the answer in the j-th sample …
+//! `M[j][i] = 1` if node i contributes to the answer in the j-th sample …
 //! minimize the total number of 1's in M missed by the plan." This module
 //! plans **delivery plans** for arbitrary [`AnswerSpec`] queries
 //! (selection, quantile bands, …) with the same topology-aware LP as

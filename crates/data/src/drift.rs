@@ -26,7 +26,8 @@ use rand::{RngExt, SeedableRng};
 /// redraws from its `N(mean_i, std_i²)` with probability `change_prob`
 /// and otherwise holds its previous reading bit-for-bit. `change_prob`
 /// is the drift rate: `0.0` is a perfectly quiet network (constant after
-/// epoch 0), `1.0` degenerates to [`IndependentGaussian`] behaviour.
+/// epoch 0), `1.0` degenerates to [`crate::IndependentGaussian`]
+/// behaviour.
 #[derive(Debug, Clone)]
 pub struct DriftField {
     means: Vec<f64>,
@@ -47,7 +48,7 @@ impl DriftField {
     }
 
     /// Means uniform in `mean_range`, standard deviations uniform in
-    /// `std_range` (mirrors [`IndependentGaussian::random`]).
+    /// `std_range` (mirrors [`crate::IndependentGaussian::random`]).
     pub fn random(
         n: usize,
         mean_range: std::ops::Range<f64>,

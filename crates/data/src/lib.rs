@@ -4,8 +4,8 @@
 //! models; they optimize over a window of **samples** — full-network value
 //! snapshots collected at exploration timesteps. This crate provides:
 //!
-//! * [`source`] — the [`ValueSource`](source::ValueSource) trait producing
-//!   per-epoch readings for every node;
+//! * [`source`] — the [`ValueSource`] trait producing per-epoch readings
+//!   for every node;
 //! * [`gaussian`] — independent per-node Gaussians (the synthetic workload
 //!   of Figures 3 and 4);
 //! * [`zones`] — the contention-zone workload of Figures 5–7, where zone

@@ -2,7 +2,7 @@
 //!
 //! "Note that this approach can be easily generalized to queries that
 //! return subsets of all sensor values, e.g., selection and quantile
-//! queries. In the general case, we would set M[j][i] = 1 if node i
+//! queries. In the general case, we would set `M[j][i] = 1` if node i
 //! contributes to the answer in the j-th sample … The optimization goal
 //! would still be to minimize the total number of 1's in M missed by the
 //! plan."

@@ -18,9 +18,10 @@
 //!   ([`basis::DenseInverse`]) up to 600 rows and a product-form-of-the-inverse
 //!   eta file ([`basis::EtaFile`], which exploits the extreme sparsity of the
 //!   Prospector constraint matrices) above;
-//! * Dantzig pricing with an automatic switch to Bland's rule after a run of
-//!   degenerate pivots, bound-flip pivots, and periodic resync of the basic
-//!   solution for numerical hygiene.
+//! * Dantzig pricing, through a tournament tree over the reduced costs,
+//!   with an automatic switch to Bland's rule after a run of degenerate
+//!   pivots, bound-flip pivots, and periodic resync of the basic solution
+//!   for numerical hygiene.
 //!
 //! # Basis representation by size
 //!
@@ -54,10 +55,40 @@
 //!   test, the basic-value update and the eta append walk `α`'s nonzero
 //!   list (~36 entries there) rather than all `m` rows.
 //!
-//! Both representations choose the same entering column for the same `d`,
-//! and both walk rows in ascending order, so ties break as in a dense loop.
-//! Updated prices can still resolve a near-tie differently from fresh ones
-//! after rounding drift.
+//! The entering column is chosen from what the pivot changed rather than
+//! by a scan of every reduced cost (Hall & McKinnon's hyper-sparse CHUZC).
+//! A max tournament tree holds one leaf per column, keyed `|d_j|` when the
+//! column may enter (nonbasic, not fixed, improving by more than the
+//! tolerance) and −1 otherwise. Each internal node keeps the winner of its
+//! two children, the left one on a tie, so the root is the Dantzig choice
+//! with ties to the lowest index, and a descent to the leftmost positive
+//! key is Bland's.
+//!
+//! * A fresh pricing rebuilds the tree in `O(n)`.
+//! * After a pivot, only the columns whose `d` or state it changed are
+//!   re-keyed: those `Aᵀρ_r` writes, the entering and leaving columns, and
+//!   a bound-flipped column. A leaf whose key is unchanged is skipped, and
+//!   a replay climbs only until a node's winner stays the same and is not
+//!   the replayed column.
+//! * A column whose pivot is numerically unusable is masked to −1 for the
+//!   rest of the step and re-keyed at the next flush.
+//!
+//! The scan it replaced read every column at every pivot. Counted on the
+//! pinned planner solves (`tests/lp_eta_path.rs`):
+//!
+//! * on the five 1000-node eta-file solves (1568–1770 columns) a pivot
+//!   re-keys 6.3 columns on average, 2.3 of them change key, and a replay
+//!   plays 9.1 matches of the tree's 11 levels;
+//! * on the 36 serve-shaped dense-inverse solves (117–269 columns) a pivot
+//!   re-keys 15.7 columns (4.9–28.8 per solve), 2.7 change key, and a
+//!   replay plays 6.3 matches.
+//!
+//! On a 2-CPU VM the median `plan_heavy` plan epoch went from 5.7 to
+//! 3.6 ms (ten benchmark runs a side at seed 1), with the same pivots.
+//! Both representations take this one path. It picks what the scan picked,
+//! so pivots and plans are unchanged; the simplex tests check it against
+//! the scan. Updated prices can still resolve a near-tie differently from
+//! fresh ones after rounding drift.
 //!
 //! # Example
 //!

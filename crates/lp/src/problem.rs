@@ -112,7 +112,7 @@ impl Problem {
             if lo.is_nan() || hi.is_nan() {
                 return Err(LpError::NonFiniteInput { what: "variable bound is NaN" });
             }
-            if lo > hi {
+            if lo > hi || lo == f64::INFINITY || hi == f64::NEG_INFINITY {
                 return Err(LpError::InvalidBounds { var: i, lower: lo, upper: hi });
             }
             if lo == f64::NEG_INFINITY && hi == f64::INFINITY {
@@ -158,6 +158,28 @@ mod tests {
         let mut p = Problem::new(Sense::Minimize);
         p.add_var(2.0, 1.0, 0.0);
         assert!(matches!(p.validate(), Err(LpError::InvalidBounds { var: 0, .. })));
+    }
+
+    #[test]
+    fn validate_rejects_boxes_without_a_finite_point() {
+        // maximize x + y, y ∈ [0, 1], x pinned at an infinite bound. With
+        // the row x + y ≤ 4 the solve once returned `Optimal` at x = ∞
+        // (objective inf, row violated) or at x = −∞ (objective −inf);
+        // without it, `Unbounded` with x = 0.
+        let (inf, neg) = (f64::INFINITY, f64::NEG_INFINITY);
+        for (lo, hi, row) in [(inf, inf, true), (neg, neg, true), (inf, inf, false)] {
+            let mut p = Problem::new(Sense::Maximize);
+            let x = p.add_var(lo, hi, 1.0);
+            let y = p.add_var(0.0, 1.0, 1.0);
+            if row {
+                p.add_constraint([(x, 1.0), (y, 1.0)], Cmp::Le, 4.0);
+            }
+            let got = p.solve();
+            assert!(
+                matches!(got, Err(LpError::InvalidBounds { var: 0, .. })),
+                "x ∈ [{lo}, {hi}], row {row}: {got:?}"
+            );
+        }
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //! objective.
 //!
 //! Pricing keeps a reduced cost per variable and carries it across pivots
-//! by pivot-row updates (crate docs, "Pricing and hyper-sparsity").
+//! by pivot-row updates; the entering column is the winner of a tournament
+//! tree over the reduced costs, in which a pivot replays only the columns
+//! it touched (crate docs, "Pricing and hyper-sparsity").
 
 // The simplex kernels walk several parallel arrays (basis, x, alpha, bounds)
 // by row index; iterator/zip chains obscure the math, so range loops stay.
@@ -68,17 +70,20 @@ struct Std<'a> {
 impl Std<'_> {
     /// `d -= w · A_r`: subtracts `w` times row `r` of the standardized
     /// matrix (structural coefficients, the slack, and the artificial if
-    /// the row has one).
-    fn sub_row(&self, r: usize, w: f64, d: &mut [f64]) {
+    /// the row has one), passing each column it writes to `touched`.
+    fn sub_row(&self, r: usize, w: f64, d: &mut [f64], mut touched: impl FnMut(usize)) {
         let scale = self.row_scale[r];
         for &(var, c) in &self.rows[r].coeffs {
             d[var as usize] -= w * (c * scale);
+            touched(var as usize);
         }
         let slack = self.n_struct + r;
         d[slack] -= w;
+        touched(slack);
         let start = self.basis[r] as usize;
         if start != slack {
             d[start] -= w;
+            touched(start);
         }
     }
 }
@@ -204,6 +209,148 @@ enum Prices {
     Fresh,
 }
 
+/// Column `j`'s key in the entering-column [`Tournament`]: `|d_j|` if it
+/// may enter (nonbasic, not fixed, and improving by more than the
+/// tolerance in the direction it can move), −1 otherwise.
+fn entering_key(d: f64, state: VarState, lower: f64, upper: f64) -> f64 {
+    let dir = match state {
+        VarState::Basic(_) => return -1.0,
+        VarState::AtLower => 1.0,
+        VarState::AtUpper => -1.0,
+    };
+    if lower != upper && d * dir > OPT_TOL {
+        d.abs()
+    } else {
+        -1.0
+    }
+}
+
+/// A max tournament tree over every column's [`entering_key`]: the
+/// entering-column choice without a scan.
+///
+/// The leaves are the columns, padded with −1 keys to a power of two, and
+/// each internal node holds the winner of its two children: the larger
+/// key, or the left one on a tie. The left child's columns all precede the
+/// right child's, so the root is what a Dantzig scan keeping the first of
+/// equal `|d_j|` picks, and a descent to the leftmost positive key is
+/// Bland's first eligible column. A pivot changes few keys; only their
+/// leaves are replayed, each up to the first node whose winner neither
+/// changes nor is the replayed column.
+struct Tournament {
+    /// Leaf keys.
+    key: Vec<f64>,
+    /// `win[v]`: the winning column of internal node `v`; the root is 1
+    /// and the children of `v` are `2v` and `2v + 1`.
+    win: Vec<u32>,
+    /// Columns whose key may have changed since the last flush, each once.
+    dirty: Vec<u32>,
+    listed: Vec<bool>,
+}
+
+impl Tournament {
+    /// A tree over `n` columns; every key is −1 until the first rebuild.
+    fn new(n: usize) -> Tournament {
+        let size = n.next_power_of_two();
+        Tournament {
+            key: vec![-1.0; size],
+            win: vec![0; size],
+            dirty: Vec::new(),
+            listed: vec![false; n],
+        }
+    }
+
+    /// The winning column of node `v` (a leaf from `key.len()` on).
+    fn winner(&self, v: usize) -> usize {
+        let size = self.key.len();
+        if v >= size {
+            v - size
+        } else {
+            self.win[v] as usize
+        }
+    }
+
+    /// Plays internal node `v`'s match from its children's winners.
+    fn play(&self, v: usize) -> usize {
+        let (a, b) = (self.winner(2 * v), self.winner(2 * v + 1));
+        if self.key[b] > self.key[a] {
+            b
+        } else {
+            a
+        }
+    }
+
+    /// Re-keys every column and replays every match.
+    fn rebuild(&mut self, key: impl Fn(usize) -> f64) {
+        for j in self.dirty.drain(..) {
+            self.listed[j as usize] = false;
+        }
+        for j in 0..self.listed.len() {
+            self.key[j] = key(j);
+        }
+        for v in (1..self.win.len()).rev() {
+            self.win[v] = self.play(v) as u32;
+        }
+    }
+
+    /// Marks column `j`'s key for the next flush.
+    fn touch(&mut self, j: usize) {
+        if !self.listed[j] {
+            self.listed[j] = true;
+            self.dirty.push(j as u32);
+        }
+    }
+
+    /// Re-keys the touched columns, replaying those whose key changed.
+    fn flush(&mut self, key: impl Fn(usize) -> f64) {
+        while let Some(j) = self.dirty.pop() {
+            let j = j as usize;
+            self.listed[j] = false;
+            let k = key(j);
+            if k != self.key[j] {
+                self.key[j] = k;
+                self.replay(j);
+            }
+        }
+    }
+
+    /// Takes column `j` out of the running until the next flush re-keys it.
+    fn mask(&mut self, j: usize) {
+        self.key[j] = -1.0;
+        self.replay(j);
+        self.touch(j);
+    }
+
+    /// Replays the matches above leaf `j` after its key changed.
+    fn replay(&mut self, j: usize) {
+        let mut v = (self.key.len() + j) / 2;
+        while v > 0 {
+            let w = self.play(v);
+            if w == self.win[v] as usize && w != j {
+                return;
+            }
+            self.win[v] = w as u32;
+            v /= 2;
+        }
+    }
+
+    /// The column with the largest key, the first of equals, if it may
+    /// enter.
+    fn best(&self) -> Option<usize> {
+        let w = self.winner(1);
+        (self.key[w] > 0.0).then_some(w)
+    }
+
+    /// The first column that may enter (Bland's rule).
+    fn first(&self) -> Option<usize> {
+        self.best()?;
+        let mut v = 1;
+        while v < self.key.len() {
+            v = if self.key[self.winner(2 * v)] > 0.0 { 2 * v } else { 2 * v + 1 };
+        }
+        Some(v - self.key.len())
+    }
+}
+
 struct Simplex<'a, R: BasisRep> {
     std: &'a Std<'a>,
     rep: R,
@@ -217,6 +364,8 @@ struct Simplex<'a, R: BasisRep> {
     /// meaningful for nonbasic `j` only.
     d: Vec<f64>,
     prices: Prices,
+    /// The entering-column choice over `d`; up to date once flushed.
+    tree: Tournament,
     /// Scratch: the entering column's ftran image `α`.
     alpha: SparseVec,
     /// Scratch: the duals, or the pivot row `ρ_r = B⁻ᵀ e_r`.
@@ -256,6 +405,7 @@ impl<'a, R: BasisRep> Simplex<'a, R> {
             x: std.x0.clone(),
             d: vec![0.0; n_total],
             prices: Prices::Stale,
+            tree: Tournament::new(n_total),
             alpha: SparseVec::new(std.m),
             rho: SparseVec::new(std.m),
             iterations: 0,
@@ -363,24 +513,38 @@ impl<'a, R: BasisRep> Simplex<'a, R> {
     }
 
     /// Recomputes every reduced cost from fresh duals, reading `A` row by
-    /// row: `d = c − Aᵀy`.
+    /// row: `d = c − Aᵀy`, and rebuilds the tournament over them.
     fn price(&mut self, obj: &[f64]) {
         self.load_duals(obj);
         self.d.copy_from_slice(obj);
         for &r in self.rho.rows() {
             let y = self.rho.val[r as usize];
             if y != 0.0 {
-                self.std.sub_row(r as usize, y, &mut self.d);
+                self.std.sub_row(r as usize, y, &mut self.d, |_| ());
             }
         }
         self.prices = Prices::Fresh;
+        self.flush_keys(true);
+    }
+
+    /// Brings the tournament up to date: every key (`all`), or only those
+    /// of the columns touched since the last flush.
+    fn flush_keys(&mut self, all: bool) {
+        let Simplex { tree, d, state, lower, upper, .. } = self;
+        let key = |j: usize| entering_key(d[j], state[j], lower[j], upper[j]);
+        if all {
+            tree.rebuild(key)
+        } else {
+            tree.flush(key)
+        }
     }
 
     /// Carries the reduced costs across the pivot that brings `q` into row
     /// `r` in place of `leaving`, before the basis representation is
     /// updated. The duals move by `θ ρ_r` with `θ = d_q / α_r`, so
     /// `d −= θ Aᵀρ_r`; `ρ_r` comes from a unit btran: row `r` of the dense
-    /// inverse, or a handful of etas from the eta file.
+    /// inverse, or a handful of etas from the eta file. Every column whose
+    /// `d` it writes is touched for the tournament's next flush.
     fn update_prices(&mut self, q: usize, r: usize, leaving: usize) {
         let theta = self.d[q] / self.alpha.val[r];
         self.rho.clear();
@@ -389,42 +553,25 @@ impl<'a, R: BasisRep> Simplex<'a, R> {
         for &i in self.rho.rows() {
             let w = theta * self.rho.val[i as usize];
             if w != 0.0 {
-                self.std.sub_row(i as usize, w, &mut self.d);
+                self.std.sub_row(i as usize, w, &mut self.d, |j| self.tree.touch(j));
             }
         }
         self.d[q] = 0.0;
         self.d[leaving] = -theta;
+        self.tree.touch(q);
+        self.tree.touch(leaving);
         self.prices = Prices::Updated;
     }
 
-    /// Chooses an entering variable from the reduced costs; `None` means
-    /// none improves by more than the tolerance.
-    fn choose_entering(&self, banned: &[usize]) -> Option<usize> {
-        let mut best: Option<(usize, f64)> = None;
-        for (j, &d) in self.d.iter().enumerate() {
-            if banned.contains(&j) {
-                continue;
-            }
-            let eligible_dir = match self.state[j] {
-                VarState::Basic(_) => continue,
-                VarState::AtLower => 1.0,
-                VarState::AtUpper => -1.0,
-            };
-            if self.lower[j] == self.upper[j] {
-                continue; // fixed
-            }
-            if d * eligible_dir <= OPT_TOL {
-                continue;
-            }
-            if self.bland {
-                return Some(j);
-            }
-            match best {
-                Some((_, bd)) if bd.abs() >= d.abs() => {}
-                _ => best = Some((j, d)),
-            }
+    /// The entering column: the largest `|d_j|` among the columns that may
+    /// enter, the first of equals, or in Bland mode the first that may
+    /// enter; `None` means none improves by more than the tolerance.
+    fn choose_entering(&self) -> Option<usize> {
+        if self.bland {
+            self.tree.first()
+        } else {
+            self.tree.best()
         }
-        best.map(|(j, _)| j)
     }
 
     /// One simplex step for the objective `obj`.
@@ -434,13 +581,19 @@ impl<'a, R: BasisRep> Simplex<'a, R> {
         }
         if self.prices == Prices::Stale {
             self.price(obj);
+        } else {
+            self.flush_keys(false);
         }
         let mut banned: Vec<usize> = Vec::new();
         loop {
-            let Some(j) = self.choose_entering(&banned) else {
+            let Some(j) = self.choose_entering() else {
                 if self.prices != Prices::Fresh {
-                    // Updated prices drift: confirm against fresh duals.
+                    // Updated prices drift: confirm against fresh duals,
+                    // keeping this step's banned columns out.
                     self.price(obj);
+                    for &j in &banned {
+                        self.tree.mask(j);
+                    }
                     continue;
                 }
                 // Optimal — or every improving column had only unusable
@@ -502,6 +655,7 @@ impl<'a, R: BasisRep> Simplex<'a, R> {
                     // The basis, and with it every reduced cost, stays.
                     self.move_along(j, sigma * own_range);
                     self.state[j] = if sigma > 0.0 { VarState::AtUpper } else { VarState::AtLower };
+                    self.tree.touch(j);
                     self.iterations += 1;
                     return Ok(StepResult::Pivoted);
                 }
@@ -512,6 +666,7 @@ impl<'a, R: BasisRep> Simplex<'a, R> {
                         if banned.len() > 40 {
                             return Err(LpError::SingularBasis);
                         }
+                        self.tree.mask(j);
                         continue;
                     }
                     let t = t_min;
@@ -693,6 +848,8 @@ mod tests {
     use super::*;
     use crate::common::{random_feasible_lp, random_lp_lf};
     use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
 
     fn solve(p: &Problem) -> Solution {
         p.solve().expect("solve should not error")
@@ -939,6 +1096,146 @@ mod tests {
             prop_assert!((d.objective - e.objective).abs() < 1e-6,
                 "seed {seed} shape {shape}: dense {} vs eta {}", d.objective, e.objective);
         }
+    }
+
+    /// The per-pivot scan the [`Tournament`] replaced, kept as its oracle:
+    /// the largest `|d_j|` among the columns that may enter and are not
+    /// banned, the first of equals, or in Bland mode the first such column.
+    fn scan_entering(
+        d: &[f64],
+        state: &[VarState],
+        lower: &[f64],
+        upper: &[f64],
+        banned: &[usize],
+        bland: bool,
+    ) -> Option<usize> {
+        let mut best: Option<(usize, f64)> = None;
+        for (j, &d) in d.iter().enumerate() {
+            if banned.contains(&j) {
+                continue;
+            }
+            let eligible_dir = match state[j] {
+                VarState::Basic(_) => continue,
+                VarState::AtLower => 1.0,
+                VarState::AtUpper => -1.0,
+            };
+            if lower[j] == upper[j] {
+                continue; // fixed
+            }
+            if d * eligible_dir <= OPT_TOL {
+                continue;
+            }
+            if bland {
+                return Some(j);
+            }
+            match best {
+                Some((_, bd)) if bd.abs() >= d.abs() => {}
+                _ => best = Some((j, d)),
+            }
+        }
+        best.map(|(j, _)| j)
+    }
+
+    /// Reduced costs drawn from a few magnitudes, either sign, and values
+    /// on both sides of the tolerance, so that ties are common.
+    fn tied_cost(rng: &mut StdRng) -> f64 {
+        const COSTS: [f64; 8] = [0.0, 5e-8, 2e-7, 0.5, 1.0, 1.0, 2.0, 3.0];
+        let d = COSTS[rng.random_range(0..COSTS.len())];
+        if rng.random_bool(0.5) {
+            -d
+        } else {
+            d
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        // After every batch of key updates and bound flips, the tournament
+        // picks what the scan picks: the Dantzig column, Bland's column,
+        // and both again with a random set of columns banned.
+        #[test]
+        fn tournament_picks_what_the_scan_picks(seed in 0u64..1_000_000, n in 1usize..300) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut d: Vec<f64> = (0..n).map(|_| tied_cost(&mut rng)).collect();
+            let mut state: Vec<VarState> = (0..n)
+                .map(|r| match rng.random_range(0..4) {
+                    0 => VarState::Basic(r as u32),
+                    1 => VarState::AtUpper,
+                    _ => VarState::AtLower,
+                })
+                .collect();
+            let lower = vec![0.0; n];
+            let upper: Vec<f64> =
+                (0..n).map(|_| if rng.random_bool(0.1) { 0.0 } else { 1.0 }).collect();
+            let mut tree = Tournament::new(n);
+            for step in 0..40 {
+                for _ in 0..rng.random_range(1..=n.min(12)) {
+                    let j = rng.random_range(0..n);
+                    match rng.random_range(0..4) {
+                        // A bound flip, or a pivot's entering and leaving
+                        // columns.
+                        0 => {
+                            state[j] = match state[j] {
+                                VarState::AtLower => VarState::AtUpper,
+                                VarState::AtUpper => VarState::AtLower,
+                                VarState::Basic(_) => VarState::AtLower,
+                            }
+                        }
+                        1 => state[j] = VarState::Basic(0),
+                        _ => d[j] = tied_cost(&mut rng),
+                    }
+                    tree.touch(j);
+                }
+                let key = |j: usize| entering_key(d[j], state[j], lower[j], upper[j]);
+                if step == 0 || rng.random_bool(0.1) {
+                    tree.rebuild(key);
+                } else {
+                    tree.flush(key);
+                }
+                let scan = |banned: &[usize], bland| {
+                    scan_entering(&d, &state, &lower, &upper, banned, bland)
+                };
+                prop_assert_eq!(tree.best(), scan(&[], false), "step {}", step);
+                prop_assert_eq!(tree.first(), scan(&[], true), "step {}", step);
+                // Ban the current winners as well as random columns.
+                let mut banned: Vec<usize> = Vec::new();
+                for _ in 0..rng.random_range(0..4) {
+                    let j = match tree.best() {
+                        Some(j) if rng.random_bool(0.5) => j,
+                        _ => rng.random_range(0..n),
+                    };
+                    banned.push(j);
+                    tree.mask(j);
+                    prop_assert_eq!(tree.best(), scan(&banned, false), "step {}", step);
+                    prop_assert_eq!(tree.first(), scan(&banned, true), "step {}", step);
+                }
+            }
+        }
+    }
+
+    /// After a real pivot, 21 tied columns each meet a degenerate row
+    /// through a 1e-10 pivot: each is banned in turn, the step finds no
+    /// entering column, confirms that against fresh duals and must keep
+    /// the banned columns out. Banning them again would pass the limit of
+    /// 40 retries and fail the solve.
+    fn banned_columns_stay_out_after_a_fresh_pricing<R: BasisRep>() {
+        let mut p = Problem::new(Sense::Maximize);
+        let xs: Vec<_> = (0..21).map(|_| p.add_var(0.0, 1.0, 1.0)).collect();
+        let w = p.add_var(0.0, 1.0, 0.0);
+        let z = p.add_var(0.0, 1.0, 2.0);
+        p.add_constraint(xs.iter().map(|&x| (x, 1e-10)).chain([(w, 1.0)]), Cmp::Le, 0.0);
+        p.add_constraint([(z, 1.0)], Cmp::Le, 0.5);
+        let s = solve_on::<R>(&p);
+        assert_eq!(s.status, Status::Optimal);
+        assert!((s.objective - 1.0).abs() < 1e-9, "objective {}", s.objective);
+        assert_eq!(s.iterations, 1);
+    }
+
+    #[test]
+    fn banned_columns_stay_out_after_a_fresh_pricing_on_both_representations() {
+        banned_columns_stay_out_after_a_fresh_pricing::<DenseInverse>();
+        banned_columns_stay_out_after_a_fresh_pricing::<EtaFile>();
     }
 
     /// Refactors a basis that holds the slacks of rows 0 and 1 in swapped

@@ -69,7 +69,8 @@ impl Solution {
 /// Errors raised while building or solving a problem.
 #[derive(Debug, Clone, PartialEq)]
 pub enum LpError {
-    /// A variable has `lower > upper`.
+    /// A variable's box holds no finite point: `lower > upper`,
+    /// `lower = +∞` or `upper = −∞`.
     InvalidBounds { var: usize, lower: f64, upper: f64 },
     /// A variable is unbounded below *and* above; the bounded simplex
     /// requires at least one finite bound per variable.

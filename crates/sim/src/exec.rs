@@ -137,7 +137,7 @@ pub fn execute_plan_traced(
 /// upward batch is sampled against `failures` and retried up to
 /// `policy.max_retries` times; a hop that exhausts its budget genuinely
 /// loses its subtree's batch and the answer is partial. Every hop is
-/// priced by [`charge_links`].
+/// priced by the crate's one edge-order link ledger, `charge_links`.
 #[allow(clippy::too_many_arguments)]
 pub fn execute_plan_arq(
     plan: &Plan,

@@ -238,8 +238,7 @@ pub struct EpochReport {
     /// The spanning tree was rebuilt this epoch.
     pub repaired: bool,
     /// Name of the planner that produced the plan in force this epoch,
-    /// when it was not the chain's primary (see
-    /// [`Planner::plan_traced`](prospector_core::Planner::plan_traced));
+    /// when it was not the chain's primary (see [`Planner::plan_traced`]);
     /// `None` while the primary planner is holding up.
     pub fallback_used: Option<&'static str>,
     /// Used edges whose batch was lost after exhausting the ARQ budget.

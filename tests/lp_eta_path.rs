@@ -1,15 +1,19 @@
-//! Pins the LP solver's eta-file path on LP+LF plans.
+//! Pins the LP solver's pivots on LP+LF plans, on both basis
+//! representations.
 //!
 //! Every golden trace is a 13-node scenario whose LPs are small enough for
 //! the dense inverse, so nothing else pins the sparse path the planner
-//! takes on real fields. These tests build LP+LF instances the way the
-//! `plan_heavy` benchmark workload does — a 1000-node constant-density
+//! takes on real fields. The eta-path tests build LP+LF instances the way
+//! the `plan_heavy` benchmark workload does — a 1000-node constant-density
 //! field, k = 10, a ten-sample window and a budget of half of NAIVE-k. At
 //! seed 1 they pin the pivot count, the objective and the plan's bandwidth
-//! on every edge; at seeds 2–5 the pivot count and the objective. A change
-//! to pricing, the ratio test or the eta file that moves a single pivot
-//! shows up here.
-
+//! on every edge; at seeds 2–5 the pivot count and the objective. The
+//! dense-inverse test builds them the way the `serve_mix` workload's
+//! queries do — a 120-node field, an eight-sample window, k ∈ {2, 3, 4}
+//! and budgets of 10, 15, 22 and 30 mJ — and pins every solve's pivot
+//! count at seeds 1–3. A change to pricing, the entering-column choice,
+//! the ratio test or either basis representation that moves a single
+//! pivot shows up here.
 use prospector::core::{Plan, PlanContext, PlannedWith, Planner, ProspectorLpLf};
 use prospector::data::{IndependentGaussian, SampleSet, ValueSource};
 use prospector::net::{EnergyModel, NetworkBuilder, NodeId, Topology};
@@ -51,27 +55,49 @@ const BANDWIDTHS: [(usize, u32); 263] = [
     (981, 1), (986, 1), (990, 1),
 ];
 
+/// Pivots of the serve-shaped solves on the dense inverse, per seed: one
+/// row per k in [`DENSE_KS`], one column per budget in [`DENSE_BUDGETS`].
+#[rustfmt::skip]
+const DENSE_PIVOTS: [(u64, [[usize; 4]; 3]); 3] = [
+    (1, [[52, 62, 71, 78], [60, 67, 90, 93], [64, 86, 117, 99]]),
+    (2, [[47, 58, 60, 58], [73, 82, 85, 90], [75, 87, 97, 110]]),
+    (3, [[63, 71, 78, 82], [83, 92, 96, 101], [93, 94, 111, 112]]),
+];
+const DENSE_NODES: usize = 120;
+const DENSE_WINDOW: usize = 8;
+const DENSE_KS: [usize; 3] = [2, 3, 4];
+const DENSE_BUDGETS: [f64; 4] = [10.0, 15.0, 22.0, 30.0];
+
 /// `(seed, pivots, objective)` of the same instance at more seeds.
 const MORE_SEEDS: [(u64, usize, f64); 4] =
     [(2, 650, 100.0), (3, 700, 100.0), (4, 701, 100.0), (5, 721, 100.0)];
 
-/// The field, the ten-sample window and the budget at `seed`.
-fn instance(seed: u64) -> (Topology, SampleSet, f64) {
-    let side = 40.0 * (N as f64).sqrt();
-    let network = NetworkBuilder::new(N, side, side, 70.0)
+/// A constant-density field of `n` nodes at `seed`, and its readings.
+fn field(n: usize, seed: u64) -> (Topology, IndependentGaussian) {
+    let side = 40.0 * (n as f64).sqrt();
+    let network = NetworkBuilder::new(n, side, side, 70.0)
         .seed(seed)
         .build()
         .expect("constant-density placement connects");
-    let topo = network.topology;
-    let mut source = IndependentGaussian::random(N, 40.0..60.0, 1.0..4.0, seed ^ 0x9a55);
+    (network.topology, IndependentGaussian::random(n, 40.0..60.0, 1.0..4.0, seed ^ 0x9a55))
+}
+
+/// A window of the first `len` epochs' readings, ranked at `k`.
+fn window(source: &mut IndependentGaussian, k: usize, len: usize) -> SampleSet {
+    let mut samples = SampleSet::new(source.num_nodes(), k, len);
+    for epoch in 0..len as u64 {
+        samples.push(source.values(epoch));
+    }
+    samples
+}
+
+/// The field, the ten-sample window and the budget at `seed`.
+fn instance(seed: u64) -> (Topology, SampleSet, f64) {
+    let (topo, mut source) = field(N, seed);
     let energy = EnergyModel::mica2();
     let naive = execute_plan(&Plan::naive_k(&topo, K), &topo, &energy, &source.values(0), K, None)
         .total_mj();
-    let mut samples = SampleSet::new(N, K, 10);
-    for epoch in 0..10 {
-        samples.push(source.values(epoch));
-    }
-    (topo, samples, 0.5 * naive)
+    (topo, window(&mut source, K, 10), 0.5 * naive)
 }
 
 /// A lower bound on the LP's rows: one bandwidth row per (sample, edge)
@@ -123,5 +149,25 @@ fn lp_lf_pivots_on_the_eta_path_are_pinned_at_more_seeds() {
         let lp = plan(seed).1.lp.expect("LP+LF reports solver statistics");
         assert_eq!(lp.iterations, pivots, "seed {seed}");
         assert!((lp.objective - objective).abs() < 1e-9, "seed {seed}: objective {}", lp.objective);
+    }
+}
+
+#[test]
+fn lp_lf_pivots_on_the_dense_inverse_are_pinned() {
+    let energy = EnergyModel::mica2();
+    for (seed, pinned) in DENSE_PIVOTS {
+        let (topo, mut source) = field(DENSE_NODES, seed);
+        for (k, pinned) in DENSE_KS.into_iter().zip(pinned) {
+            let samples = window(&mut source, k, DENSE_WINDOW);
+            // x, y-monotonicity, bandwidth and budget rows.
+            let rows = DENSE_WINDOW * k + (DENSE_NODES - 1) + bandwidth_rows(&topo, &samples) + 1;
+            assert!(rows <= 600, "up to {rows} rows: the LP could leave the dense inverse");
+            for (budget, pivots) in DENSE_BUDGETS.into_iter().zip(pinned) {
+                let ctx = PlanContext::new(&topo, &energy, &samples, budget);
+                let planned = ProspectorLpLf.plan_traced(&ctx).expect("LP+LF plans the field");
+                let lp = planned.lp.expect("LP+LF reports solver statistics");
+                assert_eq!(lp.iterations, pivots, "seed {seed}, k {k}, budget {budget} mJ");
+            }
+        }
     }
 }
