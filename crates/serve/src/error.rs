@@ -80,10 +80,12 @@ pub enum ServiceError {
     /// `serve_batch` was called before any `begin_epoch`.
     NoEpoch,
     /// The sample window is too cold to predict from: either the window
-    /// holds fewer than the configured minimum of samples, or a specific
-    /// node has no finite history at all (`SampleSet::predicted_value`
-    /// abstained). Cold starts surface here as a typed error — the `None`
-    /// is never unwrapped on the serve path.
+    /// holds fewer than the configured minimum of samples (a rejection),
+    /// or a node that answered has no finite reading in the window (the
+    /// service's per-node prediction table abstained; counted in
+    /// [`ServiceStats::cold_starts`](crate::ServiceStats::cold_starts)).
+    /// Cold starts surface here as a typed error — the `None` is never
+    /// unwrapped on the serve path.
     InsufficientHistory { have: usize, need: usize },
     /// The request failed validation.
     Request(RequestError),

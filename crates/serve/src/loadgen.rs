@@ -61,6 +61,9 @@ pub struct LoadgenReport {
     /// entirely, which is the point — their latency is ~0).
     pub plan_p50_ms: f64,
     pub plan_p99_ms: f64,
+    /// Threads the host offers (`std::thread::available_parallelism`), so
+    /// the wall-clock figures name the machine they came from.
+    pub host_parallelism: usize,
 }
 
 impl LoadgenReport {
@@ -71,7 +74,8 @@ impl LoadgenReport {
                 "{{\"nodes\":{},\"epochs\":{},\"queries\":{},\"accepted\":{},",
                 "\"rejected\":{},\"served\":{},\"cache_hits\":{},\"cache_misses\":{},",
                 "\"cache_hit_rate\":{:.4},\"energy_mj\":{:.3},\"wall_s\":{:.3},",
-                "\"qps\":{:.1},\"plan_p50_ms\":{:.3},\"plan_p99_ms\":{:.3}}}"
+                "\"qps\":{:.1},\"plan_p50_ms\":{:.3},\"plan_p99_ms\":{:.3},",
+                "\"host_parallelism\":{}}}"
             ),
             self.nodes,
             self.epochs,
@@ -87,6 +91,7 @@ impl LoadgenReport {
             self.qps,
             self.plan_p50_ms,
             self.plan_p99_ms,
+            self.host_parallelism,
         )
     }
 }
@@ -182,6 +187,7 @@ pub fn run_loadgen(cfg: &LoadgenConfig) -> LoadgenReport {
         qps: if wall_s > 0.0 { queries as f64 / wall_s } else { 0.0 },
         plan_p50_ms: percentile(&mut solve_ms.clone(), 50.0),
         plan_p99_ms: percentile(&mut solve_ms, 99.0),
+        host_parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),
     }
 }
 

@@ -13,8 +13,18 @@
 //!    per unique [`PlanKey`] — the plan cache *is* the batching: the
 //!    first request of a key plans and caches, every same-key request
 //!    after it (same batch or later epochs) reuses the entry — and then
-//!    executes every admitted request's collection phase, merging its
-//!    energy into the service meter.
+//!    runs each unique key's collection phase once. Every admitted
+//!    request, in request order, replays its key's trace events, merges
+//!    its key's energy bill into the service meter and answers from its
+//!    key's collected top k.
+//!
+//! **Predictions.** A response carries each answer node's window
+//! prediction: the mean of its finite window readings, oldest first, so
+//! it equals `SampleSet::predicted_value` bit for bit. The service keeps
+//! one per-node table of them, built at most once per window version and
+//! only when a response first needs it, so a cache hit costs a lookup:
+//! only a cache miss builds the key's [`SampleSet`], which the planner
+//! and the accuracy estimate need.
 //!
 //! **Cache transparency.** The service plans with the *band-floor* budget
 //! (`floor(budget / band_width) × band_width`), a pure function of the
@@ -29,7 +39,7 @@ use crate::cache::{CacheEntry, CacheStats, PlanCache, PlanKey};
 use crate::error::{AdmitError, ConfigError, RequestError, ServiceError};
 use crate::request::{QueryRequest, QueryResponse};
 use prospector_core::{evaluate, Plan, PlanContext, Planner};
-use prospector_data::SampleSet;
+use prospector_data::{Reading, SampleSet};
 use prospector_net::{
     EnergyMeter, EnergyModel, FailureModel, NodeId, Phase, RepairError, Topology,
 };
@@ -108,16 +118,52 @@ pub struct EpochStart {
 }
 
 /// Cumulative service counters (cache counters live in [`CacheStats`]).
+/// Every accepted request ends in exactly one of three ways, so
+/// `accepted == served + plan_failures + cold_starts`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServiceStats {
     /// Requests that cleared validation and admission.
     pub accepted: u64,
     /// Requests rejected by validation or admission.
     pub rejected: u64,
-    /// Requests actually answered (accepted minus planner failures).
+    /// Requests actually answered.
     pub served: u64,
     /// Accepted requests whose whole fallback chain failed to plan.
     pub plan_failures: u64,
+    /// Accepted requests refused after their collection because an answer
+    /// node has no finite reading in the window
+    /// ([`ServiceError::InsufficientHistory`]). Their collection energy
+    /// is still metered: the radios ran.
+    pub cold_starts: u64,
+}
+
+/// One unique key's reliable collection within a batch, kept so that
+/// every request of the key can replay it.
+struct Collected {
+    /// The collection's trace events (none when the caller's tracer is
+    /// disabled).
+    events: Vec<TraceEvent>,
+    /// The collection's energy bill.
+    meter: EnergyMeter,
+    /// The root's answer, non-finite readings dropped.
+    answer: Vec<Reading>,
+}
+
+/// Buffers events for replay; enabled exactly when the caller's tracer
+/// is, so an untraced batch builds no events.
+struct Recorder {
+    enabled: bool,
+    events: Vec<TraceEvent>,
+}
+
+impl Tracer for Recorder {
+    fn enabled(&self) -> bool {
+        self.enabled
+    }
+
+    fn record(&mut self, event: TraceEvent) {
+        self.events.push(event);
+    }
 }
 
 /// The service. See the module docs for the epoch lifecycle.
@@ -137,6 +183,10 @@ pub struct QueryService {
     raw_window: VecDeque<Vec<f64>>,
     /// Current epoch's masked ground truth.
     truth: Vec<f64>,
+    /// Each node's window prediction (`None`: no finite reading), valid
+    /// while `window_version` equals `predicted_version`.
+    predicted: Vec<Option<f64>>,
+    predicted_version: u64,
     cache: PlanCache,
     /// Collection energy still grantable this epoch.
     ledger_remaining: f64,
@@ -165,6 +215,9 @@ impl QueryService {
             window_version: 0,
             raw_window: VecDeque::new(),
             truth: vec![f64::NEG_INFINITY; n],
+            // Version 0 is the empty window, which predicts nothing.
+            predicted: vec![None; n],
+            predicted_version: 0,
             cache: PlanCache::new(),
             ledger_remaining: 0.0,
             meter: EnergyMeter::new(n),
@@ -383,7 +436,7 @@ impl QueryService {
     /// The sample window as a [`SampleSet`] for one cache key: raw rows
     /// replayed at the key's `k`, then masked down to the key's subset
     /// and the live nodes. A pure function of (window content, key), so
-    /// rebuilding it per key is transparent.
+    /// rebuilding it per planned key is transparent.
     fn build_samples(&self, k: usize, subset: Option<&[u32]>) -> SampleSet {
         let n = self.topology.len();
         let mut samples = SampleSet::new(n, k, self.config.window);
@@ -399,6 +452,54 @@ impl QueryService {
         }
         samples.mask_nodes(&masked);
         samples
+    }
+
+    /// One reliable collection of `plan` over `key`'s subset-masked truth
+    /// at `key.k`, its events recorded for replay when `tracing`.
+    fn collect(&self, plan: &Plan, key: &PlanKey, tracing: bool) -> Collected {
+        let truth: Vec<f64> = match &key.subset {
+            None => self.truth.clone(),
+            Some(subset) => {
+                let mut t = vec![f64::NEG_INFINITY; self.truth.len()];
+                for &id in subset {
+                    t[id as usize] = self.truth[id as usize];
+                }
+                t
+            }
+        };
+        let mut recorder = Recorder { enabled: tracing, events: Vec::new() };
+        let report = prospector_sim::execute_plan_traced(
+            plan,
+            &self.topology,
+            &self.energy,
+            &truth,
+            key.k as usize,
+            None,
+            &mut recorder,
+        );
+        let answer = report.answer.into_iter().filter(|r| r.value.is_finite()).collect();
+        Collected { events: recorder.events, meter: report.meter, answer }
+    }
+
+    /// The window predictions of `answer`'s nodes, or `None` if the window
+    /// holds no finite reading for one of them. Builds the per-node table
+    /// first if the window changed since it was last built. An answer
+    /// node is alive and in its key's subset, so the unmasked window
+    /// predicts it exactly as the key's masked [`SampleSet`] would.
+    fn predict(&mut self, answer: &[Reading]) -> Option<Vec<f64>> {
+        if self.predicted_version != self.window_version {
+            // Oldest first, in the order `SampleSet::predicted_value` sums.
+            let window = &self.raw_window;
+            self.predicted = (0..self.topology.len())
+                .map(|i| {
+                    let finite = window.iter().map(|row| row[i]).filter(|v| v.is_finite());
+                    let (sum, count) = finite.fold((0.0, 0usize), |(s, c), v| (s + v, c + 1));
+                    (count > 0).then(|| sum / count as f64)
+                })
+                .collect();
+            self.predicted_version = self.window_version;
+        }
+        answer.iter().map(|r| self.predicted[r.node.index()]).collect()
     }
 
     /// Serves one batch of requests against the current epoch. Responses
@@ -458,26 +559,25 @@ impl QueryService {
         // request of a key plans and inserts, same-key requests hit. With
         // the cache off every admitted request plans from scratch.
         struct Batched {
-            key: PlanKey,
+            /// Index of the request's key in `unique`.
+            key: usize,
             plan: Plan,
             expected_accuracy: f64,
-            samples: SampleSet,
             cached: bool,
             plan_ms: f64,
         }
         let mut batch: Vec<Option<Result<Batched, ServiceError>>> = Vec::new();
         let mut unique: Vec<&PlanKey> = Vec::new();
         let mut planned_count = 0u32;
-        for (req, key) in requests.iter().zip(&admitted) {
+        for key in &admitted {
             let Some(key) = key else {
                 batch.push(None);
                 continue;
             };
-            if !unique.contains(&key) {
+            let index = unique.iter().position(|u| *u == key).unwrap_or_else(|| {
                 unique.push(key);
-            }
-            let banded_mj = key.band as f64 * self.config.band_width_mj;
-            let subset = key.subset.as_deref();
+                unique.len() - 1
+            });
             if self.config.cache {
                 if let Some(entry) = self.cache.lookup(key, self.window_version) {
                     let (plan, acc) = (entry.plan.clone(), entry.expected_accuracy);
@@ -489,10 +589,9 @@ impl QueryService {
                         });
                     }
                     batch.push(Some(Ok(Batched {
-                        key: key.clone(),
+                        key: index,
                         plan,
                         expected_accuracy: acc,
-                        samples: self.build_samples(req.k, subset),
                         cached: true,
                         plan_ms: 0.0,
                     })));
@@ -506,7 +605,8 @@ impl QueryService {
                     });
                 }
             }
-            let samples = self.build_samples(req.k, subset);
+            let banded_mj = key.band as f64 * self.config.band_width_mj;
+            let samples = self.build_samples(key.k as usize, key.subset.as_deref());
             let mut ctx = PlanContext::new(&self.topology, &self.energy, &samples, banded_mj);
             if let Some(f) = &self.config.failures {
                 ctx = ctx.with_failures(f);
@@ -529,10 +629,9 @@ impl QueryService {
                         );
                     }
                     batch.push(Some(Ok(Batched {
-                        key: key.clone(),
+                        key: index,
                         plan,
                         expected_accuracy: acc,
-                        samples,
                         cached: false,
                         plan_ms,
                     })));
@@ -544,8 +643,15 @@ impl QueryService {
             }
         }
 
-        // Phase C: execute every planned request's collection phase, in
-        // request order, merging each bill into the service meter.
+        // Phase C: collect once per unique key. Reliable execution depends
+        // only on the plan, the subset-masked truth and k, all fixed by the
+        // key within a batch, so the first request of a key runs the
+        // collection into a recorder, and every request of the key, the
+        // first included, replays the recorded events, merges the bill
+        // into the service meter and answers from the stored top k — in
+        // request order, so trace and meter read as if each had executed.
+        let tracing = tracer.enabled();
+        let mut collected: Vec<Option<Collected>> = unique.iter().map(|_| None).collect();
         for (i, (req, slot)) in requests.iter().zip(batch).enumerate() {
             let Some(outcome) = slot else { continue };
             let b = match outcome {
@@ -555,56 +661,32 @@ impl QueryService {
                     continue;
                 }
             };
-            let truth: Vec<f64> = match &b.key.subset {
-                None => self.truth.clone(),
-                Some(subset) => {
-                    let mut t = vec![f64::NEG_INFINITY; self.truth.len()];
-                    for &id in subset {
-                        t[id as usize] = self.truth[id as usize];
-                    }
-                    t
-                }
-            };
-            let report = prospector_sim::execute_plan_traced(
-                &b.plan,
-                &self.topology,
-                &self.energy,
-                &truth,
-                req.k,
-                None,
-                tracer,
-            );
-            self.meter.merge(&report.meter);
-            let answer: Vec<_> =
-                report.answer.into_iter().filter(|r| r.value.is_finite()).collect();
-            let mut predicted = Vec::with_capacity(answer.len());
-            let mut cold = None;
-            for r in &answer {
-                match b.samples.predicted_value(r.node) {
-                    Some(p) => predicted.push(p),
-                    None => {
-                        // The window abstained for a node we just heard
-                        // from: typed cold-start error, never an unwrap.
-                        cold = Some(ServiceError::InsufficientHistory { have: 0, need: 1 });
-                        break;
-                    }
-                }
+            let run = collected[b.key]
+                .get_or_insert_with(|| self.collect(&b.plan, unique[b.key], tracing));
+            for event in &run.events {
+                tracer.record(event.clone());
             }
-            results[i] = match cold {
-                Some(e) => Err(e),
-                None => {
+            self.meter.merge(&run.meter);
+            results[i] = match self.predict(&run.answer) {
+                Some(predicted) => {
                     self.stats.served += 1;
                     Ok(QueryResponse {
                         id: req.id,
                         tenant: req.tenant,
                         epoch,
                         cached: b.cached,
-                        answer,
+                        answer: run.answer.clone(),
                         predicted,
                         expected_accuracy: b.expected_accuracy,
-                        energy_mj: report.meter.total(),
+                        energy_mj: run.meter.total(),
                         plan_ms: b.plan_ms,
                     })
+                }
+                None => {
+                    // The window abstained for a node we just heard from:
+                    // typed cold-start error, never an unwrap.
+                    self.stats.cold_starts += 1;
+                    Err(ServiceError::InsufficientHistory { have: 0, need: 1 })
                 }
             };
         }

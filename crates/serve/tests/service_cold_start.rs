@@ -1,7 +1,8 @@
-//! Cold-start regression: `SampleSet::predicted_value` abstains (`None`)
-//! while the window is short, and the serve path must surface that as a
-//! typed `ServiceError::InsufficientHistory` — never an unwrap, never a
-//! silent drop.
+//! Cold-start regression: the window abstains (`None`) for a node with no
+//! finite reading in it, and the serve path must surface that as a typed
+//! `ServiceError::InsufficientHistory` — never an unwrap, never a silent
+//! drop — and count it, so that `accepted == served + plan_failures +
+//! cold_starts` holds.
 
 use prospector_core::FallbackPlanner;
 use prospector_data::{IndependentGaussian, ValueSource};
@@ -58,13 +59,35 @@ fn serving_before_any_epoch_is_typed() {
     assert_eq!(results[0].as_ref().unwrap_err(), &ServiceError::NoEpoch);
 }
 
-/// A subset query over nodes with no finite history must also surface
-/// the typed error rather than unwrapping the abstention. Masked-dead
-/// subsets yield empty answers (nothing to predict), which is fine; the
-/// guarded path is a node that *answers* without history — impossible to
-/// reach without a masked window, so instead pin the adjacent behavior:
-/// killing a node mid-run leaves its subset query answerable from the
-/// survivors, predictions all finite.
+/// A node whose every window reading is non-finite can still answer —
+/// here after a NaN from a faulty sensor. Its request is accepted and its
+/// collection runs (and is metered), then the window abstains for the
+/// node: the typed error, counted as a cold start.
+#[test]
+fn node_answering_without_finite_history_is_a_counted_cold_start() {
+    let mut svc = service(1, 2);
+    let mut values: Vec<f64> = (0..13).map(|i| 40.0 + i as f64).collect();
+    values[5] = f64::NAN;
+    svc.begin_epoch(&values, &mut NullTracer);
+    // Epoch 1 does not sweep: the window's only row holds node 5's NaN.
+    values[5] = 1000.0;
+    svc.begin_epoch(&values, &mut NullTracer);
+    let before_mj = svc.meter().total();
+    let results = svc.serve_batch(&[QueryRequest::simple(1, 0, 1, 45.0)], &mut NullTracer);
+    assert_eq!(
+        results[0].as_ref().unwrap_err(),
+        &ServiceError::InsufficientHistory { have: 0, need: 1 }
+    );
+    assert!(svc.meter().total() > before_mj, "the refused request's collection is metered");
+    let stats = svc.stats();
+    assert_eq!((stats.accepted, stats.served, stats.plan_failures), (1, 0, 0));
+    assert_eq!(stats.cold_starts, 1);
+    assert_eq!(stats.accepted, stats.served + stats.plan_failures + stats.cold_starts);
+}
+
+/// Masked-dead subsets yield empty answers (nothing to predict): killing
+/// a node mid-run leaves its subset query answerable from the survivors,
+/// predictions all finite.
 #[test]
 fn predictions_stay_finite_after_mid_run_death() {
     let mut svc = service(1, 1);
