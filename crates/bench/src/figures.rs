@@ -13,6 +13,7 @@ use prospector_core::{
 };
 use prospector_data::{IndependentGaussian, SampleSet, ValueSource};
 use prospector_net::{EnergyModel, NodeId, Topology};
+use prospector_obs::NullTracer;
 use prospector_sim::{execute_plan, install_cost, run_exact, run_naive1};
 use std::time::Instant;
 
@@ -792,7 +793,9 @@ pub fn fault_tolerance(fast: bool) -> FigureResult {
         };
         let mut source = prospector_data::IndependentGaussian::random(n, 40.0..60.0, 1.0..4.0, 87);
         let mut runner = ExperimentRunner::new(topo, &em, &planner, config);
-        let reports = runner.run(&mut source, epochs).expect("fallback chain never aborts");
+        let reports = runner
+            .run_to(&mut source, epochs, &mut NullTracer)
+            .expect("fallback chain never aborts");
 
         let queries: Vec<_> = reports.iter().filter(|r| !r.sampled).collect();
         let acc = 100.0 * queries.iter().map(|r| r.accuracy).sum::<f64>() / queries.len() as f64;
@@ -898,7 +901,9 @@ pub fn dfault(fast: bool) -> FigureResult {
                 let mut source =
                     prospector_data::IndependentGaussian::random(n, 40.0..60.0, 1.0..4.0, 55);
                 let mut runner = ExperimentRunner::new(topo, &em, &planner, config);
-                let reports = runner.run(&mut source, epochs).expect("dfault run completes");
+                let reports = runner
+                    .run_to(&mut source, epochs, &mut NullTracer)
+                    .expect("dfault run completes");
                 let scored: Vec<f64> =
                     reports.iter().filter(|r| r.epoch >= onset).map(|r| r.accuracy).collect();
                 let acc = 100.0 * scored.iter().sum::<f64>() / scored.len() as f64;
@@ -1223,7 +1228,8 @@ pub fn cont(fast: bool) -> FigureResult {
         let planner = FallbackPlanner::standard();
         let mut source = DriftField::random(n, 40.0..60.0, 1.0..4.0, rate, 16);
         let mut runner = ExperimentRunner::new(&topo, &em, &planner, config);
-        let reports = runner.run(&mut source, epochs).expect("cont run completes");
+        let reports =
+            runner.run_to(&mut source, epochs, &mut NullTracer).expect("cont run completes");
         let steady: Vec<u32> =
             reports.iter().filter(|r| r.epoch >= steady_from).map(|r| r.messages).collect();
         steady.iter().map(|&m| m as f64).sum::<f64>() / steady.len() as f64

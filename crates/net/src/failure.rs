@@ -21,6 +21,8 @@ pub enum FailureModelError {
     LengthMismatch { expected: usize, got: usize },
     /// A probability is outside `[0, 1]`.
     ProbOutOfRange { index: usize, prob: f64 },
+    /// A node id is outside the `len` nodes the model covers.
+    NodeOutOfRange { index: usize, len: usize },
 }
 
 impl fmt::Display for FailureModelError {
@@ -31,6 +33,9 @@ impl fmt::Display for FailureModelError {
             }
             FailureModelError::ProbOutOfRange { index, prob } => {
                 write!(f, "failure probability {prob} at node {index} is outside [0, 1]")
+            }
+            FailureModelError::NodeOutOfRange { index, len } => {
+                write!(f, "node {index} is outside the failure model's {len} nodes")
             }
         }
     }
@@ -98,7 +103,7 @@ impl FailureModel {
     /// Mirrors [`FailureModel::per_edge`]'s validation: a non-finite or
     /// out-of-range `added_prob` is rejected rather than poisoning the
     /// model (NaN would propagate into every later `sample_failure` and
-    /// cost estimate).
+    /// cost estimate), and so is a `child` outside the model.
     pub fn degrade(&mut self, child: NodeId, added_prob: f64) -> Result<(), FailureModelError> {
         if !added_prob.is_finite() || !(0.0..=1.0).contains(&added_prob) {
             return Err(FailureModelError::ProbOutOfRange {
@@ -106,7 +111,11 @@ impl FailureModel {
                 prob: added_prob,
             });
         }
-        let p = &mut self.fail_prob[child.index()];
+        let len = self.fail_prob.len();
+        let p = self
+            .fail_prob
+            .get_mut(child.index())
+            .ok_or(FailureModelError::NodeOutOfRange { index: child.index(), len })?;
         *p = (*p + added_prob).min(1.0);
         Ok(())
     }
@@ -222,6 +231,16 @@ mod tests {
             assert!((m.prob(NodeId(1)) - 0.2).abs() < 1e-12, "model unchanged after {bad}");
         }
         assert!(m.prob(NodeId(1)).is_finite());
+    }
+
+    #[test]
+    fn degrade_rejects_a_node_outside_the_model() {
+        let mut m = FailureModel::uniform(3, 0.2, 1.0);
+        assert_eq!(
+            m.degrade(NodeId(3), 0.1).unwrap_err(),
+            FailureModelError::NodeOutOfRange { index: 3, len: 3 }
+        );
+        assert!((0..3).all(|i| m.prob(NodeId(i)) == 0.2), "model unchanged");
     }
 
     #[test]

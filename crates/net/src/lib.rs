@@ -15,7 +15,8 @@
 //! * [`failure`] — the transient link-failure model of Section 4.4;
 //! * [`fault`] — deterministic permanent-failure injection (node deaths and
 //!   link degradations keyed by epoch), paired with tree repair
-//!   ([`Topology::repair`], [`Network::repair`]);
+//!   ([`Topology::repair`], which re-parents each orphan onto its nearest
+//!   surviving ancestor);
 //! * [`arq`] — the per-hop retry policy (bounded retransmissions, seeded
 //!   backoff, header-only acks) that prices reliable delivery on lossy
 //!   links during collection.

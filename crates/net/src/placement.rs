@@ -7,7 +7,7 @@
 //! (min-hop) tree over the radio-connectivity graph.
 
 use crate::node::NodeId;
-use crate::topology::{RepairError, Topology, TopologyError};
+use crate::topology::{Topology, TopologyError};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::fmt;
@@ -44,101 +44,6 @@ impl Network {
     /// True when the network has no nodes (never for a built network).
     pub fn is_empty(&self) -> bool {
         self.topology.is_empty()
-    }
-
-    /// Rebuilds the routing tree around permanently dead nodes using the
-    /// deployment geometry.
-    ///
-    /// Unlike [`Topology::repair`], which re-parents orphans onto their
-    /// nearest surviving *ancestor*, this uses node positions: each orphaned
-    /// subtree re-attaches at its root to the Euclidean-nearest node already
-    /// connected to the query station, greedily nearest-subtree-first, so
-    /// repaired links mirror what a real re-discovery pass would find.
-    /// Attachment ignores the original radio range — after a failure a
-    /// deployment raises transmit power or accepts a marginal link rather
-    /// than stay partitioned. Dead nodes are parked as inert leaves under
-    /// the root exactly as in [`Topology::repair`]; all ids are preserved.
-    pub fn repair(&self, dead: &[NodeId]) -> Result<Network, RepairError> {
-        let n = self.len();
-        let root = self.topology.root();
-        let mut is_dead = vec![false; n];
-        for &d in dead {
-            if d.index() >= n {
-                return Err(RepairError::NodeOutOfRange(d));
-            }
-            if d == root {
-                return Err(RepairError::RootDead);
-            }
-            is_dead[d.index()] = true;
-        }
-
-        let mut parent: Vec<Option<NodeId>> = self.topology.parent_vec();
-        for i in 0..n {
-            if is_dead[i] {
-                parent[i] = Some(root);
-            }
-        }
-
-        // Survivors still reachable from the root through surviving nodes.
-        let mut connected = vec![false; n];
-        let mut stack = vec![root];
-        connected[root.index()] = true;
-        while let Some(u) = stack.pop() {
-            for &c in self.topology.children(u) {
-                if !is_dead[c.index()] && !connected[c.index()] {
-                    connected[c.index()] = true;
-                    stack.push(c);
-                }
-            }
-        }
-
-        // Orphaned subtree roots: survivors whose parent died.
-        let mut pending: Vec<NodeId> = (0..n)
-            .map(NodeId::from_index)
-            .filter(|&u| {
-                !is_dead[u.index()]
-                    && !connected[u.index()]
-                    && self.topology.parent(u).is_some_and(|p| is_dead[p.index()])
-            })
-            .collect();
-
-        // Greedy: repeatedly attach the subtree whose root is closest to
-        // the connected component, then let the newly attached subtree
-        // serve as an attachment point for the rest. Ties break on node
-        // index, keeping the repair fully deterministic.
-        while !pending.is_empty() {
-            let mut best: Option<(f64, usize, NodeId)> = None; // (dist, pending idx, target)
-            for (pi, &o) in pending.iter().enumerate() {
-                for (c, &conn) in connected.iter().enumerate() {
-                    if !conn {
-                        continue;
-                    }
-                    let d = self.positions[o.index()].distance(&self.positions[c]);
-                    let beats = match best {
-                        None => true,
-                        Some((bd, bpi, bc)) => {
-                            d < bd
-                                || (d == bd && (o.index(), c) < (pending[bpi].index(), bc.index()))
-                        }
-                    };
-                    if beats {
-                        best = Some((d, pi, NodeId::from_index(c)));
-                    }
-                }
-            }
-            let (_, pi, target) = best.expect("root is always connected");
-            let o = pending.swap_remove(pi);
-            parent[o.index()] = Some(target);
-            for u in self.topology.subtree(o) {
-                if !is_dead[u.index()] {
-                    connected[u.index()] = true;
-                }
-            }
-        }
-
-        let topology =
-            Topology::from_parents(root, parent).expect("greedy re-attachment preserves treeness");
-        Ok(Network { topology, positions: self.positions.clone(), zone: self.zone.clone() })
     }
 }
 
@@ -407,77 +312,6 @@ mod tests {
     #[test]
     fn rejects_empty() {
         assert!(NetworkBuilder::new(0, 10.0, 10.0, 5.0).build().is_err());
-    }
-
-    #[test]
-    fn repair_reconnects_all_survivors() {
-        let net = NetworkBuilder::new(40, 100.0, 100.0, 25.0).seed(13).build().unwrap();
-        // Kill the root's highest-fanout child to orphan a real subtree.
-        let victim = *net
-            .topology
-            .children(NodeId(0))
-            .iter()
-            .max_by_key(|&&c| net.topology.subtree_size(c))
-            .unwrap();
-        assert!(net.topology.subtree_size(victim) > 1, "victim must have a subtree");
-        let repaired = net.repair(&[victim]).unwrap();
-
-        assert_eq!(repaired.len(), net.len(), "node ids preserved");
-        assert_eq!(repaired.topology.parent(victim), Some(NodeId(0)), "dead node parked");
-        assert!(repaired.topology.is_leaf(victim));
-        // Every survivor reaches the root without passing through the dead
-        // node (from_parents already guarantees connectivity).
-        for i in 1..repaired.len() {
-            let u = NodeId::from_index(i);
-            if u == victim {
-                continue;
-            }
-            assert!(
-                repaired.topology.path_to_root(u).all(|v| v != victim),
-                "survivor {u} still routes through the dead node"
-            );
-        }
-    }
-
-    #[test]
-    fn repair_attaches_orphans_to_geometric_neighbors() {
-        // Hand-built line: root at x=0, then nodes at x=10,20,30; node at
-        // x=20 dies. Its child (x=30) is nearer to x=20's neighbor... with
-        // everything on a line the nearest connected node to x=30 is x=10.
-        let positions = vec![
-            Position { x: 0.0, y: 0.0 },
-            Position { x: 10.0, y: 0.0 },
-            Position { x: 20.0, y: 0.0 },
-            Position { x: 30.0, y: 0.0 },
-        ];
-        let topology = min_hop_tree(&positions, 12.0).unwrap();
-        let net = Network { topology, positions, zone: vec![None; 4] };
-        let repaired = net.repair(&[NodeId(2)]).unwrap();
-        assert_eq!(
-            repaired.topology.parent(NodeId(3)),
-            Some(NodeId(1)),
-            "orphan re-attaches to the nearest surviving connected node"
-        );
-        assert_eq!(repaired.topology.parent(NodeId(2)), Some(NodeId(0)));
-    }
-
-    #[test]
-    fn repair_is_deterministic() {
-        let net = NetworkBuilder::new(50, 120.0, 120.0, 25.0).seed(21).build().unwrap();
-        let dead = [NodeId(5), NodeId(12), NodeId(30)];
-        let a = net.repair(&dead).unwrap();
-        let b = net.repair(&dead).unwrap();
-        for i in 0..net.len() {
-            let u = NodeId::from_index(i);
-            assert_eq!(a.topology.parent(u), b.topology.parent(u));
-        }
-    }
-
-    #[test]
-    fn repair_rejects_dead_root_and_out_of_range() {
-        let net = NetworkBuilder::new(10, 50.0, 50.0, 30.0).seed(2).build().unwrap();
-        assert_eq!(net.repair(&[NodeId(0)]).unwrap_err(), RepairError::RootDead);
-        assert_eq!(net.repair(&[NodeId(99)]).unwrap_err(), RepairError::NodeOutOfRange(NodeId(99)));
     }
 
     #[test]

@@ -44,7 +44,8 @@ pub struct CacheEntry {
     pub plan: Plan,
     /// Expected accuracy of `plan` over the window it was planned on.
     pub expected_accuracy: f64,
-    /// Sample-window version the plan was computed against.
+    /// Generation ([`SampleSet::generation`](prospector_data::SampleSet::generation))
+    /// of the sample window the plan was computed against.
     pub window_version: u64,
 }
 

@@ -81,8 +81,8 @@ pub enum ServiceError {
     NoEpoch,
     /// The sample window is too cold to predict from: either the window
     /// holds fewer than the configured minimum of samples (a rejection),
-    /// or a node that answered has no finite reading in the window (the
-    /// service's per-node prediction table abstained; counted in
+    /// or a node that answered has no finite reading in the window (its
+    /// prediction abstained; counted in
     /// [`ServiceStats::cold_starts`](crate::ServiceStats::cold_starts)).
     /// Cold starts surface here as a typed error — the `None` is never
     /// unwrapped on the serve path.
@@ -157,6 +157,8 @@ pub enum ConfigError {
     BadEpochBudget { epoch_budget_mj: f64 },
     /// `window`, `sample_every` and `max_k` must all be at least 1.
     BadShape { window: usize, sample_every: u64, max_k: usize },
+    /// The failure model covers `covers` nodes, not the network's `n`.
+    FailureModelSize { covers: usize, n: usize },
 }
 
 impl fmt::Display for ConfigError {
@@ -172,6 +174,9 @@ impl fmt::Display for ConfigError {
                 f,
                 "window {window}, sample_every {sample_every} and max_k {max_k} must all be ≥ 1"
             ),
+            ConfigError::FailureModelSize { covers, n } => {
+                write!(f, "failure model covers {covers} nodes, the network has {n}")
+            }
         }
     }
 }

@@ -6,8 +6,9 @@
 //!
 //! 1. [`QueryService::begin_epoch`] ingests the epoch's ground-truth
 //!    readings, optionally runs a full-network sweep that feeds the
-//!    sample window (charged under [`Phase::Sampling`], like the
-//!    simulator's runner), and resets the admission ledger.
+//!    sample window (charged under
+//!    [`Phase::Sampling`](prospector_net::Phase::Sampling) by the
+//!    simulator's sweep stage), and resets the admission ledger.
 //! 2. [`QueryService::serve_batch`] validates and admits each request in
 //!    order (typed [`AdmitError`] rejections, never silent), plans once
 //!    per unique [`PlanKey`] — the plan cache *is* the batching: the
@@ -18,13 +19,15 @@
 //!    its key's energy bill into the service meter and answers from its
 //!    key's collected top k.
 //!
-//! **Predictions.** A response carries each answer node's window
-//! prediction: the mean of its finite window readings, oldest first, so
-//! it equals `SampleSet::predicted_value` bit for bit. The service keeps
-//! one per-node table of them, built at most once per window version and
-//! only when a response first needs it, so a cache hit costs a lookup:
-//! only a cache miss builds the key's [`SampleSet`], which the planner
-//! and the accuracy estimate need.
+//! **Window and deaths.** The sample window is one [`SampleSet`]: sweeps
+//! push into it, [`QueryService::kill_node`] masks the dead out of it
+//! through the simulator's death stage (the runner's repair, bill and
+//! trace, so a death costs every node the same in both front ends), and
+//! its generation validates cache entries. A response carries each
+//! answer node's prediction, `SampleSet::predicted_value`: the mean of
+//! its finite window readings. Only a cache miss builds the key's own
+//! [`SampleSet`] at the key's `k`, which the planner and the accuracy
+//! estimate need.
 //!
 //! **Cache transparency.** The service plans with the *band-floor* budget
 //! (`floor(budget / band_width) × band_width`), a pure function of the
@@ -40,11 +43,9 @@ use crate::error::{AdmitError, ConfigError, RequestError, ServiceError};
 use crate::request::{QueryRequest, QueryResponse};
 use prospector_core::{evaluate, Plan, PlanContext, Planner};
 use prospector_data::{Reading, SampleSet};
-use prospector_net::{
-    EnergyMeter, EnergyModel, FailureModel, NodeId, Phase, RepairError, Topology,
-};
+use prospector_net::{EnergyMeter, EnergyModel, FailureModel, NodeId, RepairError, Topology};
 use prospector_obs::{TraceEvent, Tracer};
-use std::collections::VecDeque;
+use prospector_sim::{apply_deaths, mask_dead_values};
 use std::time::Instant;
 
 /// Service-level knobs. Validated by [`QueryService::new`].
@@ -89,7 +90,8 @@ impl Default for ServiceConfig {
 }
 
 impl ServiceConfig {
-    fn validate(&self) -> Result<(), ConfigError> {
+    /// Checks the knobs against a network of `n` nodes.
+    fn validate(&self, n: usize) -> Result<(), ConfigError> {
         if !(self.band_width_mj.is_finite() && self.band_width_mj > 0.0) {
             return Err(ConfigError::BadBandWidth { band_width_mj: self.band_width_mj });
         }
@@ -102,6 +104,9 @@ impl ServiceConfig {
                 sample_every: self.sample_every,
                 max_k: self.max_k,
             });
+        }
+        if let Some(f) = self.failures.as_ref().filter(|f| f.len() != n) {
+            return Err(ConfigError::FailureModelSize { covers: f.len(), n });
         }
         Ok(())
     }
@@ -177,16 +182,12 @@ pub struct QueryService {
     epoch: Option<u64>,
     /// Bumped by every death/repair/degradation; part of every cache key.
     topo_epoch: u64,
-    /// Bumped by every window push or mask; validates cache entries.
-    window_version: u64,
-    /// Masked raw sweep rows, oldest first (dead nodes at `-inf`).
-    raw_window: VecDeque<Vec<f64>>,
+    /// The sweeps' readings, oldest first, dead nodes masked. Only the
+    /// readings are read, so its `k` is 1; its generation validates cache
+    /// entries.
+    window: SampleSet,
     /// Current epoch's masked ground truth.
     truth: Vec<f64>,
-    /// Each node's window prediction (`None`: no finite reading), valid
-    /// while `window_version` equals `predicted_version`.
-    predicted: Vec<Option<f64>>,
-    predicted_version: u64,
     cache: PlanCache,
     /// Collection energy still grantable this epoch.
     ledger_remaining: f64,
@@ -202,22 +203,18 @@ impl QueryService {
         planner: Box<dyn Planner>,
         config: ServiceConfig,
     ) -> Result<Self, ConfigError> {
-        config.validate()?;
         let n = topology.len();
+        config.validate(n)?;
         Ok(QueryService {
             topology,
             energy,
             planner,
-            config,
             alive: vec![true; n],
             epoch: None,
             topo_epoch: 0,
-            window_version: 0,
-            raw_window: VecDeque::new(),
+            window: SampleSet::new(n, 1, config.window),
             truth: vec![f64::NEG_INFINITY; n],
-            // Version 0 is the empty window, which predicts nothing.
-            predicted: vec![None; n],
-            predicted_version: 0,
+            config,
             cache: PlanCache::new(),
             ledger_remaining: 0.0,
             meter: EnergyMeter::new(n),
@@ -238,7 +235,7 @@ impl QueryService {
     }
 
     pub fn window_len(&self) -> usize {
-        self.raw_window.len()
+        self.window.len()
     }
 
     pub fn meter(&self) -> &EnergyMeter {
@@ -257,15 +254,6 @@ impl QueryService {
         self.ledger_remaining
     }
 
-    /// Mirrors one energy charge into the meter and the trace, like the
-    /// simulator's runner does.
-    fn charge(&mut self, tracer: &mut dyn Tracer, node: NodeId, phase: Phase, mj: f64) {
-        self.meter.charge(node, phase, mj);
-        if tracer.enabled() {
-            tracer.record(TraceEvent::Energy { node: node.0, phase: phase.name(), mj });
-        }
-    }
-
     /// Starts the next epoch: ingests `values` as ground truth (dead
     /// nodes masked), runs the periodic window-feeding sweep, and resets
     /// the admission ledger.
@@ -280,11 +268,7 @@ impl QueryService {
             tracer.record(TraceEvent::EpochStart { epoch });
         }
         self.truth = values.to_vec();
-        for (i, v) in self.truth.iter_mut().enumerate() {
-            if !self.alive[i] {
-                *v = f64::NEG_INFINITY;
-            }
-        }
+        mask_dead_values(&mut self.truth, &self.alive);
         let sampled = epoch.is_multiple_of(self.config.sample_every);
         let mut sweep_mj = 0.0;
         if sampled {
@@ -298,57 +282,48 @@ impl QueryService {
                 &mut self.meter,
                 tracer,
             );
-            if self.raw_window.len() == self.config.window {
-                self.raw_window.pop_front();
-            }
-            self.raw_window.push_back(self.truth.clone());
-            self.window_version += 1;
+            self.window.push(self.truth.clone());
         }
         self.ledger_remaining = self.config.epoch_budget_mj;
         EpochStart { epoch, sampled, sweep_mj }
     }
 
-    /// Kills `node` permanently: masks it everywhere, repairs the
-    /// spanning tree (re-attachment handshakes charged under
-    /// [`Phase::Repair`]), bumps the topology epoch and invalidates the
-    /// plan cache. Killing an already-dead node is a no-op.
+    /// Kills `node` permanently through the simulator's death stage
+    /// ([`apply_deaths`]): the tree is repaired, detection and
+    /// re-attachment are charged under
+    /// [`Phase::Repair`](prospector_net::Phase::Repair) exactly as the
+    /// runner charges them, and the node is masked out of the window and
+    /// this epoch's truth. Then the topology epoch is bumped and the plan
+    /// cache invalidated. Killing the root or an id outside the network
+    /// is an error and killing an already-dead node a no-op; neither
+    /// changes anything.
     pub fn kill_node(&mut self, node: NodeId, tracer: &mut dyn Tracer) -> Result<(), RepairError> {
-        let repaired = self.topology.repair(&[node])?;
-        if !self.alive[node.index()] {
-            return Ok(());
+        if node.index() >= self.topology.len() {
+            return Err(RepairError::NodeOutOfRange(node));
         }
-        self.alive[node.index()] = false;
-        if tracer.enabled() {
-            tracer.record(TraceEvent::NodeDeath { node: node.0 });
+        let deaths = apply_deaths(
+            &[node],
+            &mut self.topology,
+            &mut self.alive,
+            &mut self.window,
+            &self.energy,
+            &mut self.meter,
+            tracer,
+        )?;
+        if !deaths.is_empty() {
+            mask_dead_values(&mut self.truth, &self.alive);
+            self.topo_epoch += 1;
+            self.cache.invalidate(self.topo_epoch);
         }
-        // Every node the repair re-parented pays one re-attachment
-        // handshake, in node order.
-        for i in 0..self.topology.len() {
-            let id = NodeId::from_index(i);
-            if id != self.topology.root()
-                && self.alive[i]
-                && repaired.parent(id) != self.topology.parent(id)
-            {
-                self.charge(tracer, id, Phase::Repair, self.energy.repair_handshake());
-            }
-        }
-        self.topology = repaired;
-        if tracer.enabled() {
-            tracer.record(TraceEvent::TreeRepaired { deaths: 1 });
-        }
-        for row in &mut self.raw_window {
-            row[node.index()] = f64::NEG_INFINITY;
-        }
-        self.truth[node.index()] = f64::NEG_INFINITY;
-        self.window_version += 1;
-        self.topo_epoch += 1;
-        self.cache.invalidate(self.topo_epoch);
         Ok(())
     }
 
     /// Raises the loss probability of the edge above `child` in the
     /// planners' failure model, bumping the topology epoch — degraded
-    /// links change plan costs, so cached plans must not survive.
+    /// links change plan costs, so cached plans must not survive. A
+    /// `child` outside the network or a bad probability is a typed
+    /// [`FailureModelError`](prospector_net::FailureModelError) that
+    /// bumps, invalidates and traces nothing.
     pub fn degrade_link(
         &mut self,
         child: NodeId,
@@ -377,9 +352,9 @@ impl QueryService {
         if self.epoch.is_none() {
             return Err(ServiceError::NoEpoch);
         }
-        if self.raw_window.len() < self.config.min_history {
+        if self.window.len() < self.config.min_history {
             return Err(ServiceError::InsufficientHistory {
-                have: self.raw_window.len(),
+                have: self.window.len(),
                 need: self.config.min_history,
             });
         }
@@ -433,15 +408,15 @@ impl QueryService {
         Ok(band)
     }
 
-    /// The sample window as a [`SampleSet`] for one cache key: raw rows
-    /// replayed at the key's `k`, then masked down to the key's subset
-    /// and the live nodes. A pure function of (window content, key), so
-    /// rebuilding it per planned key is transparent.
+    /// The sample window as a [`SampleSet`] for one cache key: the
+    /// window's readings replayed at the key's `k`, then masked down to
+    /// the key's subset and the live nodes. A pure function of (window
+    /// content, key), so rebuilding it per planned key is transparent.
     fn build_samples(&self, k: usize, subset: Option<&[u32]>) -> SampleSet {
         let n = self.topology.len();
         let mut samples = SampleSet::new(n, k, self.config.window);
-        for row in &self.raw_window {
-            samples.push(row.clone());
+        for j in 0..self.window.len() {
+            samples.push(self.window.values(j).to_vec());
         }
         let mut masked: Vec<NodeId> = Vec::new();
         for i in 0..n {
@@ -479,27 +454,6 @@ impl QueryService {
         );
         let answer = report.answer.into_iter().filter(|r| r.value.is_finite()).collect();
         Collected { events: recorder.events, meter: report.meter, answer }
-    }
-
-    /// The window predictions of `answer`'s nodes, or `None` if the window
-    /// holds no finite reading for one of them. Builds the per-node table
-    /// first if the window changed since it was last built. An answer
-    /// node is alive and in its key's subset, so the unmasked window
-    /// predicts it exactly as the key's masked [`SampleSet`] would.
-    fn predict(&mut self, answer: &[Reading]) -> Option<Vec<f64>> {
-        if self.predicted_version != self.window_version {
-            // Oldest first, in the order `SampleSet::predicted_value` sums.
-            let window = &self.raw_window;
-            self.predicted = (0..self.topology.len())
-                .map(|i| {
-                    let finite = window.iter().map(|row| row[i]).filter(|v| v.is_finite());
-                    let (sum, count) = finite.fold((0.0, 0usize), |(s, c), v| (s + v, c + 1));
-                    (count > 0).then(|| sum / count as f64)
-                })
-                .collect();
-            self.predicted_version = self.window_version;
-        }
-        answer.iter().map(|r| self.predicted[r.node.index()]).collect()
     }
 
     /// Serves one batch of requests against the current epoch. Responses
@@ -579,7 +533,7 @@ impl QueryService {
                 unique.len() - 1
             });
             if self.config.cache {
-                if let Some(entry) = self.cache.lookup(key, self.window_version) {
+                if let Some(entry) = self.cache.lookup(key, self.window.generation()) {
                     let (plan, acc) = (entry.plan.clone(), entry.expected_accuracy);
                     if tracer.enabled() {
                         tracer.record(TraceEvent::PlanCacheHit {
@@ -624,7 +578,7 @@ impl QueryService {
                             CacheEntry {
                                 plan: plan.clone(),
                                 expected_accuracy: acc,
-                                window_version: self.window_version,
+                                window_version: self.window.generation(),
                             },
                         );
                     }
@@ -667,7 +621,12 @@ impl QueryService {
                 tracer.record(event.clone());
             }
             self.meter.merge(&run.meter);
-            results[i] = match self.predict(&run.answer) {
+            // An answer node is alive and in its key's subset, so the
+            // service's window predicts it exactly as the key's masked
+            // `SampleSet` would.
+            let predicted: Option<Vec<f64>> =
+                run.answer.iter().map(|r| self.window.predicted_value(r.node)).collect();
+            results[i] = match predicted {
                 Some(predicted) => {
                     self.stats.served += 1;
                     Ok(QueryResponse {

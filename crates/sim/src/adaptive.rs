@@ -13,7 +13,7 @@
 //! current plan's real accuracy, then adapts the sampling period: halve it
 //! when accuracy is below the floor, lengthen it when comfortably above.
 
-use crate::dissemination::install_plan_traced;
+use crate::dissemination::install_plan;
 use crate::exact_exec::run_exact;
 use crate::exec::{charge_as, charge_sweep, execute_plan, execute_plan_traced};
 use crate::runner::{apply_deaths, mask_dead_edges, mask_dead_values};
@@ -130,8 +130,7 @@ pub fn run_adaptive<S: ValueSource>(
         // Permanent failures scheduled for this epoch: repair the tree,
         // silence the dead in the window, and force a fresh plan.
         let deaths = apply_deaths(
-            &config.faults,
-            epoch,
+            &config.faults.deaths_at(epoch),
             &mut topology,
             &mut alive,
             &mut samples,
@@ -164,7 +163,7 @@ pub fn run_adaptive<S: ValueSource>(
                     let ctx = PlanContext::new(&topology, energy, &samples, config.budget_mj);
                     let mut p = planner.plan(&ctx)?;
                     mask_dead_edges(&mut p, &topology, &alive);
-                    epoch_meter.merge(&install_plan_traced(&p, &topology, energy, tracer));
+                    epoch_meter.merge(&install_plan(&p, &topology, energy, tracer));
                     plan.insert(p)
                 }
             };

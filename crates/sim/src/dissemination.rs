@@ -12,14 +12,9 @@ use prospector_obs::{NullTracer, Tracer};
 use rand::rngs::StdRng;
 
 /// Charges the plan-installation unicasts (one per used edge) and returns
-/// the meter.
-pub fn install_plan(plan: &Plan, topology: &Topology, energy: &EnergyModel) -> EnergyMeter {
-    install_plan_traced(plan, topology, energy, &mut NullTracer)
-}
-
-/// [`install_plan`] with tracing: each installation charge is mirrored as
-/// an `Energy` event, in charge order.
-pub fn install_plan_traced(
+/// the meter. Each charge is mirrored to `tracer` as an `Energy` event, in
+/// charge order.
+pub fn install_plan(
     plan: &Plan,
     topology: &Topology,
     energy: &EnergyModel,
@@ -36,7 +31,7 @@ pub fn install_plan_traced(
 
 /// Total energy (mJ) to install the plan.
 pub fn install_cost(plan: &Plan, topology: &Topology, energy: &EnergyModel) -> f64 {
-    install_plan(plan, topology, energy).total()
+    install_plan(plan, topology, energy, &mut NullTracer).total()
 }
 
 /// Outcome of a lossy installation pass.

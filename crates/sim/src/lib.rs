@@ -12,7 +12,10 @@
 //! * [`exact_exec`] — `ProspectorExact`'s two phases: a proof-carrying
 //!   collection followed by the range-bounded mop-up of Section 4.3;
 //! * [`runner`] — multi-epoch experiments: exploration sampling,
-//!   re-planning, plan dissemination and per-epoch metrics;
+//!   re-planning, plan dissemination and per-epoch metrics; it also holds
+//!   [`apply_deaths`], the one death stage (Section 4.4: repair the tree,
+//!   charge detection and re-attachment, mask the window) that the
+//!   runner, the adaptive loop and the serving layer all call;
 //! * [`continuous`] — the continuous-query delta protocol: custody-based
 //!   delta shipping, change beacons, forced full refreshes and per-subtree
 //!   q-digest summaries;
@@ -21,12 +24,12 @@
 //!
 //! Entry points that can be traced take a
 //! [`Tracer`](prospector_obs::Tracer), either as an argument
-//! ([`run_adaptive`]) or through a `_traced` twin of an untraced name
-//! ([`execute_plan_traced`]): energy charges, link deliveries, faults and
-//! epoch summaries stream out as structured
-//! [`TraceEvent`](prospector_obs::TraceEvent)s. The untraced twins
-//! delegate with a [`NullTracer`](prospector_obs::NullTracer) and cost
-//! nothing extra.
+//! ([`run_adaptive`], [`install_plan`], [`apply_deaths`],
+//! [`ExperimentRunner::run_to`]) or through a `_traced` twin of an
+//! untraced name ([`execute_plan_traced`]): energy charges, link
+//! deliveries, faults and epoch summaries stream out as structured
+//! [`TraceEvent`](prospector_obs::TraceEvent)s. Untraced callers pass a
+//! [`NullTracer`](prospector_obs::NullTracer), which costs nothing extra.
 
 pub mod adaptive;
 pub mod backfill;
@@ -42,7 +45,7 @@ pub use adaptive::{run_adaptive, AdaptiveAction, AdaptiveConfig, AdaptiveEpoch};
 pub use backfill::{backfill_answer, AnswerEntry};
 pub use continuous::{ContinuousState, Delta, DeltaOutcome, RefreshOutcome};
 pub use dissemination::{
-    install_cost, install_plan, install_plan_lossy_traced, install_plan_traced, DisseminationReport,
+    install_cost, install_plan, install_plan_lossy_traced, DisseminationReport,
 };
 pub use exact_exec::{run_exact, ExactResult};
 pub use exec::{
@@ -51,5 +54,6 @@ pub use exec::{
 };
 pub use naive1::run_naive1;
 pub use runner::{
-    CheckpointedRunError, ConfigError, EpochReport, ExperimentConfig, ExperimentRunner, ResumeError,
+    apply_deaths, mask_dead_values, CheckpointedRunError, ConfigError, EpochReport,
+    ExperimentConfig, ExperimentRunner, ResumeError,
 };

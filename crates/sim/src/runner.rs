@@ -9,18 +9,19 @@
 //! improvement exceeds a threshold** ("Plan Re-calculation", Section 4.4),
 //! in which case the installation unicasts are charged.
 //!
-//! Permanent failures (Section 4.4) come from a [`FaultSchedule`]: when a
-//! scheduled node death fires, the runner detects the silent node, charges
-//! the tree rebuild under [`Phase::Repair`], re-parents the orphaned
-//! subtrees ([`Topology::repair`]), masks the dead node out of the sample
-//! window and forces a re-plan on the repaired tree. With transient
+//! Permanent failures (Section 4.4) come from a [`FaultSchedule`]: the
+//! epoch's scheduled deaths go through [`apply_deaths`], the death stage
+//! the adaptive loop and the serving layer share, which repairs the tree
+//! ([`Topology::repair`]), charges detection and re-attachment under
+//! [`Phase::Repair`] and masks the dead out of the sample window; the
+//! runner then forces a re-plan on the repaired tree. With transient
 //! failures configured, plan dissemination itself is lossy: subplan
 //! unicasts retry a bounded number of times and nodes that never receive
 //! their new subplan keep executing the previous one.
 
 use crate::backfill::{backfill_answer, AnswerEntry};
 use crate::continuous::{apply_refresh, run_delta_epoch, run_refresh_epoch, ContinuousState};
-use crate::dissemination::{install_plan_lossy_traced, install_plan_traced};
+use crate::dissemination::{install_plan, install_plan_lossy_traced};
 use crate::exec::{charge_sweep, execute_plan_arq_traced, execute_plan_traced};
 use crate::trace::charge;
 use prospector_ckpt::{Checkpoint, CheckpointPolicy, CheckpointStore, StoreError};
@@ -32,7 +33,7 @@ use prospector_data::{
 };
 use prospector_net::{
     epoch_seed, ArqPolicy, EnergyMeter, EnergyModel, FailureModel, FaultSchedule, NodeId, Phase,
-    Topology,
+    RepairError, Topology,
 };
 use prospector_obs::{gini, MetricsRegistry, MetricsSnapshot, NullTracer, TraceEvent, Tracer};
 use rand::rngs::StdRng;
@@ -112,6 +113,8 @@ pub enum ConfigError {
     BadGate { why: String },
     /// The continuous-query policy has an invalid knob.
     BadContinuous { why: String },
+    /// The failure model covers `covers` nodes, not the network's `n`.
+    FailureModelSize { covers: usize, n: usize },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -131,6 +134,9 @@ impl std::fmt::Display for ConfigError {
             ConfigError::BadGate { why } => write!(f, "invalid gate policy: {why}"),
             ConfigError::BadContinuous { why } => {
                 write!(f, "invalid continuous policy: {why}")
+            }
+            ConfigError::FailureModelSize { covers, n } => {
+                write!(f, "failure model covers {covers} nodes, the network has {n}")
             }
         }
     }
@@ -161,6 +167,9 @@ impl ExperimentConfig {
         }
         if let Some(cont) = &self.continuous {
             cont.validate().map_err(|e| ConfigError::BadContinuous { why: e.to_string() })?;
+        }
+        if let Some(f) = self.failures.as_ref().filter(|f| f.len() != n) {
+            return Err(ConfigError::FailureModelSize { covers: f.len(), n });
         }
         Ok(())
     }
@@ -596,7 +605,8 @@ impl<'a> ExperimentRunner<'a> {
 
     /// Applies the faults scheduled for `epoch`: the death stage, which
     /// also discards the plan routing through the dead, then link
-    /// degradations. Returns the nodes that died.
+    /// degradations (those naming a node outside the failure model are
+    /// skipped). Returns the nodes that died.
     fn apply_faults(
         &mut self,
         epoch: u64,
@@ -604,8 +614,7 @@ impl<'a> ExperimentRunner<'a> {
         tracer: &mut dyn Tracer,
     ) -> Result<Vec<NodeId>, PlanError> {
         let deaths = apply_deaths(
-            &self.config.faults,
-            epoch,
+            &self.config.faults.deaths_at(epoch),
             &mut self.topology,
             &mut self.alive,
             &mut self.samples,
@@ -828,8 +837,7 @@ impl<'a> ExperimentRunner<'a> {
                         (meter, delivery.undelivered, delivery.attempts)
                     }
                     _ => {
-                        let meter =
-                            install_plan_traced(&candidate, &self.topology, self.energy, tracer);
+                        let meter = install_plan(&candidate, &self.topology, self.energy, tracer);
                         (meter, Vec::new(), used_edges)
                     }
                 };
@@ -1415,40 +1423,10 @@ impl<'a> ExperimentRunner<'a> {
         self.next_epoch
     }
 
-    /// Runs epochs up to (exclusive) `epochs`, collecting per-epoch
-    /// reports. A fresh runner starts at epoch 0; a resumed runner
-    /// continues where its checkpoint left off.
-    pub fn run<S: ValueSource>(
-        &mut self,
-        source: &mut S,
-        epochs: u64,
-    ) -> Result<Vec<EpochReport>, PlanError> {
-        self.run_traced(source, epochs, &mut NullTracer)
-    }
-
-    /// [`ExperimentRunner::run`] with tracing: epochs record their event
-    /// streams back to back into `tracer`.
-    pub fn run_traced<S: ValueSource>(
-        &mut self,
-        source: &mut S,
-        epochs: u64,
-        tracer: &mut dyn Tracer,
-    ) -> Result<Vec<EpochReport>, PlanError> {
-        self.run_to_traced(source, epochs, tracer)
-    }
-
-    /// Runs epochs `next_epoch..until` (the explicit-name twin of
-    /// [`ExperimentRunner::run`], for resumed runners).
+    /// Runs epochs `next_epoch..until`, recording their event streams
+    /// back to back into `tracer`. A fresh runner starts at epoch 0; a
+    /// resumed runner continues where its checkpoint left off.
     pub fn run_to<S: ValueSource>(
-        &mut self,
-        source: &mut S,
-        until: u64,
-    ) -> Result<Vec<EpochReport>, PlanError> {
-        self.run_to_traced(source, until, &mut NullTracer)
-    }
-
-    /// [`ExperimentRunner::run_to`] with tracing.
-    pub fn run_to_traced<S: ValueSource>(
         &mut self,
         source: &mut S,
         until: u64,
@@ -1465,24 +1443,13 @@ impl<'a> ExperimentRunner<'a> {
     pub fn run_checkpointed<S: ValueSource>(
         &mut self,
         source: &mut S,
-        epochs: u64,
-        store: &CheckpointStore,
-        policy: CheckpointPolicy,
-    ) -> Result<Vec<EpochReport>, CheckpointedRunError> {
-        self.run_checkpointed_traced(source, epochs, store, policy, &mut NullTracer)
-    }
-
-    /// [`ExperimentRunner::run_checkpointed`] with tracing.
-    pub fn run_checkpointed_traced<S: ValueSource>(
-        &mut self,
-        source: &mut S,
-        epochs: u64,
+        until: u64,
         store: &CheckpointStore,
         policy: CheckpointPolicy,
         tracer: &mut dyn Tracer,
     ) -> Result<Vec<EpochReport>, CheckpointedRunError> {
         let mut reports = Vec::new();
-        for e in self.next_epoch..epochs {
+        for e in self.next_epoch..until {
             reports.push(self.step_traced(source, e, tracer).map_err(CheckpointedRunError::Plan)?);
             if policy.due(e) {
                 store
@@ -1494,40 +1461,38 @@ impl<'a> ExperimentRunner<'a> {
     }
 }
 
-/// The death stage shared by the runner and the adaptive loop: applies
-/// the node deaths `faults` schedules for `epoch` — marks them dead,
-/// charges detection and re-attachment under [`Phase::Repair`], repairs
-/// the tree and masks them out of the sample window. Returns the nodes
-/// that died.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn apply_deaths(
-    faults: &FaultSchedule,
-    epoch: u64,
+/// The death stage (Section 4.4), the one way the runner, the adaptive
+/// loop and the serving layer lose a node. Of `candidates`, the alive
+/// nodes die; ids outside the network and nodes already dead are
+/// skipped. The tree is repaired first, so a failed repair
+/// ([`RepairError::RootDead`]) changes, charges and traces nothing.
+/// Then the dead are marked and traced, detection and re-attachment
+/// are charged under [`Phase::Repair`], the repaired tree replaces the
+/// old one and the dead are masked out of the sample window. Returns
+/// the nodes that died.
+pub fn apply_deaths(
+    candidates: &[NodeId],
     topology: &mut Topology,
     alive: &mut [bool],
     samples: &mut SampleSet,
     energy: &EnergyModel,
     meter: &mut EnergyMeter,
     tracer: &mut dyn Tracer,
-) -> Result<Vec<NodeId>, PlanError> {
-    let deaths: Vec<NodeId> = faults
-        .deaths_at(epoch)
-        .into_iter()
-        .filter(|d| d.index() < alive.len() && alive[d.index()])
-        .collect();
+) -> Result<Vec<NodeId>, RepairError> {
+    let deaths: Vec<NodeId> =
+        candidates.iter().copied().filter(|d| alive.get(d.index()) == Some(&true)).collect();
     if deaths.is_empty() {
         return Ok(deaths);
     }
+    let repaired = topology.repair(&deaths)?;
     for &d in &deaths {
-        if d != topology.root() {
-            alive[d.index()] = false;
-        }
+        alive[d.index()] = false;
         if tracer.enabled() {
             tracer.record(TraceEvent::NodeDeath { node: d.0 });
         }
     }
     charge_repair(topology, alive, &deaths, energy, meter, tracer);
-    *topology = topology.repair(&deaths)?;
+    *topology = repaired;
     if tracer.enabled() {
         tracer.record(TraceEvent::TreeRepaired { deaths: deaths.len() as u32 });
     }
@@ -1582,7 +1547,7 @@ fn node_band(samples: &SampleSet, node: NodeId, policy: &GatePolicy) -> Option<B
 
 /// Silences dead nodes: their readings become `-inf` so they can never
 /// appear in a top-k answer or truth set.
-pub(crate) fn mask_dead_values(values: &mut [f64], alive: &[bool]) {
+pub fn mask_dead_values(values: &mut [f64], alive: &[bool]) {
     for (v, &a) in values.iter_mut().zip(alive) {
         if !a {
             *v = f64::NEG_INFINITY;
@@ -1635,7 +1600,7 @@ mod tests {
         let planner = ProspectorGreedy;
         let mut source = IndependentGaussian::random(t.len(), 40.0..60.0, 1.0..4.0, 7);
         let mut runner = ExperimentRunner::new(&t, &em, &planner, config(30.0));
-        let reports = runner.run(&mut source, 30).unwrap();
+        let reports = runner.run_to(&mut source, 30, &mut NullTracer).unwrap();
         assert!(reports[0].sampled && reports[4].sampled);
         assert!(!reports[5].sampled);
         assert!(reports[5].replanned, "first query epoch installs a plan");
@@ -1659,7 +1624,7 @@ mod tests {
         // Very predictable source: tiny variance.
         let mut source = IndependentGaussian::random(t.len(), 40.0..60.0, 0.1..0.2, 9);
         let mut runner = ExperimentRunner::new(&t, &em, &planner, config(40.0));
-        let reports = runner.run(&mut source, 40).unwrap();
+        let reports = runner.run_to(&mut source, 40, &mut NullTracer).unwrap();
         let queries: Vec<&EpochReport> = reports.iter().filter(|r| !r.sampled).collect();
         let avg: f64 = queries.iter().map(|r| r.accuracy).sum::<f64>() / queries.len() as f64;
         assert!(avg > 0.9, "stable source should be predictable: {avg}");
@@ -1674,7 +1639,7 @@ mod tests {
         let mut cfg = config(40.0);
         cfg.replan_threshold = 100.0; // impossible improvement
         let mut runner = ExperimentRunner::new(&t, &em, &planner, cfg);
-        let reports = runner.run(&mut source, 40).unwrap();
+        let reports = runner.run_to(&mut source, 40, &mut NullTracer).unwrap();
         let replans = reports.iter().filter(|r| r.replanned).count();
         assert_eq!(replans, 1, "only the initial installation");
     }
@@ -1689,7 +1654,7 @@ mod tests {
         let victim = t.children(t.root())[0];
         cfg.faults = FaultSchedule::new().with_death(12, victim);
         let mut runner = ExperimentRunner::new(&t, &em, &planner, cfg);
-        let reports = runner.run(&mut source, 30).unwrap();
+        let reports = runner.run_to(&mut source, 30, &mut NullTracer).unwrap();
         assert_eq!(reports.len(), 30, "the run completes through the death");
         let death = reports.iter().find(|r| r.epoch == 12).unwrap();
         assert_eq!(death.deaths, vec![victim]);
@@ -1701,6 +1666,28 @@ mod tests {
         assert!(runner.topology().children(victim).is_empty());
         // Later epochs see no further deaths.
         assert!(reports[13..].iter().all(|r| r.deaths.is_empty() && !r.repaired));
+    }
+
+    #[test]
+    fn root_death_fails_before_the_death_stage_changes_anything() {
+        let t = balanced(3, 2);
+        let em = EnergyModel::mica2();
+        let planner = ProspectorGreedy;
+        let mut source = IndependentGaussian::random(t.len(), 40.0..60.0, 1.0..2.0, 11);
+        let victim = t.children(t.root())[0];
+        let mut cfg = config(30.0);
+        cfg.faults = FaultSchedule::new().with_death(6, victim).with_death(6, t.root());
+        let mut runner = ExperimentRunner::new(&t, &em, &planner, cfg);
+        runner.run_to(&mut source, 6, &mut NullTracer).unwrap();
+        let total = runner.meter().total();
+        let mut tracer = prospector_obs::RingTracer::new(64);
+        let err = runner.step_traced(&mut source, 6, &mut tracer).unwrap_err();
+        assert!(matches!(err, PlanError::Repair(RepairError::RootDead)), "{err:?}");
+        // The epoch opened, and nothing after it: no death, no charge.
+        assert_eq!(tracer.take(), vec![TraceEvent::EpochStart { epoch: 6 }]);
+        assert!(runner.alive().iter().all(|&a| a), "the victim did not die either");
+        assert_eq!(runner.topology().parent_vec(), t.parent_vec());
+        assert_eq!(runner.meter().total().to_bits(), total.to_bits());
     }
 
     #[test]
@@ -1719,7 +1706,7 @@ mod tests {
         cfg.faults = faults;
         let mut source = IndependentGaussian::random(t.len(), 40.0..60.0, 1.0..2.0, 13);
         let mut runner = ExperimentRunner::new(&t, &em, &planner, cfg);
-        let reports = runner.run(&mut source, 20).unwrap();
+        let reports = runner.run_to(&mut source, 20, &mut NullTracer).unwrap();
         // With the degraded edges failing half the time, the ARQ layer was
         // exercised and charged.
         assert!(runner.meter().phase_total(Phase::Retransmit) > 0.0);
@@ -1740,7 +1727,7 @@ mod tests {
         cfg.replan_every = 1000; // escalation, not cadence, drives replans
         let mut source = IndependentGaussian::random(t.len(), 40.0..60.0, 1.0..2.0, 17);
         let mut runner = ExperimentRunner::new(&t, &em, &planner, cfg);
-        let reports = runner.run(&mut source, 30).unwrap();
+        let reports = runner.run_to(&mut source, 30, &mut NullTracer).unwrap();
         assert_eq!(runner.arq().max_retries, 3, "budget climbed to its cap");
         let budgets: Vec<u32> =
             reports.iter().filter(|r| !r.sampled).map(|r| r.retry_budget).collect();
@@ -1764,7 +1751,7 @@ mod tests {
         cfg.arq = ArqPolicy { max_retries: 1, backoff: prospector_net::Backoff::none() };
         let mut source = IndependentGaussian::random(t.len(), 40.0..60.0, 1.0..2.0, 19);
         let mut runner = ExperimentRunner::new(&t, &em, &planner, cfg);
-        let reports = runner.run(&mut source, 25).unwrap();
+        let reports = runner.run_to(&mut source, 25, &mut NullTracer).unwrap();
         let queries: Vec<&EpochReport> = reports.iter().filter(|r| !r.sampled).collect();
         assert!(queries.iter().any(|r| r.lost_edges > 0), "40% loss with 1 retry loses edges");
         assert!(queries.iter().all(|r| (0.0..=1.0).contains(&r.delivered_fraction)));
@@ -1812,7 +1799,7 @@ mod tests {
             cfg.faults = faults.clone();
             cfg.gate = gate;
             let mut runner = ExperimentRunner::new(&t, &em, &planner, cfg);
-            let reports = runner.run(&mut source(), 20).unwrap();
+            let reports = runner.run_to(&mut source(), 20, &mut NullTracer).unwrap();
             // Mean accuracy over the faulty stretch only.
             let q: Vec<f64> = reports[8..18].iter().map(|r| r.accuracy).collect();
             q.iter().sum::<f64>() / q.len() as f64
@@ -1849,7 +1836,7 @@ mod tests {
         cfg.gate =
             Some(GatePolicy { quarantine_after: 2, parole_after: 2, ..GatePolicy::default() });
         let mut runner = ExperimentRunner::new(&t, &em, &planner, cfg);
-        let reports = runner.run(&mut source, 24).unwrap();
+        let reports = runner.run_to(&mut source, 24, &mut NullTracer).unwrap();
         assert!(reports.iter().any(|r| r.flagged > 0), "the stuck readings are flagged");
         assert!(reports.iter().any(|r| r.quarantined > 0), "strikes lead to quarantine");
         assert_eq!(
@@ -1870,7 +1857,7 @@ mod tests {
             cfg.gate = gate;
             let mut source = IndependentGaussian::random(t.len(), 40.0..60.0, 1.0..4.0, 7);
             let mut runner = ExperimentRunner::new(&t, &em, &planner, cfg);
-            runner.run(&mut source, 30).unwrap()
+            runner.run_to(&mut source, 30, &mut NullTracer).unwrap()
         };
         let off = run(None);
         let on = run(Some(GatePolicy::default()));

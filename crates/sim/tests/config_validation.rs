@@ -3,7 +3,8 @@
 //! field — not a panic three layers down in `SampleSet` or the planner.
 
 use prospector_core::{FallbackPlanner, GatePolicy};
-use prospector_net::{topology, EnergyModel, FaultSchedule};
+use prospector_net::{topology, EnergyModel, FailureModel, FaultSchedule};
+use prospector_obs::NullTracer;
 use prospector_sim::{ConfigError, ExperimentConfig, ExperimentRunner, ResumeError};
 use prospector_testutil::recovery_config;
 
@@ -116,6 +117,25 @@ fn try_new_surfaces_the_error_and_new_panics() {
     }
 }
 
+/// A failure model sized for another network is refused at
+/// construction; accepted, it would index past its end at the first plan.
+#[test]
+fn failure_model_sized_for_another_network_is_rejected() {
+    let t = topology::balanced(3, 2);
+    let em = EnergyModel::mica2();
+    let planner = FallbackPlanner::standard();
+    let mut cfg = base();
+    cfg.failures = Some(FailureModel::uniform(5, 0.1, 0.0));
+    match ExperimentRunner::try_new(&t, &em, &planner, cfg) {
+        Err(ConfigError::FailureModelSize { covers: 5, n: N }) => {}
+        Err(e) => panic!("expected FailureModelSize, got {e}"),
+        Ok(_) => panic!("a 5-node failure model was accepted for a {N}-node tree"),
+    }
+    let mut cfg = base();
+    cfg.failures = Some(FailureModel::uniform(N, 0.1, 0.0));
+    assert_eq!(cfg.validate(N), Ok(()));
+}
+
 #[test]
 #[should_panic(expected = "invalid experiment config")]
 fn new_panics_on_an_invalid_config() {
@@ -137,7 +157,7 @@ fn resume_rejects_invalid_and_inconsistent_checkpoints() {
     let mut runner = ExperimentRunner::new(&t, &em, &planner, base());
     let mut source =
         prospector_data::IndependentGaussian::random(t.len(), 40.0..60.0, 1.0..4.0, 13);
-    runner.run(&mut source, 3).expect("run");
+    runner.run_to(&mut source, 3, &mut NullTracer).expect("run");
     let good = runner.checkpoint();
 
     // A checkpoint whose config went bad fails config validation.

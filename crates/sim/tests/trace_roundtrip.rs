@@ -2,7 +2,7 @@
 //! attached must not perturb the simulation, and every sink must agree on
 //! the serialized stream.
 
-use prospector_obs::{event, JsonlTracer, RingTracer};
+use prospector_obs::{event, JsonlTracer, NullTracer, RingTracer};
 use prospector_sim::ExperimentRunner;
 use prospector_testutil::{assert_meters_bit_identical, golden, lossy_config, recovery_config};
 
@@ -25,12 +25,12 @@ fn traced_run_is_bit_identical_to_untraced() {
     for mk in builders {
         let mut plain_runner = ExperimentRunner::new(&t, &em, &planner, mk());
         let mut source = IndependentGaussian::random(t.len(), 40.0..60.0, 1.0..4.0, 13);
-        let plain = plain_runner.run(&mut source, 20).unwrap();
+        let plain = plain_runner.run_to(&mut source, 20, &mut NullTracer).unwrap();
 
         let mut traced_runner = ExperimentRunner::new(&t, &em, &planner, mk());
         let mut source = IndependentGaussian::random(t.len(), 40.0..60.0, 1.0..4.0, 13);
         let mut tracer = RingTracer::new(1 << 16);
-        let traced = traced_runner.run_traced(&mut source, 20, &mut tracer).unwrap();
+        let traced = traced_runner.run_to(&mut source, 20, &mut tracer).unwrap();
 
         assert!(!tracer.is_empty());
         assert_eq!(plain.len(), traced.len());

@@ -6,6 +6,7 @@
 
 use prospector_core::Plan;
 use prospector_net::{topology, EnergyModel, FailureModel, Phase};
+use prospector_obs::NullTracer;
 use prospector_sim::execute_plan;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -98,7 +99,7 @@ fn degradation_hits_dissemination_and_collection_in_the_same_epoch() {
     };
     let mut source = IndependentGaussian::random(t.len(), 40.0..60.0, 1.0..2.0, 23);
     let mut runner = ExperimentRunner::new(&t, &em, &planner, config);
-    let reports = runner.run(&mut source, 12).unwrap();
+    let reports = runner.run_to(&mut source, 12, &mut NullTracer).unwrap();
 
     // Pre-degradation query epochs are fully reliable in both directions.
     for r in reports.iter().filter(|r| !r.sampled && r.epoch < degrade_at) {

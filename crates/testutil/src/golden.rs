@@ -226,7 +226,7 @@ pub fn golden_run(name: &str) -> (Vec<TraceEvent>, MetricsSnapshot) {
     let mut source = sc.source();
     let mut tracer = RingTracer::new(RING_CAP);
     let mut runner = sc.runner();
-    runner.run_traced(&mut source, EPOCHS, &mut tracer).unwrap_or_else(|e| {
+    runner.run_to(&mut source, EPOCHS, &mut tracer).unwrap_or_else(|e| {
         panic!("{name} scenario runs: {e}");
     });
     let snapshot = runner.metrics().expect("metrics enabled").snapshot();

@@ -12,6 +12,7 @@ use prospector::core::ProspectorLpNoLf;
 use prospector::data::intel::IntelConfig;
 use prospector::data::{IntelLabLike, SamplePolicy};
 use prospector::net::{ArqPolicy, EnergyModel, FailureModel, FaultSchedule, NetworkBuilder, Phase};
+use prospector::obs::NullTracer;
 use prospector::sim::{ExperimentConfig, ExperimentRunner};
 
 fn main() {
@@ -54,7 +55,7 @@ fn main() {
     let planner = ProspectorLpNoLf;
     let mut runner = ExperimentRunner::new(&topology, &energy, &planner, config);
     let epochs = 24 * 7; // one simulated week at 24 epochs/day
-    let reports = runner.run(&mut temps, epochs).expect("run completes");
+    let reports = runner.run_to(&mut temps, epochs, &mut NullTracer).expect("run completes");
 
     let queries: Vec<_> = reports.iter().filter(|r| !r.sampled).collect();
     let sweeps = reports.len() - queries.len();

@@ -45,6 +45,7 @@ use prospector::net::{
     epoch_seed, topology, ArqPolicy, Backoff, DataFault, EnergyMeter, EnergyModel, FailureModel,
     FaultSchedule, NodeId, Phase, Topology,
 };
+use prospector::obs::NullTracer;
 use prospector::sim::{backfill_answer, execute_plan, execute_plan_arq, ExperimentRunner};
 use prospector_testutil::{lossy_config, meters_bit_identical};
 
@@ -300,7 +301,7 @@ fn chaos_sweep_keeps_epoch_loop_invariants() {
                 let mut source = IndependentGaussian::random(n, 40.0..60.0, 1.0..4.0, 87);
                 let mut runner = ExperimentRunner::new(&t, &em, &planner, config);
                 let reports = runner
-                    .run(&mut source, epochs)
+                    .run_to(&mut source, epochs, &mut NullTracer)
                     .unwrap_or_else(|e| panic!("chaos run aborted ({name}, p={p}): {e:?}"));
                 assert_eq!(reports.len(), epochs as usize);
 

@@ -69,7 +69,7 @@ fn trace_case(n: usize, change_prob: f64, loss: Option<f64>, seed: u64) -> Strin
     let mut runner = ExperimentRunner::new(&topo, &energy, &planner, cont_config(n, loss, seed));
     let mut source = DriftField::random(n, 40.0..60.0, 1.0..4.0, change_prob, seed);
     let mut tracer = RingTracer::new(RING_CAP);
-    runner.run_traced(&mut source, EPOCHS, &mut tracer).expect("continuous run");
+    runner.run_to(&mut source, EPOCHS, &mut tracer).expect("continuous run");
     assert_eq!(tracer.dropped(), 0, "ring capacity must cover the run");
     event::to_jsonl(&tracer.take())
 }

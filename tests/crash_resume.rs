@@ -14,7 +14,7 @@ use prospector::ckpt::{
     Checkpoint, CheckpointError, CheckpointPolicy, CheckpointStore, StoreError,
 };
 use prospector::net::FaultSchedule;
-use prospector::obs::{event, RingTracer};
+use prospector::obs::{event, NullTracer, RingTracer};
 use prospector::sim::{EpochReport, ExperimentRunner};
 use prospector_testutil::{
     assert_meters_bit_identical, assert_reports_equivalent, golden, lossy_config, network,
@@ -52,7 +52,7 @@ fn full_run(sc: &golden::Scenario) -> (Vec<EpochReport>, String, ExperimentRunne
     let mut source = sc.source();
     let mut tracer = RingTracer::new(RING_CAP);
     let mut runner = sc.runner();
-    let reports = runner.run_traced(&mut source, golden::EPOCHS, &mut tracer).expect("full run");
+    let reports = runner.run_to(&mut source, golden::EPOCHS, &mut tracer).expect("full run");
     assert_eq!(tracer.dropped(), 0);
     (reports, event::to_jsonl(&tracer.take()), runner)
 }
@@ -72,7 +72,7 @@ fn killed_and_resumed_run(
         let mut source = sc.source();
         let mut tracer = RingTracer::new(RING_CAP);
         let mut runner = sc.runner();
-        reports = runner.run_to_traced(&mut source, kill_at, &mut tracer).expect("prefix run");
+        reports = runner.run_to(&mut source, kill_at, &mut tracer).expect("prefix run");
         assert_eq!(tracer.dropped(), 0);
         trace.push_str(&event::to_jsonl(&tracer.take()));
         bytes = runner.checkpoint().encode();
@@ -85,9 +85,7 @@ fn killed_and_resumed_run(
     assert_eq!(resumed.next_epoch(), kill_at);
     let mut source = sc.source();
     let mut tracer = RingTracer::new(RING_CAP);
-    reports.extend(
-        resumed.run_to_traced(&mut source, golden::EPOCHS, &mut tracer).expect("resumed run"),
-    );
+    reports.extend(resumed.run_to(&mut source, golden::EPOCHS, &mut tracer).expect("resumed run"));
     assert_eq!(tracer.dropped(), 0);
     trace.push_str(&event::to_jsonl(&tracer.take()));
     (reports, trace, resumed)
@@ -134,15 +132,14 @@ fn resume_matches_uninterrupted_run_under_chaos() {
         let mut full = ExperimentRunner::new(&net.topology, &energy, &planner, cfg.clone());
         let mut full_tracer = RingTracer::new(RING_CAP);
         let full_reports =
-            full.run_traced(&mut source.clone(), EPOCHS, &mut full_tracer).expect("full run");
+            full.run_to(&mut source.clone(), EPOCHS, &mut full_tracer).expect("full run");
         let full_trace = event::to_jsonl(&full_tracer.take());
 
         for kill_at in 1..EPOCHS {
             let mut prefix = ExperimentRunner::new(&net.topology, &energy, &planner, cfg.clone());
             let mut tracer = RingTracer::new(RING_CAP);
-            let mut reports = prefix
-                .run_to_traced(&mut source.clone(), kill_at, &mut tracer)
-                .expect("prefix run");
+            let mut reports =
+                prefix.run_to(&mut source.clone(), kill_at, &mut tracer).expect("prefix run");
             let bytes = prefix.checkpoint().encode();
             drop(prefix);
 
@@ -150,9 +147,7 @@ fn resume_matches_uninterrupted_run_under_chaos() {
             let mut resumed =
                 ExperimentRunner::resume(ckpt, &energy, &planner).expect("resume succeeds");
             reports.extend(
-                resumed
-                    .run_to_traced(&mut source.clone(), EPOCHS, &mut tracer)
-                    .expect("resumed run"),
+                resumed.run_to(&mut source.clone(), EPOCHS, &mut tracer).expect("resumed run"),
             );
             let trace = event::to_jsonl(&tracer.take());
             assert_eq!(trace, full_trace, "n={n} p={p} seed={seed}: kill at {kill_at}");
@@ -174,7 +169,7 @@ fn run_checkpointed_writes_due_epochs_and_does_not_perturb_the_trace() {
     let mut tracer = RingTracer::new(RING_CAP);
     let mut runner = sc.runner();
     runner
-        .run_checkpointed_traced(&mut source, golden::EPOCHS, &store, policy, &mut tracer)
+        .run_checkpointed(&mut source, golden::EPOCHS, &store, policy, &mut tracer)
         .expect("checkpointed run");
     // Checkpointing is pure observation: the traced run is byte-identical
     // to one that never touched disk.
@@ -202,9 +197,7 @@ fn corrupt_latest_checkpoint_falls_back_to_previous_good_one() {
     let mut tracer = RingTracer::new(RING_CAP);
     let mut runner = sc.runner();
     // Run to epoch 12: checkpoints exist for next_epoch 5 and 10.
-    runner
-        .run_checkpointed_traced(&mut source, 12, &store, policy, &mut tracer)
-        .expect("prefix run");
+    runner.run_checkpointed(&mut source, 12, &store, policy, &mut tracer).expect("prefix run");
     assert_eq!(store.list().expect("list"), vec![5, 10]);
 
     // Flip one payload byte in the newest checkpoint.
@@ -231,15 +224,13 @@ fn corrupt_latest_checkpoint_falls_back_to_previous_good_one() {
     let mut resumed = sc.resume(ckpt).expect("resume from fallback");
     let mut source = sc.source();
     let mut tracer = RingTracer::new(RING_CAP);
-    let reports =
-        resumed.run_to_traced(&mut source, golden::EPOCHS, &mut tracer).expect("resumed run");
+    let reports = resumed.run_to(&mut source, golden::EPOCHS, &mut tracer).expect("resumed run");
     assert_eq!(reports.first().map(|r| r.epoch), Some(5));
 
     // Rebuild the prefix trace for epochs 0..5 to check the whole stream.
     let mut prefix = sc.runner();
     let mut prefix_tracer = RingTracer::new(RING_CAP);
-    let mut all_reports =
-        prefix.run_to_traced(&mut sc.source(), 5, &mut prefix_tracer).expect("prefix");
+    let mut all_reports = prefix.run_to(&mut sc.source(), 5, &mut prefix_tracer).expect("prefix");
     let mut trace = event::to_jsonl(&prefix_tracer.take());
     trace.push_str(&event::to_jsonl(&tracer.take()));
     all_reports.extend(reports);
@@ -252,7 +243,7 @@ fn corrupt_latest_checkpoint_falls_back_to_previous_good_one() {
 fn truncated_checkpoint_is_rejected_without_panicking() {
     let sc = golden::scenario("clean");
     let mut runner = sc.runner();
-    runner.run(&mut sc.source(), 4).expect("run");
+    runner.run_to(&mut sc.source(), 4, &mut NullTracer).expect("run");
     let bytes = runner.checkpoint().encode();
     // Every proper prefix must fail cleanly: header too short, declared
     // length exceeding the payload, or checksum over a partial payload.

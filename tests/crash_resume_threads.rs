@@ -22,15 +22,15 @@ fn trace_with_kill(name: &str, kill_at: Option<u64>) -> String {
     let mut tracer = RingTracer::new(RING_CAP);
     let mut runner = sc.runner();
     let Some(kill_at) = kill_at else {
-        runner.run_traced(&mut source, golden::EPOCHS, &mut tracer).expect("full run");
+        runner.run_to(&mut source, golden::EPOCHS, &mut tracer).expect("full run");
         return event::to_jsonl(&tracer.take());
     };
-    runner.run_to_traced(&mut source, kill_at, &mut tracer).expect("prefix run");
+    runner.run_to(&mut source, kill_at, &mut tracer).expect("prefix run");
     let bytes = runner.checkpoint().encode();
     drop(runner);
     let ckpt = Checkpoint::decode(&bytes).expect("round-trip");
     let mut resumed = sc.resume(ckpt).expect("resume");
-    resumed.run_to_traced(&mut source, golden::EPOCHS, &mut tracer).expect("resumed run");
+    resumed.run_to(&mut source, golden::EPOCHS, &mut tracer).expect("resumed run");
     event::to_jsonl(&tracer.take())
 }
 

@@ -5,7 +5,9 @@
 
 use prospector::core::FallbackPlanner;
 use prospector::data::IndependentGaussian;
-use prospector::net::{EnergyModel, FaultSchedule, NodeId, Phase};
+use prospector::net::{topology, EnergyModel, FaultSchedule, NodeId, Phase};
+use prospector::obs::{NullTracer, RingTracer, TraceEvent};
+use prospector::serve::{QueryService, ServiceConfig};
 use prospector::sim::{EpochReport, ExperimentRunner};
 use prospector_testutil::{network, recovery_config as config};
 
@@ -33,7 +35,8 @@ fn runner_recovers_from_mid_run_deaths() {
     // A predictable source so accuracy is limited by the plan, not noise.
     let mut source = IndependentGaussian::random(t.len(), 40.0..60.0, 0.2..0.5, 13);
     let mut runner = ExperimentRunner::new(t, &em, &planner, config(faults));
-    let reports = runner.run(&mut source, 60).expect("run completes through the deaths");
+    let reports =
+        runner.run_to(&mut source, 60, &mut NullTracer).expect("run completes through the deaths");
     assert_eq!(reports.len(), 60, "every epoch produced a report");
 
     // The death epoch reports the repair and the forced re-plan.
@@ -77,7 +80,7 @@ fn empty_fault_schedule_is_inert() {
         cfg.install_retries = install_retries;
         let mut source = IndependentGaussian::random(t.len(), 40.0..60.0, 1.0..3.0, 4);
         let mut runner = ExperimentRunner::new(t, &em, &planner, cfg);
-        let reports = runner.run(&mut source, 50).unwrap();
+        let reports = runner.run_to(&mut source, 50, &mut NullTracer).unwrap();
         (reports, runner.meter().total())
     };
     let (a, a_total) = run(0);
@@ -91,4 +94,54 @@ fn empty_fault_schedule_is_inert() {
         assert_eq!(ra.energy_mj, rb.energy_mj);
         assert!(ra.deaths.is_empty() && !ra.repaired);
     }
+}
+
+/// One death, one bill: the runner (from its fault schedule) and the
+/// serving layer (from `kill_node`) lose a node through the same death
+/// stage, so the same death on the same tree charges every node the same
+/// repair energy, event for event: the prober's broadcast and one
+/// handshake per orphan.
+#[test]
+fn a_death_costs_the_same_through_the_runner_and_through_serve() {
+    let t = topology::balanced(3, 2);
+    let em = EnergyModel::mica2();
+    let victim = t.children(t.root())[0];
+    let repair_events = |events: Vec<TraceEvent>| -> Vec<TraceEvent> {
+        events
+            .into_iter()
+            .filter(
+                |e| matches!(e, TraceEvent::Energy { phase, .. } if *phase == Phase::Repair.name()),
+            )
+            .collect()
+    };
+
+    let planner = FallbackPlanner::standard();
+    let faults = FaultSchedule::new().with_death(8, victim);
+    let mut runner = ExperimentRunner::new(&t, &em, &planner, config(faults));
+    let mut source = IndependentGaussian::random(t.len(), 40.0..60.0, 1.0..4.0, 3);
+    let mut tracer = RingTracer::new(1 << 14);
+    runner.run_to(&mut source, 9, &mut tracer).expect("run through the death");
+    let runner_bill = repair_events(tracer.take());
+
+    let mut service = QueryService::new(
+        t.clone(),
+        em.clone(),
+        Box::new(FallbackPlanner::standard()),
+        ServiceConfig::default(),
+    )
+    .expect("config is valid");
+    let mut tracer = RingTracer::new(64);
+    service.kill_node(victim, &mut tracer).expect("victim is not the root");
+    let serve_bill = repair_events(tracer.take());
+
+    assert_eq!(
+        runner_bill.len(),
+        1 + t.children(victim).len(),
+        "a probe and a handshake per orphan"
+    );
+    assert_eq!(runner_bill, serve_bill);
+    assert_eq!(
+        runner.meter().phase_total(Phase::Repair).to_bits(),
+        service.meter().phase_total(Phase::Repair).to_bits()
+    );
 }

@@ -8,6 +8,7 @@ use prospector::ckpt::Checkpoint;
 use prospector::core::FallbackPlanner;
 use prospector::data::IndependentGaussian;
 use prospector::net::{EnergyModel, FaultSchedule, NodeId};
+use prospector::obs::NullTracer;
 use prospector::sim::ExperimentRunner;
 use prospector_testutil::{lossy_config, network};
 
@@ -27,7 +28,7 @@ fn chaos_checkpoint(n: usize, p_milli: u32, retries: u32, seed: u64, epochs: u64
     let mut source = IndependentGaussian::random(n, 10.0..90.0, 0.5..5.0, seed ^ 0xBEEF);
     let mut runner = ExperimentRunner::new(&net.topology, &energy, &planner, cfg);
     runner.enable_metrics();
-    runner.run(&mut source, epochs).expect("chaos run");
+    runner.run_to(&mut source, epochs, &mut NullTracer).expect("chaos run");
     runner.checkpoint().encode()
 }
 

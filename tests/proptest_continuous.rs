@@ -33,6 +33,7 @@ use prospector::data::{DriftField, SamplePolicy};
 use prospector::net::{
     ArqPolicy, Backoff, DataFault, EnergyModel, FailureModel, FaultSchedule, NodeId, Topology,
 };
+use prospector::obs::NullTracer;
 use prospector::sim::{ExperimentConfig, ExperimentRunner};
 use prospector_testutil::{assert_meters_bit_identical, assert_reports_equivalent};
 
@@ -113,7 +114,7 @@ proptest! {
             let config = cont_config(n, 0.0, period, None, FaultSchedule::new(), seed);
             let mut runner = ExperimentRunner::new(&topo, &energy, &planner, config);
             let mut source = drift(n, change_prob, seed);
-            let reports = runner.run(&mut source, EPOCHS).expect("clean run");
+            let reports = runner.run_to(&mut source, EPOCHS, &mut NullTracer).expect("clean run");
             (reports, runner)
         };
         let (delta_reports, delta_runner) = run(1_000_000);
@@ -205,12 +206,12 @@ proptest! {
 
         let mut base = ExperimentRunner::new(&topo, &energy, &planner, config.clone());
         let mut source = drift(n, change_prob, seed);
-        let base_reports = base.run(&mut source, EPOCHS).expect("uninterrupted run");
+        let base_reports = base.run_to(&mut source, EPOCHS, &mut NullTracer).expect("uninterrupted run");
 
         let bytes = {
             let mut prefix = ExperimentRunner::new(&topo, &energy, &planner, config);
             let mut source = drift(n, change_prob, seed);
-            let mut reports = prefix.run_to(&mut source, kill_at).expect("prefix run");
+            let mut reports = prefix.run_to(&mut source, kill_at, &mut NullTracer).expect("prefix run");
             let bytes = prefix.checkpoint().encode();
             // Nothing survives the "crash" except the encoded checkpoint.
             drop(prefix);
@@ -219,7 +220,7 @@ proptest! {
             let mut resumed = ExperimentRunner::resume(ckpt, &energy, &planner)
                 .expect("resume succeeds");
             let mut source = drift(n, change_prob, seed);
-            reports.extend(resumed.run_to(&mut source, EPOCHS).expect("resumed run"));
+            reports.extend(resumed.run_to(&mut source, EPOCHS, &mut NullTracer).expect("resumed run"));
             assert_reports_equivalent(&base_reports, &reports);
             assert_meters_bit_identical(base.meter(), resumed.meter(), n);
             resumed.checkpoint().encode()

@@ -10,12 +10,11 @@
 //! — every cache hit/miss event carries the topology epoch that was live
 //! when it fired.
 //!
-//! The third is an oracle for what a batch shares: one prediction table
-//! per window version and one collection per key. Cache on ≡ cache off
-//! cannot catch a bad share, because both sides use it; serving each
-//! request in a `serve_batch` call of its own shares nothing across
-//! requests, and a window rebuilt from the readings fed in is checked
-//! against every prediction.
+//! The third is an oracle for what a batch shares: one window and one
+//! collection per key. Cache on ≡ cache off cannot catch a bad share,
+//! because both sides use it; serving each request in a `serve_batch`
+//! call of its own shares nothing across requests, and a window rebuilt
+//! from the readings fed in is checked against every prediction.
 
 use proptest::prelude::*;
 use prospector::core::FallbackPlanner;

@@ -51,14 +51,14 @@ fn replanning_tracks_drift() {
     // Tracking runner: frequent sweeps + replans.
     let mut src = drift();
     let mut tracking = ExperimentRunner::new(&net.topology, &em, &planner, mk_config(4, 4));
-    let tracked = tracking.run(&mut src, 240).unwrap();
+    let tracked = tracking.run_to(&mut src, 240, &mut NullTracer).unwrap();
 
     // Frozen runner: samples only during warmup, never replans after.
     let mut src = drift();
     let mut frozen_cfg = mk_config(0, 10_000);
     frozen_cfg.policy = SamplePolicy::Periodic { warmup: 8, period: 10_000 };
     let mut frozen = ExperimentRunner::new(&net.topology, &em, &planner, frozen_cfg);
-    let frozen_reports = frozen.run(&mut src, 240).unwrap();
+    let frozen_reports = frozen.run_to(&mut src, 240, &mut NullTracer).unwrap();
 
     let acc_tracking = avg_query_accuracy(&tracked, 120);
     let acc_frozen = avg_query_accuracy(&frozen_reports, 120);
@@ -128,7 +128,7 @@ fn runner_energy_breakdown_is_complete() {
     };
     let mut src = RandomWalk::new(20, 10.0, 2.0, 0.5, 0.1, 2);
     let mut runner = ExperimentRunner::new(&net.topology, &em, &planner, cfg);
-    let reports = runner.run(&mut src, 50).unwrap();
+    let reports = runner.run_to(&mut src, 50, &mut NullTracer).unwrap();
     // Per-epoch energies sum to the meter total.
     let per_epoch: f64 = reports.iter().map(|r| r.energy_mj).sum();
     assert!((per_epoch - runner.meter().total()).abs() < 1e-6);
