@@ -1,5 +1,6 @@
 //! Criterion benchmarks for the extensions: subset-query planning,
-//! cluster-query planning, proof-fill strategies and the adaptive loop.
+//! cluster-query planning, the budget shadow price and proof-fill
+//! strategies.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use prospector_bench::scenarios::GaussianScenario;

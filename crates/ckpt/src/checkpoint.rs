@@ -6,15 +6,16 @@
 //! repaired topology and liveness mask, the sample window with its
 //! derived top-k state, cumulative energy, the installed plan and its
 //! provenance, the post-degradation failure model, the escalated ARQ
-//! policy, the dissemination RNG's raw state (the only RNG stream that
-//! survives across epochs — collection randomness is re-derived per
-//! epoch from `epoch_seed`), and the metrics snapshot.
+//! policy, the adaptive re-sampling state (sampling period and query
+//! epochs since the last sweep), the dissemination RNG's raw state (the
+//! only RNG stream that survives across epochs — collection randomness
+//! is re-derived per epoch from `epoch_seed`), and the metrics snapshot.
 //!
 //! ## Wire format
 //!
 //! ```text
 //! magic    8 bytes   "PRSPCKPT"
-//! version  u32 LE    currently 2
+//! version  u32 LE    currently 4
 //! length   u64 LE    payload byte count
 //! checksum u64 LE    FNV-1a 64 of the payload
 //! payload  length bytes, fields in the fixed order of `encode`
@@ -45,8 +46,10 @@ pub const MAGIC: [u8; 8] = *b"PRSPCKPT";
 /// [`ContinuousPolicy`] in the configuration section and the protocol's
 /// resumable state (view, per-node last-shipped values, in-flight
 /// custody entries, threshold, refresh cursor and encoded per-subtree
-/// q-digests) as a [`ContinuousImage`].
-pub const VERSION: u32 = 3;
+/// q-digests) as a [`ContinuousImage`]. Version 4 added the adaptive
+/// sampling policy (policy tag 3) and the re-sampling state: the sampling
+/// period and the query epochs since the last sweep.
+pub const VERSION: u32 = 4;
 
 /// Header bytes preceding the payload (magic + version + length +
 /// checksum).
@@ -148,6 +151,11 @@ pub struct Checkpoint {
     pub plan_via: Option<(String, u64)>,
     /// Epoch of the last plan recalculation.
     pub last_replan: Option<u64>,
+    /// The sampling period, in query epochs, as the adaptive policy's
+    /// audits have set it (other policies leave it at its start value).
+    pub sweep_period: u64,
+    /// Query epochs run since the last sweep.
+    pub since_sweep: u64,
     /// The failure model as currently degraded.
     pub failures: Option<FailureModel>,
     /// The ARQ policy as currently escalated.
@@ -205,6 +213,12 @@ fn put_policy(w: &mut Writer, p: &SamplePolicy) {
             w.put_u64(seed);
         }
         SamplePolicy::Never => w.put_u8(2),
+        SamplePolicy::Adaptive { warmup, audit_every, accuracy_floor } => {
+            w.put_u8(3);
+            w.put_u64(warmup);
+            w.put_u64(audit_every);
+            w.put_f64(accuracy_floor);
+        }
     }
 }
 
@@ -218,6 +232,11 @@ fn get_policy(r: &mut Reader<'_>) -> Result<SamplePolicy, DecodeError> {
             seed: r.get_u64()?,
         }),
         2 => Ok(SamplePolicy::Never),
+        3 => Ok(SamplePolicy::Adaptive {
+            warmup: r.get_u64()?,
+            audit_every: r.get_u64()?,
+            accuracy_floor: r.get_f64()?,
+        }),
         tag => Err(DecodeError::BadTag { offset: 0, tag }),
     }
 }
@@ -351,6 +370,8 @@ impl Checkpoint {
             w.put_u64(*depth);
         });
         w.put_opt(&self.last_replan, |w, e| w.put_u64(*e));
+        w.put_u64(self.sweep_period);
+        w.put_u64(self.since_sweep);
         w.put_opt(&self.failures, put_failures);
         put_arq(&mut w, &self.arq);
         for s in self.rng_state {
@@ -500,6 +521,8 @@ impl Checkpoint {
             Ok((name, depth))
         })?;
         let last_replan = r.get_opt(|r| r.get_u64())?;
+        let sweep_period = r.get_u64()?;
+        let since_sweep = r.get_u64()?;
         let failures = get_opt_failures(&mut r)?;
         let arq = get_arq(&mut r)?;
         let mut rng_state = [0u64; 4];
@@ -550,6 +573,8 @@ impl Checkpoint {
             plan,
             plan_via,
             last_replan,
+            sweep_period,
+            since_sweep,
             failures,
             arq,
             rng_state,

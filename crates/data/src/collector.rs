@@ -19,11 +19,20 @@ pub enum SamplePolicy {
     Random { warmup: u64, prob: f64, seed: u64 },
     /// Never sample (plans run on whatever the window already holds).
     Never,
+    /// Adaptive re-sampling (Section 4.4): collect the first `warmup`
+    /// epochs, then when the query epochs since the last sweep reach the
+    /// period. Query epochs numbered a multiple of `audit_every` run an
+    /// exact audit, which halves the period when the answer scores below
+    /// `accuracy_floor` and lengthens it otherwise.
+    Adaptive { warmup: u64, audit_every: u64, accuracy_floor: f64 },
 }
 
 impl SamplePolicy {
-    /// Should epoch `epoch` be spent on a full sweep?
-    pub fn should_sample(&self, epoch: u64) -> bool {
+    /// Should epoch `epoch` be spent on a full sweep? `since_sweep`
+    /// counts the query epochs since the last sweep and `sweep_period` is
+    /// the period the audits have set; only [`SamplePolicy::Adaptive`]
+    /// reads them.
+    pub fn should_sample(&self, epoch: u64, since_sweep: u64, sweep_period: u64) -> bool {
         match *self {
             SamplePolicy::Periodic { warmup, period } => {
                 epoch < warmup || (period > 0 && epoch.is_multiple_of(period))
@@ -37,6 +46,7 @@ impl SamplePolicy {
                 }
             }
             SamplePolicy::Never => false,
+            SamplePolicy::Adaptive { warmup, .. } => epoch < warmup || since_sweep >= sweep_period,
         }
     }
 }
@@ -56,26 +66,35 @@ mod tests {
     #[test]
     fn periodic_policy() {
         let p = SamplePolicy::Periodic { warmup: 3, period: 10 };
-        assert!(p.should_sample(0));
-        assert!(p.should_sample(2));
-        assert!(!p.should_sample(3));
-        assert!(p.should_sample(10));
-        assert!(!p.should_sample(11));
+        assert!(p.should_sample(0, 0, 0));
+        assert!(p.should_sample(2, 0, 0));
+        assert!(!p.should_sample(3, 0, 0));
+        assert!(p.should_sample(10, 0, 0));
+        assert!(!p.should_sample(11, 0, 0));
     }
 
     #[test]
     fn random_policy_rate() {
         let p = SamplePolicy::Random { warmup: 0, prob: 0.2, seed: 7 };
-        let hits = (0..10_000).filter(|&e| p.should_sample(e)).count();
+        let hits = (0..10_000).filter(|&e| p.should_sample(e, 0, 0)).count();
         let rate = hits as f64 / 10_000.0;
         assert!((rate - 0.2).abs() < 0.02, "rate {rate}");
         // Deterministic per epoch.
-        assert_eq!(p.should_sample(42), p.should_sample(42));
+        assert_eq!(p.should_sample(42, 0, 0), p.should_sample(42, 0, 0));
     }
 
     #[test]
     fn never_policy() {
-        assert!(!SamplePolicy::Never.should_sample(0));
+        assert!(!SamplePolicy::Never.should_sample(0, 0, 0));
+    }
+
+    #[test]
+    fn adaptive_policy_sweeps_when_the_period_runs_out() {
+        let p = SamplePolicy::Adaptive { warmup: 3, audit_every: 4, accuracy_floor: 0.8 };
+        assert!(p.should_sample(2, 5, 12), "warm-up sweeps whatever the period");
+        assert!(!p.should_sample(3, 11, 12));
+        assert!(p.should_sample(3, 12, 12));
+        assert!(p.should_sample(40, 2, 2), "the period, not the epoch, decides");
     }
 
     #[test]

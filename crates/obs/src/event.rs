@@ -83,8 +83,10 @@ pub enum TraceEvent {
     NodeQuarantined { node: u32, strikes: u32 },
     /// A quarantined node completed parole and is trusted again.
     NodeReadmitted { node: u32, clean_epochs: u32 },
-    /// An adaptive-loop epoch finished (`run_adaptive`).
-    AdaptiveEpoch { epoch: u64, action: &'static str, period: u64, accuracy: f64, energy_mj: f64 },
+    /// An adaptive run's exact audit (Section 4.4, "Re-sampling") scored
+    /// this epoch's answer at `accuracy` and set the sampling period to
+    /// `period` query epochs.
+    Audit { accuracy: f64, period: u64 },
     /// A service request cleared validation and admission control
     /// (`prospector-serve`). `band` is the budget band the request was
     /// admitted into — the plan-cache key component, not the raw budget.
@@ -145,7 +147,7 @@ impl TraceEvent {
             TraceEvent::ReadingFlagged { .. } => "reading_flagged",
             TraceEvent::NodeQuarantined { .. } => "node_quarantined",
             TraceEvent::NodeReadmitted { .. } => "node_readmitted",
-            TraceEvent::AdaptiveEpoch { .. } => "adaptive_epoch",
+            TraceEvent::Audit { .. } => "audit",
             TraceEvent::RequestAccepted { .. } => "request_accepted",
             TraceEvent::RequestRejected { .. } => "request_rejected",
             TraceEvent::PlanCacheHit { .. } => "plan_cache_hit",
@@ -271,12 +273,9 @@ impl TraceEvent {
                 push_u64(&mut o, "node", u64::from(*node));
                 push_u64(&mut o, "clean_epochs", u64::from(*clean_epochs));
             }
-            TraceEvent::AdaptiveEpoch { epoch, action, period, accuracy, energy_mj } => {
-                push_u64(&mut o, "epoch", *epoch);
-                push_static(&mut o, "action", action);
-                push_u64(&mut o, "period", *period);
+            TraceEvent::Audit { accuracy, period } => {
                 push_f64_field(&mut o, "accuracy", *accuracy);
-                push_f64_field(&mut o, "energy_mj", *energy_mj);
+                push_u64(&mut o, "period", *period);
             }
             TraceEvent::RequestAccepted { id, tenant, k, band } => {
                 push_u64(&mut o, "id", *id);
@@ -481,6 +480,12 @@ mod tests {
         assert_eq!(ev.to_json(), r#"{"ev":"threshold_broadcast","threshold":47}"#);
         let ev = TraceEvent::ThresholdBroadcast { threshold: f64::NEG_INFINITY };
         assert_eq!(ev.to_json(), r#"{"ev":"threshold_broadcast","threshold":"-inf"}"#);
+    }
+
+    #[test]
+    fn audit_event_serializes_with_fixed_field_order() {
+        let ev = TraceEvent::Audit { accuracy: 0.8, period: 16 };
+        assert_eq!(ev.to_json(), r#"{"ev":"audit","accuracy":0.8,"period":16}"#);
     }
 
     #[test]

@@ -58,7 +58,7 @@ pub struct DisseminationReport {
 ///
 /// Each attempt and ack charge is mirrored as an `Energy` event, in
 /// charge order.
-pub fn install_plan_lossy_traced(
+pub fn install_plan_lossy(
     plan: &Plan,
     topology: &Topology,
     energy: &EnergyModel,
@@ -119,8 +119,7 @@ mod tests {
         let p = Plan::naive_k(&t, 2);
         let fm = FailureModel::none(5);
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        let (meter, rep) =
-            install_plan_lossy_traced(&p, &t, &em, &fm, &mut rng, 3, &mut NullTracer);
+        let (meter, rep) = install_plan_lossy(&p, &t, &em, &fm, &mut rng, 3, &mut NullTracer);
         assert_eq!(rep.attempts, 4, "one attempt per used edge");
         assert_eq!(rep.delivered.len(), 4);
         assert!(rep.undelivered.is_empty());
@@ -136,8 +135,7 @@ mod tests {
         let p = Plan::naive_k(&t, 1);
         let fm = FailureModel::uniform(4, 1.0, 0.0); // always fails
         let mut rng = rand::rngs::StdRng::seed_from_u64(9);
-        let (meter, rep) =
-            install_plan_lossy_traced(&p, &t, &em, &fm, &mut rng, 2, &mut NullTracer);
+        let (meter, rep) = install_plan_lossy(&p, &t, &em, &fm, &mut rng, 2, &mut NullTracer);
         assert_eq!(rep.attempts, 9, "3 edges × (1 + 2 retries)");
         assert!(rep.delivered.is_empty());
         assert_eq!(rep.undelivered.len(), 3);
@@ -152,7 +150,7 @@ mod tests {
         let p = Plan::naive_k(&t, 1);
         let fm = FailureModel::uniform(400, 0.5, 0.0);
         let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-        let (_, rep) = install_plan_lossy_traced(&p, &t, &em, &fm, &mut rng, 1, &mut NullTracer);
+        let (_, rep) = install_plan_lossy(&p, &t, &em, &fm, &mut rng, 1, &mut NullTracer);
         // P(undelivered) = 0.5² = 0.25 per edge over 399 edges.
         let rate = rep.undelivered.len() as f64 / 399.0;
         assert!((rate - 0.25).abs() < 0.08, "observed undelivered rate {rate}");

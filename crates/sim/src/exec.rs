@@ -330,10 +330,10 @@ pub fn execute_proof_plan(
     (report, out)
 }
 
-/// The exploration sweep shared by the runner, the adaptive loop and the
-/// serving front end: the full-sweep plan with dead nodes masked, every
-/// reading delivered, its charges re-attributed to [`Phase::Sampling`]
-/// node by node. Returns the energy charged.
+/// The exploration sweep shared by the runner and the serving front end:
+/// the full-sweep plan with dead nodes masked, every reading delivered,
+/// its charges re-attributed to [`Phase::Sampling`] node by node. Returns
+/// the energy charged.
 pub fn charge_sweep(
     topology: &Topology,
     alive: &[bool],

@@ -12,26 +12,26 @@
 //! * [`exact_exec`] — `ProspectorExact`'s two phases: a proof-carrying
 //!   collection followed by the range-bounded mop-up of Section 4.3;
 //! * [`runner`] — multi-epoch experiments: exploration sampling,
-//!   re-planning, plan dissemination and per-epoch metrics; it also holds
+//!   re-planning, plan dissemination and per-epoch metrics, and Section
+//!   4.4's re-sampling rate adaptation, in which periodic exact audits
+//!   move the sampling period (`SamplePolicy::Adaptive`); it also holds
 //!   [`apply_deaths`], the one death stage (Section 4.4: repair the tree,
 //!   charge detection and re-attachment, mask the window) that the
-//!   runner, the adaptive loop and the serving layer all call;
+//!   runner and the serving layer both call;
 //! * [`continuous`] — the continuous-query delta protocol: custody-based
 //!   delta shipping, change beacons, forced full refreshes and per-subtree
-//!   q-digest summaries;
-//! * [`adaptive`] — Section 4.4's re-sampling rate adaptation driven by
-//!   periodic exact audits.
+//!   q-digest summaries.
 //!
 //! Entry points that can be traced take a
 //! [`Tracer`](prospector_obs::Tracer), either as an argument
-//! ([`run_adaptive`], [`install_plan`], [`apply_deaths`],
-//! [`ExperimentRunner::run_to`]) or through a `_traced` twin of an
-//! untraced name ([`execute_plan_traced`]): energy charges, link
-//! deliveries, faults and epoch summaries stream out as structured
-//! [`TraceEvent`](prospector_obs::TraceEvent)s. Untraced callers pass a
-//! [`NullTracer`](prospector_obs::NullTracer), which costs nothing extra.
+//! ([`install_plan`], [`install_plan_lossy`], [`apply_deaths`],
+//! [`ExperimentRunner::step_traced`], [`ExperimentRunner::run_to`]) or
+//! through a `_traced` twin of an untraced name ([`execute_plan_traced`]):
+//! energy charges, link deliveries, faults, audits and epoch summaries
+//! stream out as structured [`TraceEvent`](prospector_obs::TraceEvent)s.
+//! Untraced callers pass a [`NullTracer`](prospector_obs::NullTracer),
+//! which costs nothing extra.
 
-pub mod adaptive;
 pub mod backfill;
 pub mod continuous;
 pub mod dissemination;
@@ -41,12 +41,9 @@ pub mod naive1;
 pub mod runner;
 mod trace;
 
-pub use adaptive::{run_adaptive, AdaptiveAction, AdaptiveConfig, AdaptiveEpoch};
 pub use backfill::{backfill_answer, AnswerEntry};
 pub use continuous::{ContinuousState, Delta, DeltaOutcome, RefreshOutcome};
-pub use dissemination::{
-    install_cost, install_plan, install_plan_lossy_traced, DisseminationReport,
-};
+pub use dissemination::{install_cost, install_plan, install_plan_lossy, DisseminationReport};
 pub use exact_exec::{run_exact, ExactResult};
 pub use exec::{
     charge_sweep, execute_plan, execute_plan_arq, execute_plan_arq_traced, execute_plan_traced,

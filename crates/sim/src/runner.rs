@@ -1,32 +1,37 @@
 //! Multi-epoch experiment runner: exploration sampling, planning,
-//! re-planning, permanent-failure recovery and per-epoch metrics
-//! (Sections 3 and 4.4).
+//! re-planning, adaptive re-sampling, permanent-failure recovery and
+//! per-epoch metrics (Sections 3 and 4.4).
 //!
 //! Per epoch the runner either spends a full-network sweep to refresh the
 //! sample window (the exploration/exploitation scheme) or executes the
 //! current plan. Plans are re-optimized at the base station every
 //! `replan_every` epochs and **disseminated only if the expected
 //! improvement exceeds a threshold** ("Plan Re-calculation", Section 4.4),
-//! in which case the installation unicasts are charged.
+//! in which case the installation unicasts are charged. Under
+//! [`SamplePolicy::Adaptive`] ("Re-sampling", Section 4.4) some query
+//! epochs also run an exact audit of their answer, and its accuracy moves
+//! the sampling period.
 //!
 //! Permanent failures (Section 4.4) come from a [`FaultSchedule`]: the
 //! epoch's scheduled deaths go through [`apply_deaths`], the death stage
-//! the adaptive loop and the serving layer share, which repairs the tree
-//! ([`Topology::repair`]), charges detection and re-attachment under
-//! [`Phase::Repair`] and masks the dead out of the sample window; the
-//! runner then forces a re-plan on the repaired tree. With transient
-//! failures configured, plan dissemination itself is lossy: subplan
-//! unicasts retry a bounded number of times and nodes that never receive
-//! their new subplan keep executing the previous one.
+//! the serving layer shares, which repairs the tree ([`Topology::repair`]),
+//! charges detection and re-attachment under [`Phase::Repair`] and masks
+//! the dead out of the sample window; the runner then forces a re-plan on
+//! the repaired tree. With transient failures configured, plan
+//! dissemination itself is lossy: subplan unicasts retry a bounded number
+//! of times and nodes that never receive their new subplan keep executing
+//! the previous one.
 
 use crate::backfill::{backfill_answer, AnswerEntry};
 use crate::continuous::{apply_refresh, run_delta_epoch, run_refresh_epoch, ContinuousState};
-use crate::dissemination::{install_plan, install_plan_lossy_traced};
-use crate::exec::{charge_sweep, execute_plan_arq_traced, execute_plan_traced};
+use crate::dissemination::{install_plan, install_plan_lossy};
+use crate::exact_exec::run_exact;
+use crate::exec::{charge_as, charge_sweep, execute_plan_arq_traced, execute_plan_traced};
 use crate::trace::charge;
 use prospector_ckpt::{Checkpoint, CheckpointPolicy, CheckpointStore, StoreError};
 use prospector_core::{
-    evaluate, ContinuousPolicy, GatePolicy, Plan, PlanContext, PlanError, Planner, TrustState,
+    evaluate, exact::ExactConfig, ContinuousPolicy, GatePolicy, Plan, PlanContext, PlanError,
+    Planner, TrustState,
 };
 use prospector_data::{
     top_k_nodes, Band, BandTable, Reading, SamplePolicy, SampleSet, ValueSource,
@@ -39,6 +44,14 @@ use prospector_obs::{gini, MetricsRegistry, MetricsSnapshot, NullTracer, TraceEv
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
+
+/// Adaptive re-sampling: the sampling period a run starts with and the
+/// bounds its audits move it between, in query epochs.
+const INITIAL_SWEEP_PERIOD: u64 = 12;
+const MIN_SWEEP_PERIOD: u64 = 2;
+const MAX_SWEEP_PERIOD: u64 = 48;
+/// An audit's phase-1 budget as a multiple of the minimum proof cost.
+const AUDIT_BUDGET_FACTOR: f64 = 1.2;
 
 /// Configuration of a multi-epoch experiment.
 #[derive(Debug, Clone)]
@@ -115,6 +128,11 @@ pub enum ConfigError {
     BadContinuous { why: String },
     /// The failure model covers `covers` nodes, not the network's `n`.
     FailureModelSize { covers: usize, n: usize },
+    /// A fault scheduled for `epoch` names `node`, which is outside the
+    /// network of `n` nodes.
+    FaultNodeOutOfRange { epoch: u64, node: NodeId, n: usize },
+    /// The sampling policy has an invalid knob, or cannot drive the run.
+    BadPolicy { why: &'static str },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -138,6 +156,10 @@ impl std::fmt::Display for ConfigError {
             ConfigError::FailureModelSize { covers, n } => {
                 write!(f, "failure model covers {covers} nodes, the network has {n}")
             }
+            ConfigError::FaultNodeOutOfRange { epoch, node, n } => {
+                write!(f, "fault at epoch {epoch} names node {}, the network has {n}", node.0)
+            }
+            ConfigError::BadPolicy { why } => write!(f, "invalid sampling policy: {why}"),
         }
     }
 }
@@ -170,6 +192,23 @@ impl ExperimentConfig {
         }
         if let Some(f) = self.failures.as_ref().filter(|f| f.len() != n) {
             return Err(ConfigError::FailureModelSize { covers: f.len(), n });
+        }
+        for epoch in self.faults.epochs() {
+            if let Some(e) = self.faults.events_at(epoch).iter().find(|e| e.node().index() >= n) {
+                return Err(ConfigError::FaultNodeOutOfRange { epoch, node: e.node(), n });
+            }
+        }
+        if let SamplePolicy::Adaptive { audit_every, accuracy_floor, .. } = self.policy {
+            let bad = |why| Err(ConfigError::BadPolicy { why });
+            if audit_every == 0 {
+                return bad("audit_every must be at least 1");
+            }
+            if !(0.0..=1.0).contains(&accuracy_floor) {
+                return bad("accuracy_floor must lie in [0, 1]");
+            }
+            if self.continuous.is_some() {
+                return bad("audits score planned collections, and continuous mode plans none");
+            }
         }
         Ok(())
     }
@@ -314,6 +353,11 @@ pub struct ExperimentRunner<'a> {
     plan_via: Option<(&'static str, usize)>,
     /// Epoch of the last plan recalculation (None before the first).
     last_replan: Option<u64>,
+    /// The sampling period, in query epochs, as audits have set it; only
+    /// [`SamplePolicy::Adaptive`] reads it.
+    sweep_period: u64,
+    /// Query epochs run since the last sweep.
+    since_sweep: u64,
     /// Owned: link degradations worsen edges mid-run.
     failures: Option<FailureModel>,
     /// Collection ARQ policy currently in force; starts at the configured
@@ -375,6 +419,8 @@ impl<'a> ExperimentRunner<'a> {
             plan: None,
             plan_via: None,
             last_replan: None,
+            sweep_period: INITIAL_SWEEP_PERIOD,
+            since_sweep: 0,
             failures,
             arq,
             alive: vec![true; topology.len()],
@@ -420,6 +466,8 @@ impl<'a> ExperimentRunner<'a> {
             plan: self.plan.clone(),
             plan_via: self.plan_via.map(|(name, depth)| (name.to_string(), depth as u64)),
             last_replan: self.last_replan,
+            sweep_period: self.sweep_period,
+            since_sweep: self.since_sweep,
             failures: self.failures.clone(),
             arq: self.arq,
             rng_state: self.rng.state(),
@@ -502,6 +550,9 @@ impl<'a> ExperimentRunner<'a> {
                 ));
             }
         }
+        if !(MIN_SWEEP_PERIOD..=MAX_SWEEP_PERIOD).contains(&ckpt.sweep_period) {
+            return inconsistent(format!("sampling period {} is out of range", ckpt.sweep_period));
+        }
         let cont = match (&config.continuous, ckpt.cont_state) {
             (Some(_), Some(img)) => {
                 if img.view.len() != n {
@@ -535,6 +586,8 @@ impl<'a> ExperimentRunner<'a> {
                 .plan_via
                 .map(|(name, depth)| (intern_planner_name(&name), depth as usize)),
             last_replan: ckpt.last_replan,
+            sweep_period: ckpt.sweep_period,
+            since_sweep: ckpt.since_sweep,
             failures: ckpt.failures,
             arq: ckpt.arq,
             alive: ckpt.alive,
@@ -605,8 +658,8 @@ impl<'a> ExperimentRunner<'a> {
 
     /// Applies the faults scheduled for `epoch`: the death stage, which
     /// also discards the plan routing through the dead, then link
-    /// degradations (those naming a node outside the failure model are
-    /// skipped). Returns the nodes that died.
+    /// degradations (a run without a failure model has no link loss to
+    /// worsen). Returns the nodes that died.
     fn apply_faults(
         &mut self,
         epoch: u64,
@@ -631,11 +684,11 @@ impl<'a> ExperimentRunner<'a> {
         }
         for (child, added) in self.config.faults.degradations_at(epoch) {
             if let Some(f) = self.failures.as_mut() {
-                if child.index() < f.len() {
-                    f.degrade(child, added).expect("fault schedule validates probabilities");
-                    if tracer.enabled() {
-                        tracer.record(TraceEvent::LinkDegraded { child: child.0, added });
-                    }
+                // `validate` sized the model to the network and kept the
+                // schedule inside it; the schedule checked the probability.
+                f.degrade(child, added).expect("validated degradation");
+                if tracer.enabled() {
+                    tracer.record(TraceEvent::LinkDegraded { child: child.0, added });
                 }
             }
         }
@@ -695,8 +748,11 @@ impl<'a> ExperimentRunner<'a> {
             }
         }
 
-        // Exploration: full sweep feeds the window and answers exactly.
-        if self.config.policy.should_sample(epoch) {
+        // The sampling stage, for every policy: a full sweep feeds the
+        // window and answers exactly.
+        let sweep = self.config.policy.should_sample(epoch, self.since_sweep, self.sweep_period);
+        self.since_sweep = if sweep { 0 } else { self.since_sweep + 1 };
+        if sweep {
             charge_sweep(
                 &self.topology,
                 &self.alive,
@@ -825,7 +881,7 @@ impl<'a> ExperimentRunner<'a> {
                     self.topology.edges().filter(|&e| candidate.is_used(e)).count() as u32;
                 let (install_meter, undelivered, attempts) = match &self.failures {
                     Some(f) if !f.is_trivial() => {
-                        let (meter, delivery) = install_plan_lossy_traced(
+                        let (meter, delivery) = install_plan_lossy(
                             &candidate,
                             &self.topology,
                             self.energy,
@@ -888,7 +944,6 @@ impl<'a> ExperimentRunner<'a> {
             _ => execute_plan_traced(plan, &self.topology, self.energy, &values, k, None, tracer),
         };
         epoch_meter.merge(&report.meter);
-        self.meter.merge(&epoch_meter);
 
         // Root-side plausibility gate: delivered readings outside their
         // prediction band are flagged and replaced with the window
@@ -940,6 +995,13 @@ impl<'a> ExperimentRunner<'a> {
         let backfilled = entries.iter().filter(is_backfill).count();
         let truth = top_k_nodes(clean.as_deref().unwrap_or(&values), k);
         let hits = entries.iter().filter(|e| truth.contains(&e.reading.node)).count();
+
+        if let SamplePolicy::Adaptive { audit_every, accuracy_floor, .. } = self.config.policy {
+            if epoch.is_multiple_of(audit_every) {
+                self.audit(&values, &entries, accuracy_floor, &mut epoch_meter, tracer)?;
+            }
+        }
+        self.meter.merge(&epoch_meter);
 
         // Adaptive reliability, once the retry budget is maxed out: force
         // a re-plan so a fallback chain can route around the loss (edge
@@ -1113,6 +1175,39 @@ impl<'a> ExperimentRunner<'a> {
             messages,
             ..self.report(epoch, hits as f64 / k as f64, deaths, gated, epoch_meter)
         }
+    }
+
+    /// The audit stage (Section 4.4, "Re-sampling"): `ProspectorExact` on
+    /// reliable links, billed under [`Phase::Sampling`], scores `answer`.
+    /// A score below `accuracy_floor` halves the sampling period; any
+    /// other lengthens it by a quarter, plus one.
+    fn audit(
+        &mut self,
+        values: &[f64],
+        answer: &[AnswerEntry],
+        accuracy_floor: f64,
+        epoch_meter: &mut EnergyMeter,
+        tracer: &mut dyn Tracer,
+    ) -> Result<(), PlanError> {
+        let k = self.config.k;
+        let ctx = PlanContext::new(&self.topology, self.energy, &self.samples, 0.0);
+        let budget = ctx.min_proof_cost() * AUDIT_BUDGET_FACTOR;
+        let phase1 = ExactConfig { phase1_budget_mj: budget }.plan_phase1(&ctx)?;
+        let exact = run_exact(&phase1, &self.topology, self.energy, values, k, None);
+        charge_as(epoch_meter, &exact.meter, Phase::Sampling, tracer);
+        let hits =
+            answer.iter().filter(|e| exact.answer.iter().any(|r| r.node == e.reading.node)).count();
+        let accuracy = hits as f64 / k as f64;
+        let p = self.sweep_period;
+        self.sweep_period = if accuracy < accuracy_floor {
+            (p / 2).max(MIN_SWEEP_PERIOD)
+        } else {
+            (p + p / 4 + 1).min(MAX_SWEEP_PERIOD)
+        };
+        if tracer.enabled() {
+            tracer.record(TraceEvent::Audit { accuracy, period: self.sweep_period });
+        }
+        Ok(())
     }
 
     /// Adaptive reliability: when an epoch heard from less of the network
@@ -1461,10 +1556,10 @@ impl<'a> ExperimentRunner<'a> {
     }
 }
 
-/// The death stage (Section 4.4), the one way the runner, the adaptive
-/// loop and the serving layer lose a node. Of `candidates`, the alive
-/// nodes die; ids outside the network and nodes already dead are
-/// skipped. The tree is repaired first, so a failed repair
+/// The death stage (Section 4.4), the one way the runner and the serving
+/// layer lose a node. Of `candidates`, the alive nodes die; ids outside
+/// the network and nodes already dead are skipped. The tree is repaired
+/// first, so a failed repair
 /// ([`RepairError::RootDead`]) changes, charges and traces nothing.
 /// Then the dead are marked and traced, detection and re-attachment
 /// are charged under [`Phase::Repair`], the repaired tree replaces the
@@ -1867,6 +1962,126 @@ mod tests {
             assert_eq!(x.backfilled, y.backfilled, "epoch {}", x.epoch);
             assert_eq!((y.flagged, y.quarantined, y.readmitted), (0, 0, 0), "epoch {}", x.epoch);
         }
+    }
+
+    /// The adaptive policy at the settings Section 4.4's audit tests use:
+    /// top 5 over a 16-sample window, 8 warm-up sweeps.
+    fn adaptive_config(budget: f64, audit_every: u64, accuracy_floor: f64) -> ExperimentConfig {
+        ExperimentConfig {
+            k: 5,
+            window: 16,
+            policy: SamplePolicy::Adaptive { warmup: 8, audit_every, accuracy_floor },
+            replan_every: 8,
+            replan_threshold: 0.0,
+            ..config(budget)
+        }
+    }
+
+    /// Runs `epochs` epochs one at a time. Per epoch: its report, the
+    /// sampling period in force after it, and whether it ran an audit.
+    fn run_audited<S: ValueSource>(
+        runner: &mut ExperimentRunner<'_>,
+        source: &mut S,
+        epochs: u64,
+    ) -> Vec<(EpochReport, u64, bool)> {
+        (0..epochs)
+            .map(|e| {
+                let mut tracer = prospector_obs::RingTracer::new(1 << 12);
+                let report = runner.step_traced(source, e, &mut tracer).unwrap();
+                let audited = tracer.take().iter().any(|ev| matches!(ev, TraceEvent::Audit { .. }));
+                (report, runner.sweep_period, audited)
+            })
+            .collect()
+    }
+
+    /// Mean sampling period over the second half of a run.
+    fn avg_period_tail(epochs: &[(EpochReport, u64, bool)]) -> f64 {
+        let tail = &epochs[epochs.len() / 2..];
+        tail.iter().map(|&(_, period, _)| period as f64).sum::<f64>() / tail.len() as f64
+    }
+
+    #[test]
+    fn stable_source_lengthens_sampling_period() {
+        let t = balanced(3, 2);
+        let em = EnergyModel::mica2();
+        let mut src = IndependentGaussian::random(t.len(), 40.0..60.0, 0.2..0.5, 3);
+        let cfg = adaptive_config(40.0, 16, 0.8);
+        let mut runner = ExperimentRunner::new(&t, &em, &ProspectorGreedy, cfg);
+        let epochs = run_audited(&mut runner, &mut src, 120);
+        let tail = avg_period_tail(&epochs);
+        assert!(
+            tail > INITIAL_SWEEP_PERIOD as f64,
+            "stable data should earn a longer sampling period (avg {tail})"
+        );
+    }
+
+    #[test]
+    fn drifting_source_shortens_sampling_period() {
+        let t = balanced(3, 2);
+        let em = EnergyModel::mica2();
+        // Strong drift plus a tight budget: the plan can only cover a
+        // subset of nodes, and drift moves the top-k out from under it.
+        let mut src = prospector_data::RandomWalk::new(t.len(), 50.0, 5.0, 4.0, 0.0, 9);
+        let cfg = adaptive_config(9.0, 8, 0.9);
+        let mut runner = ExperimentRunner::new(&t, &em, &ProspectorGreedy, cfg);
+        let epochs = run_audited(&mut runner, &mut src, 120);
+        let tail = avg_period_tail(&epochs);
+        assert!(
+            tail < INITIAL_SWEEP_PERIOD as f64,
+            "drifting data should force more frequent sampling (avg {tail})"
+        );
+    }
+
+    #[test]
+    fn scheduled_death_repairs_and_finishes() {
+        let t = balanced(3, 2);
+        let em = EnergyModel::mica2();
+        let mut src = IndependentGaussian::random(t.len(), 40.0..60.0, 0.5..1.0, 5);
+        let victim = t.children(t.root())[0];
+        let mut cfg = adaptive_config(30.0, 16, 0.8);
+        cfg.faults = FaultSchedule::new().with_death(20, victim);
+        let mut runner = ExperimentRunner::new(&t, &em, &ProspectorGreedy, cfg);
+        let reports = runner.run_to(&mut src, 80, &mut NullTracer).unwrap();
+        assert_eq!(reports.len(), 80, "the run survives the death");
+        let repair = runner.meter().phase_total(Phase::Repair);
+        assert!(repair > 0.0, "repair was charged");
+        // The death epoch's energy includes the repair surcharge.
+        assert!(reports[20].repaired && reports[20].energy_mj >= repair);
+    }
+
+    #[test]
+    fn all_epochs_accounted() {
+        let t = balanced(2, 3);
+        let em = EnergyModel::mica2();
+        let mut src = IndependentGaussian::random(t.len(), 0.0..10.0, 0.5..1.0, 1);
+        let cfg = adaptive_config(30.0, 16, 0.8);
+        let mut runner = ExperimentRunner::new(&t, &em, &ProspectorGreedy, cfg);
+        let epochs = run_audited(&mut runner, &mut src, 60);
+        assert_eq!(epochs.len(), 60);
+        assert!(runner.meter().total() > 0.0);
+        assert!(epochs.iter().any(|(r, _, _)| r.sampled), "sweeps");
+        assert!(epochs.iter().any(|&(_, _, audited)| audited), "audits");
+        assert!(epochs.iter().any(|(r, _, audited)| !r.sampled && !audited), "plain queries");
+        // Audits run on query epochs only, and sweeps cost energy.
+        assert!(epochs.iter().all(|(r, _, audited)| !(r.sampled && *audited)));
+        assert!(epochs.iter().all(|(r, _, _)| !r.sampled || r.energy_mj > 0.0));
+    }
+
+    #[test]
+    fn epoch_energies_sum_to_the_meter() {
+        let t = balanced(3, 2);
+        let em = EnergyModel::mica2();
+        let mut src = IndependentGaussian::random(t.len(), 40.0..60.0, 0.5..1.0, 5);
+        let cfg = adaptive_config(30.0, 16, 0.8);
+        let mut runner = ExperimentRunner::new(&t, &em, &ProspectorGreedy, cfg);
+        let reports = runner.run_to(&mut src, 80, &mut NullTracer).unwrap();
+        // Plan installs and audits land in the epoch that spends them.
+        let per_epoch: f64 = reports.iter().map(|r| r.energy_mj).sum();
+        assert!(
+            (per_epoch - runner.meter().total()).abs() < 1e-6,
+            "epochs report {per_epoch} mJ, the meter holds {}",
+            runner.meter().total()
+        );
     }
 
     #[test]

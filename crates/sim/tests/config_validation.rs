@@ -2,8 +2,9 @@
 //! a typed `ConfigError` raised at construction, where it names the bad
 //! field — not a panic three layers down in `SampleSet` or the planner.
 
-use prospector_core::{FallbackPlanner, GatePolicy};
-use prospector_net::{topology, EnergyModel, FailureModel, FaultSchedule};
+use prospector_core::{ContinuousPolicy, FallbackPlanner, GatePolicy};
+use prospector_data::SamplePolicy;
+use prospector_net::{topology, EnergyModel, FailureModel, FaultSchedule, NodeId};
 use prospector_obs::NullTracer;
 use prospector_sim::{ConfigError, ExperimentConfig, ExperimentRunner, ResumeError};
 use prospector_testutil::recovery_config;
@@ -136,6 +137,77 @@ fn failure_model_sized_for_another_network_is_rejected() {
     assert_eq!(cfg.validate(N), Ok(()));
 }
 
+/// A fault schedule written for a larger network is refused; accepted,
+/// every fault stage would skip its nodes and the run would be fault-free
+/// without a word.
+#[test]
+fn fault_schedule_for_a_larger_network_is_rejected() {
+    let t = topology::balanced(3, 2);
+    let em = EnergyModel::mica2();
+    let planner = FallbackPlanner::standard();
+    let faults =
+        FaultSchedule::new().with_death(8, NodeId(99)).with_degradation(8, NodeId(77), 0.1);
+    match ExperimentRunner::try_new(&t, &em, &planner, recovery_config(faults)) {
+        Err(ConfigError::FaultNodeOutOfRange { epoch: 8, node: NodeId(99), n: N }) => {}
+        Err(e) => panic!("expected FaultNodeOutOfRange, got {e}"),
+        Ok(_) => panic!("a schedule naming node 99 was accepted for a {N}-node tree"),
+    }
+    let cfg = recovery_config(FaultSchedule::new().with_degradation(8, NodeId(77), 0.1));
+    assert_eq!(
+        cfg.validate(N),
+        Err(ConfigError::FaultNodeOutOfRange { epoch: 8, node: NodeId(77), n: N })
+    );
+    // The last node of the network is inside it.
+    let cfg = recovery_config(FaultSchedule::new().with_death(8, NodeId(N as u32 - 1)));
+    assert_eq!(cfg.validate(N), Ok(()));
+}
+
+fn adaptive(audit_every: u64, accuracy_floor: f64) -> ExperimentConfig {
+    let mut cfg = base();
+    cfg.policy = SamplePolicy::Adaptive { warmup: 6, audit_every, accuracy_floor };
+    cfg
+}
+
+/// Asserts `cfg` is refused as a bad sampling policy naming `knob`.
+fn assert_bad_policy(cfg: &ExperimentConfig, knob: &str) {
+    match cfg.validate(N) {
+        Err(ConfigError::BadPolicy { why }) => {
+            assert!(why.contains(knob), "error {why:?} does not name {knob}")
+        }
+        other => panic!("expected BadPolicy naming {knob}, got {other:?}"),
+    }
+}
+
+#[test]
+fn adaptive_policy_without_audits_is_rejected() {
+    assert_bad_policy(&adaptive(0, 0.8), "audit_every");
+    assert_eq!(adaptive(1, 0.8).validate(N), Ok(()));
+}
+
+#[test]
+fn adaptive_accuracy_floor_outside_unit_interval_is_rejected() {
+    for bad in [f64::NAN, 1.5, -0.1] {
+        assert_bad_policy(&adaptive(16, bad), "accuracy_floor");
+    }
+    for ok in [0.0, 1.0] {
+        assert_eq!(adaptive(16, ok).validate(N), Ok(()), "floor {ok} is a legal boundary");
+    }
+}
+
+const CONTINUOUS: ContinuousPolicy =
+    ContinuousPolicy { tolerance: 0.5, refresh_period: 6, sketch: None };
+
+/// Audits score planned collections, and a continuous run plans none.
+#[test]
+fn adaptive_policy_cannot_drive_a_continuous_run() {
+    let mut cfg = adaptive(16, 0.8);
+    cfg.continuous = Some(CONTINUOUS);
+    assert_bad_policy(&cfg, "continuous");
+    let mut cfg = base();
+    cfg.continuous = Some(CONTINUOUS);
+    assert_eq!(cfg.validate(N), Ok(()), "other policies still drive continuous runs");
+}
+
 #[test]
 #[should_panic(expected = "invalid experiment config")]
 fn new_panics_on_an_invalid_config() {
@@ -179,6 +251,26 @@ fn resume_rejects_invalid_and_inconsistent_checkpoints() {
         }
         Err(e) => panic!("expected Inconsistent, got {e}"),
         Ok(_) => panic!("truncated alive mask was accepted"),
+    }
+
+    // Resume inherits the fault-schedule check.
+    let mut bad = good.clone();
+    bad.faults = FaultSchedule::new().with_death(8, NodeId(99));
+    match ExperimentRunner::resume(bad, &em, &planner) {
+        Err(ResumeError::Config(ConfigError::FaultNodeOutOfRange { node: NodeId(99), .. })) => {}
+        Err(e) => panic!("expected Config(FaultNodeOutOfRange), got {e}"),
+        Ok(_) => panic!("a schedule naming node 99 was resumed"),
+    }
+
+    // A sampling period outside the audits' bounds is inconsistent.
+    let mut bad = good.clone();
+    bad.sweep_period = 0;
+    match ExperimentRunner::resume(bad, &em, &planner) {
+        Err(ResumeError::Inconsistent(why)) => {
+            assert!(why.contains("sampling period"), "unhelpful message: {why}")
+        }
+        Err(e) => panic!("expected Inconsistent, got {e}"),
+        Ok(_) => panic!("a zero sampling period was accepted"),
     }
 
     // A trust vector that does not cover the topology is inconsistent.

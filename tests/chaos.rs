@@ -21,7 +21,8 @@
 //!    integer per-sample counts, so every thread count returns the same
 //!    bits.
 //! 5. **No-surprises under combined chaos** — loss × retries × mid-run
-//!    degradations, deaths and data faults: every epoch completes, all
+//!    degradations, deaths and data faults, under periodic sampling and
+//!    under the adaptive policy's exact audits: every epoch completes, all
 //!    reported fractions stay in range, backfill only accompanies loss,
 //!    retry escalation never shrinks, the cumulative meter equals the
 //!    sum of per-epoch bills exactly, and the plausibility gate never
@@ -40,13 +41,15 @@
 
 use prospector::core::evaluate::expected_accuracy_under_loss_with;
 use prospector::core::{run_plan_lossy, Plan};
-use prospector::data::{top_k_nodes, IndependentGaussian, SampleSet, ValueSource};
+use prospector::data::{top_k_nodes, IndependentGaussian, SamplePolicy, SampleSet, ValueSource};
 use prospector::net::{
     epoch_seed, topology, ArqPolicy, Backoff, DataFault, EnergyMeter, EnergyModel, FailureModel,
     FaultSchedule, NodeId, Phase, Topology,
 };
-use prospector::obs::NullTracer;
-use prospector::sim::{backfill_answer, execute_plan, execute_plan_arq, ExperimentRunner};
+use prospector::obs::{RingTracer, TraceEvent};
+use prospector::sim::{
+    backfill_answer, execute_plan, execute_plan_arq, ExperimentConfig, ExperimentRunner,
+};
 use prospector_testutil::{lossy_config, meters_bit_identical};
 
 /// CI profile: a smaller sweep with the same invariants.
@@ -293,17 +296,33 @@ fn chaos_sweep_keeps_epoch_loop_invariants() {
     let epochs: u64 = if fast() { 30 } else { 48 };
     let rates: &[f64] = if fast() { &[0.3] } else { &[0.1, 0.3] };
     let budgets: &[u32] = if fast() { &[1] } else { &[0, 2] };
+    // The sampling dimension: the fixture's periodic sweeps, and the
+    // adaptive policy, whose exact audits on some query epochs move the
+    // sweep period.
+    let periodic = lossy_config(n, 0.0, 0, FaultSchedule::new()).policy;
+    let adaptive = SamplePolicy::Adaptive { warmup: 5, audit_every: 4, accuracy_floor: 0.8 };
+    let runs = |t: &Topology| {
+        let policies = [("periodic", &periodic), ("adaptive", &adaptive)];
+        schedules(t).into_iter().flat_map(move |(name, faults)| {
+            policies.map(|(sampling, policy)| (name, sampling, policy.clone(), faults.clone()))
+        })
+    };
     for &p in rates {
         for &max_retries in budgets {
-            for (name, faults) in schedules(&t) {
+            for (name, sampling, policy, faults) in runs(&t) {
+                let name = format!("{name}, {sampling}");
                 let has_data_faults = faults.has_data_faults();
-                let config = lossy_config(n, p, max_retries, faults);
+                let config = ExperimentConfig { policy, ..lossy_config(n, p, max_retries, faults) };
                 let mut source = IndependentGaussian::random(n, 40.0..60.0, 1.0..4.0, 87);
                 let mut runner = ExperimentRunner::new(&t, &em, &planner, config);
+                let mut tracer = RingTracer::new(1 << 16);
                 let reports = runner
-                    .run_to(&mut source, epochs, &mut NullTracer)
+                    .run_to(&mut source, epochs, &mut tracer)
                     .unwrap_or_else(|e| panic!("chaos run aborted ({name}, p={p}): {e:?}"));
                 assert_eq!(reports.len(), epochs as usize);
+                // Audits run exactly when the policy asks for them.
+                let audits = tracer.events().filter(|e| matches!(e, TraceEvent::Audit { .. }));
+                assert_eq!(audits.count() > 0, sampling == "adaptive", "{name}: audits");
 
                 let mut billed = 0.0f64;
                 let mut last_budget = 0u32;

@@ -13,9 +13,11 @@
 use prospector::ckpt::{
     Checkpoint, CheckpointError, CheckpointPolicy, CheckpointStore, StoreError,
 };
-use prospector::net::FaultSchedule;
-use prospector::obs::{event, NullTracer, RingTracer};
-use prospector::sim::{EpochReport, ExperimentRunner};
+use prospector::core::FallbackPlanner;
+use prospector::data::{IndependentGaussian, SamplePolicy};
+use prospector::net::{EnergyModel, FaultSchedule, NodeId, Topology};
+use prospector::obs::{event, NullTracer, RingTracer, TraceEvent};
+use prospector::sim::{EpochReport, ExperimentConfig, ExperimentRunner};
 use prospector_testutil::{
     assert_meters_bit_identical, assert_reports_equivalent, golden, lossy_config, network,
 };
@@ -109,6 +111,49 @@ fn resume_at_every_boundary_matches_uninterrupted_run() {
     }
 }
 
+/// Runs `cfg` over `source` for `epochs` epochs uninterrupted, then once
+/// per boundary in `1..epochs` killed there (the checkpoint round-trips
+/// through its wire format) and resumed; each killed run's trace, reports
+/// and meter must match the uninterrupted run's. Returns the uninterrupted
+/// run's events.
+fn assert_resume_at_every_boundary(
+    topology: &Topology,
+    cfg: &ExperimentConfig,
+    source: &IndependentGaussian,
+    epochs: u64,
+    label: &str,
+) -> Vec<TraceEvent> {
+    let n = topology.len();
+    let energy = EnergyModel::mica2();
+    let planner = FallbackPlanner::standard();
+    let mut full = ExperimentRunner::new(topology, &energy, &planner, cfg.clone());
+    let mut full_tracer = RingTracer::new(RING_CAP);
+    let full_reports =
+        full.run_to(&mut source.clone(), epochs, &mut full_tracer).expect("full run");
+    let full_events = full_tracer.take();
+    let full_trace = event::to_jsonl(&full_events);
+
+    for kill_at in 1..epochs {
+        let mut prefix = ExperimentRunner::new(topology, &energy, &planner, cfg.clone());
+        let mut tracer = RingTracer::new(RING_CAP);
+        let mut reports =
+            prefix.run_to(&mut source.clone(), kill_at, &mut tracer).expect("prefix run");
+        let bytes = prefix.checkpoint().encode();
+        drop(prefix);
+
+        let ckpt = Checkpoint::decode(&bytes).expect("round-trip");
+        let mut resumed =
+            ExperimentRunner::resume(ckpt, &energy, &planner).expect("resume succeeds");
+        reports
+            .extend(resumed.run_to(&mut source.clone(), epochs, &mut tracer).expect("resumed run"));
+        let trace = event::to_jsonl(&tracer.take());
+        assert_eq!(trace, full_trace, "{label}: kill at {kill_at}");
+        assert_reports_equivalent(&full_reports, &reports);
+        assert_meters_bit_identical(full.meter(), resumed.meter(), n);
+    }
+    full_events
+}
+
 /// The same boundary sweep over seeded chaos configurations: larger
 /// random networks, uniform link loss, ARQ escalation and mid-run
 /// deaths. Each (nodes, loss, retries, net-seed) tuple exercises a
@@ -117,44 +162,53 @@ fn resume_at_every_boundary_matches_uninterrupted_run() {
 fn resume_matches_uninterrupted_run_under_chaos() {
     let configs: &[(usize, f64, u32, u64)] =
         &[(20, 0.12, 2, 5), (28, 0.25, 3, 11), (35, 0.05, 1, 23)];
-    const EPOCHS: u64 = 12;
     for &(n, p, retries, seed) in configs {
         let net = network(n, seed);
-        let energy = prospector::net::EnergyModel::mica2();
-        let planner = prospector::core::FallbackPlanner::standard();
         let faults = FaultSchedule::new()
-            .with_death(5, prospector::net::NodeId::from_index(n / 2))
-            .with_degradation(8, prospector::net::NodeId::from_index(1), 0.05);
+            .with_death(5, NodeId::from_index(n / 2))
+            .with_degradation(8, NodeId::from_index(1), 0.05);
         let cfg = lossy_config(n, p, retries, faults);
-        let source =
-            prospector::data::IndependentGaussian::random(n, 10.0..90.0, 0.5..5.0, seed ^ 0xC0FFEE);
-
-        let mut full = ExperimentRunner::new(&net.topology, &energy, &planner, cfg.clone());
-        let mut full_tracer = RingTracer::new(RING_CAP);
-        let full_reports =
-            full.run_to(&mut source.clone(), EPOCHS, &mut full_tracer).expect("full run");
-        let full_trace = event::to_jsonl(&full_tracer.take());
-
-        for kill_at in 1..EPOCHS {
-            let mut prefix = ExperimentRunner::new(&net.topology, &energy, &planner, cfg.clone());
-            let mut tracer = RingTracer::new(RING_CAP);
-            let mut reports =
-                prefix.run_to(&mut source.clone(), kill_at, &mut tracer).expect("prefix run");
-            let bytes = prefix.checkpoint().encode();
-            drop(prefix);
-
-            let ckpt = Checkpoint::decode(&bytes).expect("round-trip");
-            let mut resumed =
-                ExperimentRunner::resume(ckpt, &energy, &planner).expect("resume succeeds");
-            reports.extend(
-                resumed.run_to(&mut source.clone(), EPOCHS, &mut tracer).expect("resumed run"),
-            );
-            let trace = event::to_jsonl(&tracer.take());
-            assert_eq!(trace, full_trace, "n={n} p={p} seed={seed}: kill at {kill_at}");
-            assert_reports_equivalent(&full_reports, &reports);
-            assert_meters_bit_identical(full.meter(), resumed.meter(), n);
-        }
+        let source = IndependentGaussian::random(n, 10.0..90.0, 0.5..5.0, seed ^ 0xC0FFEE);
+        let label = format!("n={n} p={p} seed={seed}");
+        assert_resume_at_every_boundary(&net.topology, &cfg, &source, 12, &label);
     }
+}
+
+/// The boundary sweep under the adaptive sampling policy: its audits move
+/// the sampling period, so the period and the query epochs since the last
+/// sweep must cross every kill, including the ones just after an audit
+/// moved the period, while loss, a death and a degradation run too.
+#[test]
+fn resume_matches_uninterrupted_adaptive_run() {
+    let n = 24;
+    let net = network(n, 31);
+    let faults = FaultSchedule::new().with_death(17, NodeId::from_index(n / 2)).with_degradation(
+        9,
+        NodeId::from_index(1),
+        0.05,
+    );
+    let mut cfg = lossy_config(n, 0.1, 2, faults);
+    cfg.policy = SamplePolicy::Adaptive { warmup: 4, audit_every: 3, accuracy_floor: 0.9 };
+    // Noisy readings and a tight budget: some audits fail the floor, so
+    // the period moves both ways.
+    cfg.budget_mj = 12.0;
+    let source = IndependentGaussian::random(n, 40.0..60.0, 4.0..8.0, 77);
+    let events = assert_resume_at_every_boundary(&net.topology, &cfg, &source, 40, "adaptive");
+
+    // Audits moved the period both ways and sweeps followed it, so some
+    // kills landed just after each kind of move.
+    let periods: Vec<u64> = events
+        .iter()
+        .filter_map(|e| match e {
+            TraceEvent::Audit { period, .. } => Some(*period),
+            _ => None,
+        })
+        .collect();
+    let rose = periods.windows(2).any(|w| w[1] > w[0]);
+    let fell = periods.windows(2).any(|w| w[1] < w[0]);
+    assert!(rose && fell, "audited periods {periods:?}");
+    let sweeps = events.iter().filter(|e| matches!(e, TraceEvent::EpochEnd { sampled: true, .. }));
+    assert!(sweeps.count() > 4, "no sweep after the warm-up");
 }
 
 #[test]

@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 use prospector::ckpt::Checkpoint;
 use prospector::core::FallbackPlanner;
-use prospector::data::IndependentGaussian;
+use prospector::data::{IndependentGaussian, SamplePolicy};
 use prospector::net::{EnergyModel, FaultSchedule, NodeId};
 use prospector::obs::NullTracer;
 use prospector::sim::ExperimentRunner;
@@ -14,8 +14,17 @@ use prospector_testutil::{lossy_config, network};
 
 /// Runs a seeded chaos experiment for `epochs` and returns its encoded
 /// checkpoint. Every argument perturbs some serialized field: network
-/// shape, loss model, ARQ budget, fault schedule, RNG stream position.
-fn chaos_checkpoint(n: usize, p_milli: u32, retries: u32, seed: u64, epochs: u64) -> Vec<u8> {
+/// shape, loss model, ARQ budget, fault schedule, RNG stream position,
+/// and the sampling policy: a nonzero `audit_every` swaps the periodic
+/// policy for the adaptive one, whose audits move the sampling period.
+fn chaos_checkpoint(
+    n: usize,
+    p_milli: u32,
+    retries: u32,
+    seed: u64,
+    epochs: u64,
+    audit_every: u64,
+) -> Vec<u8> {
     let net = network(n, seed);
     let energy = EnergyModel::mica2();
     let planner = FallbackPlanner::standard();
@@ -24,7 +33,10 @@ fn chaos_checkpoint(n: usize, p_milli: u32, retries: u32, seed: u64, epochs: u64
         NodeId::from_index(1),
         0.04,
     );
-    let cfg = lossy_config(n, f64::from(p_milli) / 1000.0, retries, faults);
+    let mut cfg = lossy_config(n, f64::from(p_milli) / 1000.0, retries, faults);
+    if audit_every > 0 {
+        cfg.policy = SamplePolicy::Adaptive { warmup: 3, audit_every, accuracy_floor: 0.9 };
+    }
     let mut source = IndependentGaussian::random(n, 10.0..90.0, 0.5..5.0, seed ^ 0xBEEF);
     let mut runner = ExperimentRunner::new(&net.topology, &energy, &planner, cfg);
     runner.enable_metrics();
@@ -42,8 +54,9 @@ proptest! {
         retries in 0u32..4,
         seed in 0u64..1_000,
         epochs in 0u64..10,
+        audit_every in 0u64..4,
     ) {
-        let bytes = chaos_checkpoint(n, p_milli, retries, seed, epochs);
+        let bytes = chaos_checkpoint(n, p_milli, retries, seed, epochs, audit_every);
         let ckpt = Checkpoint::decode(&bytes).expect("decode");
         prop_assert_eq!(ckpt.next_epoch, epochs);
         // Decode→encode reproduces the exact bytes: the format has no
@@ -62,7 +75,7 @@ proptest! {
 
 #[test]
 fn every_single_byte_corruption_is_detected() {
-    let bytes = chaos_checkpoint(14, 120, 2, 42, 7);
+    let bytes = chaos_checkpoint(14, 120, 2, 42, 7, 0);
     // The codec's unit tests prove FNV-1a detects all 255 substitutions
     // of any one byte; here we drive whole-file decodes with three
     // representative flips per position (low bit, high bit, all bits) to
@@ -81,7 +94,7 @@ fn every_single_byte_corruption_is_detected() {
 
 #[test]
 fn appended_trailing_bytes_are_detected() {
-    let mut bytes = chaos_checkpoint(10, 50, 1, 7, 3);
+    let mut bytes = chaos_checkpoint(10, 50, 1, 7, 3, 0);
     bytes.push(0);
     assert!(Checkpoint::decode(&bytes).is_err(), "trailing byte accepted");
 }

@@ -1,13 +1,13 @@
 //! Long-horizon behavior under drift: the experiment runner's re-sampling
 //! and re-planning (Section 4.4) must keep accuracy up when the joint
-//! distribution moves, and the adaptive loop must spend energy where the
-//! data demands it.
+//! distribution moves, and the adaptive sampling policy must spend energy
+//! where the data demands it.
 
 use prospector::core::{ProspectorGreedy, ProspectorLpNoLf};
 use prospector::data::{RandomWalk, SamplePolicy};
 use prospector::net::{ArqPolicy, EnergyModel, FaultSchedule, NetworkBuilder, Phase};
 use prospector::obs::NullTracer;
-use prospector::sim::{run_adaptive, AdaptiveConfig, ExperimentConfig, ExperimentRunner};
+use prospector::sim::{ExperimentConfig, ExperimentRunner};
 
 fn network(n: usize, seed: u64) -> prospector::net::Network {
     let side = 40.0 * (n as f64).sqrt();
@@ -72,32 +72,35 @@ fn replanning_tracks_drift() {
 fn adaptive_loop_spends_less_sampling_on_stable_data() {
     let net = network(25, 33);
     let em = EnergyModel::mica2();
-    // A budget tight enough that the greedy plan is selective: with a
-    // generous budget the plan covers so many nodes that even fast-drifting
-    // data keeps passing audits, and the two runs become indistinguishable.
-    let cfg = AdaptiveConfig { budget_mj: 12.0, ..Default::default() };
+    let cfg = ExperimentConfig {
+        k: 5,
+        window: 16,
+        policy: SamplePolicy::Adaptive { warmup: 8, audit_every: 16, accuracy_floor: 0.8 },
+        // A budget tight enough that the greedy plan is selective: with a
+        // generous budget the plan covers so many nodes that even
+        // fast-drifting data keeps passing audits, and the two runs become
+        // indistinguishable.
+        budget_mj: 12.0,
+        replan_every: 8,
+        replan_threshold: 0.0,
+        failures: None,
+        faults: FaultSchedule::new(),
+        install_retries: 2,
+        arq: ArqPolicy::default(),
+        min_delivered: 0.0,
+        max_retry_budget: 8,
+        gate: None,
+        continuous: None,
+        seed: 7,
+    };
+    let sampling_mj = |mut source: RandomWalk| {
+        let mut runner = ExperimentRunner::new(&net.topology, &em, &ProspectorGreedy, cfg.clone());
+        runner.run_to(&mut source, 150, &mut NullTracer).unwrap();
+        runner.meter().phase_total(Phase::Sampling)
+    };
 
-    // Stable data.
-    let mut stable = RandomWalk::new(25, 50.0, 6.0, 0.05, 0.2, 7);
-    let (_, stable_meter) = run_adaptive(
-        &net.topology,
-        &em,
-        &ProspectorGreedy,
-        &mut stable,
-        &cfg,
-        150,
-        &mut NullTracer,
-    )
-    .unwrap();
-
-    // Fast drift.
-    let mut drift = RandomWalk::new(25, 50.0, 6.0, 4.0, 0.0, 7);
-    let (_, drift_meter) =
-        run_adaptive(&net.topology, &em, &ProspectorGreedy, &mut drift, &cfg, 150, &mut NullTracer)
-            .unwrap();
-
-    let s = stable_meter.phase_total(Phase::Sampling);
-    let d = drift_meter.phase_total(Phase::Sampling);
+    let s = sampling_mj(RandomWalk::new(25, 50.0, 6.0, 0.05, 0.2, 7)); // stable
+    let d = sampling_mj(RandomWalk::new(25, 50.0, 6.0, 4.0, 0.0, 7)); // fast drift
     assert!(
         d > s,
         "drifting data must trigger more sampling energy (stable {s:.0} vs drift {d:.0} mJ)"
