@@ -127,7 +127,9 @@ impl<'a> PlanContext<'a> {
 /// rounding.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LpStats {
-    /// Simplex pivots of the solve.
+    /// Simplex pivots of the solve. 0 means no simplex ran: LP+LF's
+    /// capture-all plan fit the budget and is the LP's optimum in closed
+    /// form.
     pub iterations: usize,
     /// Objective value of the LP relaxation (expected sample hits, before
     /// rounding and budget repair).

@@ -30,7 +30,9 @@ pub enum TraceEvent {
     /// A plan was chosen for this epoch (it may or may not be installed,
     /// see `installed`). `fallback_depth` counts the chain links that
     /// failed first; `lp_iterations`/`lp_objective` are present when the
-    /// producing planner solved a linear program.
+    /// producing planner is LP-backed. `lp_iterations` 0 means no simplex
+    /// ran: the LP's optimum was known in closed form (LP+LF's capture-all
+    /// plan fit the budget), and `lp_objective` is that optimum.
     PlanChosen {
         planner: &'static str,
         fallback_depth: u32,

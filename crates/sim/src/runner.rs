@@ -198,17 +198,25 @@ impl ExperimentConfig {
                 return Err(ConfigError::FaultNodeOutOfRange { epoch, node: e.node(), n });
             }
         }
-        if let SamplePolicy::Adaptive { audit_every, accuracy_floor, .. } = self.policy {
-            let bad = |why| Err(ConfigError::BadPolicy { why });
-            if audit_every == 0 {
-                return bad("audit_every must be at least 1");
+        let bad = |why| Err(ConfigError::BadPolicy { why });
+        match self.policy {
+            // NaN or out of range, `should_sample` would silently turn
+            // exploration off (or on) every epoch.
+            SamplePolicy::Random { prob, .. } if !(0.0..=1.0).contains(&prob) => {
+                return bad("prob must lie in [0, 1]");
             }
-            if !(0.0..=1.0).contains(&accuracy_floor) {
-                return bad("accuracy_floor must lie in [0, 1]");
+            SamplePolicy::Adaptive { audit_every, accuracy_floor, .. } => {
+                if audit_every == 0 {
+                    return bad("audit_every must be at least 1");
+                }
+                if !(0.0..=1.0).contains(&accuracy_floor) {
+                    return bad("accuracy_floor must lie in [0, 1]");
+                }
+                if self.continuous.is_some() {
+                    return bad("audits score planned collections, and continuous mode plans none");
+                }
             }
-            if self.continuous.is_some() {
-                return bad("audits score planned collections, and continuous mode plans none");
-            }
+            _ => {}
         }
         Ok(())
     }

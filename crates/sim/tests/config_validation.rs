@@ -194,6 +194,22 @@ fn adaptive_accuracy_floor_outside_unit_interval_is_rejected() {
     }
 }
 
+/// A `Random` exploration probability that is NaN or outside [0, 1]
+/// would turn exploration silently off or on every epoch.
+#[test]
+fn random_policy_prob_outside_unit_interval_is_rejected() {
+    let random = |prob| ExperimentConfig {
+        policy: SamplePolicy::Random { warmup: 6, prob, seed: 3 },
+        ..base()
+    };
+    for bad in [f64::NAN, -0.5, 7.0] {
+        assert_bad_policy(&random(bad), "prob");
+    }
+    for ok in [0.0, 1.0] {
+        assert_eq!(random(ok).validate(N), Ok(()), "prob {ok} is a legal boundary");
+    }
+}
+
 const CONTINUOUS: ContinuousPolicy =
     ContinuousPolicy { tolerance: 0.5, refresh_period: 6, sketch: None };
 

@@ -20,7 +20,7 @@ use prospector_sim::{ExperimentConfig, ExperimentRunner, ResumeError};
 
 /// Names of the canonical scenarios, in blessing order.
 pub const SCENARIOS: &[&str] =
-    &["clean", "loss_arq", "death_repair", "data_fault", "continuous_drift"];
+    &["clean", "loss_arq", "death_repair", "data_fault", "continuous_drift", "tight_budget"];
 
 /// Epochs every scenario runs for.
 pub const EPOCHS: u64 = 16;
@@ -204,6 +204,16 @@ pub fn scenario(name: &str) -> Scenario {
                 energy,
             }
         }
+        // The clean scenario at 10 mJ: every LP+LF solve binds the budget,
+        // so its plans come from the simplex, rounding and budget repair
+        // rather than from the capture-all closed form.
+        "tight_budget" => Scenario {
+            name: "tight_budget",
+            config: ExperimentConfig { budget_mj: 10.0, ..recovery_config(FaultSchedule::new()) },
+            planner: FallbackPlanner::standard(),
+            topology: t,
+            energy,
+        },
         other => panic!("unknown golden scenario {other:?}; valid: {SCENARIOS:?}"),
     }
 }
@@ -306,6 +316,20 @@ mod tests {
         // The threshold is first learned at epoch 0 (top-4 of 50,49,48,47)
         // and moves to 48 when node 10's 48.5 displaces node 3's 47.
         assert_eq!(broadcasts, vec![(0, 47.0), (9, 48.0)]);
+    }
+
+    #[test]
+    fn tight_budget_plans_through_the_simplex() {
+        // Every plan is LP+LF's and ran pivots: none fit in closed form.
+        let pivots: Vec<Option<u64>> = golden_events("tight_budget")
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::PlanChosen { lp_iterations, .. } => Some(*lp_iterations),
+                _ => None,
+            })
+            .collect();
+        assert!(!pivots.is_empty());
+        assert!(pivots.iter().all(|p| p.is_some_and(|n| n > 0)), "{pivots:?}");
     }
 
     #[test]

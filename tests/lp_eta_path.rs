@@ -1,8 +1,8 @@
-//! Pins the LP solver's pivots on LP+LF plans, on both basis
-//! representations.
+//! Pins the LP solver's pivots on LP+LF programs, on both basis
+//! representations, and the planner's plans on the same instances.
 //!
 //! Every golden trace is a 13-node scenario whose LPs are small enough for
-//! the dense inverse, so nothing else pins the sparse path the planner
+//! the dense inverse, so nothing else pins the sparse path the solver
 //! takes on real fields. The eta-path tests build LP+LF instances the way
 //! the `plan_heavy` benchmark workload does — a 1000-node constant-density
 //! field, k = 10, a ten-sample window and a budget of half of NAIVE-k. At
@@ -14,8 +14,17 @@
 //! count at seeds 1–3. A change to pricing, the entering-column choice,
 //! the ratio test or either basis representation that moves a single
 //! pivot shows up here.
+//!
+//! The pivots come from solving the program [`build_lp`] builds, because
+//! the planner skips the simplex whenever the plan that captures every
+//! sampled top-k value fits the budget: it then reports 0 pivots. That
+//! holds on all five field instances and on the dense solves listed in
+//! [`DENSE_CAPTURE_ALL`]; on every other dense solve the planner's pivots
+//! are the pinned ones.
+use prospector::core::lp_lf::build_lp;
 use prospector::core::{Plan, PlanContext, PlannedWith, Planner, ProspectorLpLf};
 use prospector::data::{IndependentGaussian, SampleSet, ValueSource};
+use prospector::lp::{Solution, VarId};
 use prospector::net::{EnergyModel, NetworkBuilder, NodeId, Topology};
 use prospector::sim::execute_plan;
 use std::collections::BTreeSet;
@@ -67,6 +76,8 @@ const DENSE_NODES: usize = 120;
 const DENSE_WINDOW: usize = 8;
 const DENSE_KS: [usize; 3] = [2, 3, 4];
 const DENSE_BUDGETS: [f64; 4] = [10.0, 15.0, 22.0, 30.0];
+/// `(seed, k, budget)` of the dense solves whose capture-all plan fits.
+const DENSE_CAPTURE_ALL: [(u64, usize, f64); 1] = [(2, 2, 30.0)];
 
 /// `(seed, pivots, objective)` of the same instance at more seeds.
 const MORE_SEEDS: [(u64, usize, f64); 4] =
@@ -116,45 +127,63 @@ fn bandwidth_rows(topo: &Topology, samples: &SampleSet) -> usize {
         .sum()
 }
 
-/// Plans the instance at `seed` with LP+LF, on the eta file: the solver
-/// takes it above 600 rows.
-fn plan(seed: u64) -> (Topology, PlannedWith) {
+/// The program of the instance at `seed`, solved on the eta file (it is
+/// above 600 rows), its bandwidth variables, and the planner's answer on
+/// the same context.
+fn solve(seed: u64) -> (Topology, Solution, Vec<Option<VarId>>, PlannedWith) {
     let (topo, samples, budget) = instance(seed);
     let rows = bandwidth_rows(&topo, &samples);
     assert!(rows > 600, "only {rows} bandwidth rows: the LP would stay on the dense inverse");
     let energy = EnergyModel::mica2();
     let ctx = PlanContext::new(&topo, &energy, &samples, budget);
+    let (lp, w) = build_lp(&ctx);
+    let sol = lp.solve().expect("the LP+LF program solves");
     let planned = ProspectorLpLf.plan_traced(&ctx).expect("LP+LF plans the field");
-    (topo, planned)
+    (topo, sol, w, planned)
+}
+
+/// `(edge, bandwidth)` for every edge with a nonzero bandwidth, in edge
+/// order.
+fn used(topo: &Topology, bandwidth: impl Fn(NodeId) -> u32) -> Vec<(usize, u32)> {
+    topo.edges().map(|e| (e.index(), bandwidth(e))).filter(|&(_, w)| w > 0).collect()
 }
 
 #[test]
 fn lp_lf_plan_on_the_eta_path_is_pinned() {
-    let (topo, planned) = plan(1);
+    let (topo, sol, w, planned) = solve(1);
     let lp = planned.lp.expect("LP+LF reports solver statistics");
-    let bandwidths: Vec<(usize, u32)> = topo
-        .edges()
-        .map(|e| (e.index(), planned.plan.bandwidth(e)))
-        .filter(|&(_, w)| w > 0)
-        .collect();
 
-    assert_eq!(lp.iterations, 745);
-    assert!((lp.objective - 99.0).abs() < 1e-9, "objective {}", lp.objective);
-    assert_eq!(bandwidths, BANDWIDTHS);
+    assert_eq!(sol.iterations, 745);
+    assert!((sol.objective - 99.0).abs() < 1e-9, "objective {}", sol.objective);
+    // The capture-all plan fits: the planner solves nothing, and its plan
+    // is the simplex's, rounded, on every edge.
+    assert_eq!(lp.iterations, 0);
+    assert_eq!(lp.objective, 99.0);
+    assert_eq!(used(&topo, |e| planned.plan.bandwidth(e)), BANDWIDTHS);
+    let rounded = |e: NodeId| w[e.index()].map_or(0, |we| sol.value(we).round() as u32);
+    assert_eq!(used(&topo, rounded), BANDWIDTHS);
 }
 
 #[test]
 fn lp_lf_pivots_on_the_eta_path_are_pinned_at_more_seeds() {
     for (seed, pivots, objective) in MORE_SEEDS {
-        let lp = plan(seed).1.lp.expect("LP+LF reports solver statistics");
-        assert_eq!(lp.iterations, pivots, "seed {seed}");
-        assert!((lp.objective - objective).abs() < 1e-9, "seed {seed}: objective {}", lp.objective);
+        let (_, sol, _, planned) = solve(seed);
+        assert_eq!(sol.iterations, pivots, "seed {seed}");
+        assert!(
+            (sol.objective - objective).abs() < 1e-9,
+            "seed {seed}: objective {}",
+            sol.objective
+        );
+        let lp = planned.lp.expect("LP+LF reports solver statistics");
+        assert_eq!(lp.iterations, 0, "seed {seed}: the capture-all plan fits");
+        assert_eq!(lp.objective, objective, "seed {seed}");
     }
 }
 
 #[test]
 fn lp_lf_pivots_on_the_dense_inverse_are_pinned() {
     let energy = EnergyModel::mica2();
+    let mut capture_all = Vec::new();
     for (seed, pinned) in DENSE_PIVOTS {
         let (topo, mut source) = field(DENSE_NODES, seed);
         for (k, pinned) in DENSE_KS.into_iter().zip(pinned) {
@@ -162,12 +191,27 @@ fn lp_lf_pivots_on_the_dense_inverse_are_pinned() {
             // x, y-monotonicity, bandwidth and budget rows.
             let rows = DENSE_WINDOW * k + (DENSE_NODES - 1) + bandwidth_rows(&topo, &samples) + 1;
             assert!(rows <= 600, "up to {rows} rows: the LP could leave the dense inverse");
+            // One x variable per sampled top-k value off the root.
+            let values = (0..samples.len())
+                .map(|j| samples.ones(j).iter().filter(|&&i| i != topo.root()).count())
+                .sum::<usize>() as f64;
             for (budget, pivots) in DENSE_BUDGETS.into_iter().zip(pinned) {
+                let at = format!("seed {seed}, k {k}, budget {budget} mJ");
                 let ctx = PlanContext::new(&topo, &energy, &samples, budget);
-                let planned = ProspectorLpLf.plan_traced(&ctx).expect("LP+LF plans the field");
-                let lp = planned.lp.expect("LP+LF reports solver statistics");
-                assert_eq!(lp.iterations, pivots, "seed {seed}, k {k}, budget {budget} mJ");
+                let sol = build_lp(&ctx).0.solve().expect("the LP+LF program solves");
+                assert_eq!(sol.iterations, pivots, "{at}");
+                let lp = ProspectorLpLf.plan_traced(&ctx).expect("LP+LF plans the field").lp;
+                let lp = lp.expect("LP+LF reports solver statistics");
+                // The simplex captures every value exactly when the
+                // capture-all plan fits, and then the planner skips it.
+                if (sol.objective - values).abs() < 1e-9 {
+                    capture_all.push((seed, k, budget));
+                    assert_eq!((lp.iterations, lp.objective), (0, values), "{at}");
+                } else {
+                    assert_eq!((lp.iterations, lp.objective), (pivots, sol.objective), "{at}");
+                }
             }
         }
     }
+    assert_eq!(capture_all, DENSE_CAPTURE_ALL);
 }
