@@ -7,9 +7,11 @@
 //!
 //! Each figure is printed as an ASCII table and written to
 //! `results/<id>.csv` (series,x,y). Requested figures are computed across
-//! the worker pool (`PROSPECTOR_THREADS`); rendering and CSV writes stay
-//! serial and in request order, so the output is identical at any thread
-//! count.
+//! the worker pool (`PROSPECTOR_THREADS`), except those that report wall
+//! time ([`WALL_CLOCK`]): they run one at a time after the pooled batch,
+//! so no other figure shares the CPU while they are timed. Rendering and
+//! CSV writes stay serial and in request order, so every other output is
+//! identical at any thread count.
 //!
 //! `--checkpoint-dir DIR` records every completed figure in `DIR` as a
 //! checksummed result file (written atomically); with `--resume`, figures
@@ -21,6 +23,10 @@
 use prospector_bench::{figures, render_table, write_csv, CurvePoint, FigureResult};
 use prospector_ckpt::fnv1a64;
 use std::path::{Path, PathBuf};
+
+/// Figures that report wall time: `elptime`'s solve times, `scale`'s
+/// plan/evaluate/repair times and `obs`'s per-scenario `wall_s`.
+const WALL_CLOCK: &[&str] = &["elptime", "obs", "scale"];
 
 fn run_one(id: &str, title: &str, x_label: &str, y_label: &str, points: &[CurvePoint]) {
     println!("{}", render_table(title, x_label, y_label, points));
@@ -152,11 +158,16 @@ fn main() {
         })
         .collect();
 
-    let to_compute: Vec<(&str, figures::FigureFn)> =
-        jobs.iter().zip(&cached).filter(|(_, c)| c.is_none()).map(|(&j, _)| j).collect();
-    let computed = prospector_par::par_map(&to_compute, |_, &(_, f)| f(fast));
+    let timed = |name: &str| WALL_CLOCK.contains(&name);
+    let (alone, pooled): (Vec<_>, Vec<_>) = jobs
+        .iter()
+        .zip(&cached)
+        .filter(|(_, c)| c.is_none())
+        .map(|(&job, _)| job)
+        .partition(|&(name, _)| timed(name));
+    let mut fresh_pooled = prospector_par::par_map(&pooled, |_, &(_, f)| f(fast)).into_iter();
+    let mut fresh_alone = alone.iter().map(|&(_, f)| f(fast)).collect::<Vec<_>>().into_iter();
 
-    let mut fresh = computed.into_iter();
     for (&(name, _), cache) in jobs.iter().zip(&cached) {
         match cache {
             Some((title, x_label, y_label, points)) => {
@@ -164,6 +175,7 @@ fn main() {
                 run_one(name, title, x_label, y_label, points);
             }
             None => {
+                let fresh = if timed(name) { &mut fresh_alone } else { &mut fresh_pooled };
                 let r = fresh.next().expect("one result per uncached job");
                 if let Some(dir) = &ckpt_dir {
                     save_record(dir, &r);

@@ -1288,7 +1288,7 @@ fn table1_any(_fast: bool) -> FigureResult {
 }
 
 /// CLI name → runner, in paper order. The `figures` binary resolves
-/// requested names here, and [`all`] runs the whole list.
+/// requested names here, `all` standing for the whole list.
 pub const REGISTRY: &[(&str, FigureFn)] = &[
     ("table1", table1_any),
     ("fig3", fig3),
@@ -1316,12 +1316,6 @@ pub const REGISTRY: &[(&str, FigureFn)] = &[
 /// Looks up one figure runner by its CLI name.
 pub fn by_name(name: &str) -> Option<FigureFn> {
     REGISTRY.iter().find(|&&(n, _)| n == name).map(|&(_, f)| f)
-}
-
-/// Every figure in paper order, computed across the worker pool (each
-/// figure is independent; results come back in registry order).
-pub fn all(fast: bool) -> Vec<FigureResult> {
-    prospector_par::par_map(REGISTRY, |_, &(_, f)| f(fast))
 }
 
 #[cfg(test)]

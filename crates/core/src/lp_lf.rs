@@ -11,12 +11,11 @@
 //! subtree holds.
 
 use crate::error::PlanError;
-use crate::evaluate::{expected_misses, expected_misses_with};
+use crate::evaluate::expected_misses_with;
 use crate::plan::Plan;
 use crate::planner::{LpStats, PlanAttempt, PlanContext, PlannedWith, Planner};
 use prospector_lp::{Cmp, Problem, Sense, Status, VarId};
 use prospector_net::NodeId;
-use std::collections::BTreeMap;
 
 /// The LP+LF planner.
 #[derive(Debug, Clone, Copy, Default)]
@@ -114,28 +113,28 @@ pub fn build_lp(ctx: &PlanContext<'_>) -> (Problem, Vec<Option<VarId>>) {
         }
     }
 
-    // x_{j,i} variables and the per-(sample, edge) groupings for the
-    // bandwidth rows. Ordered maps: their iteration order below fixes
-    // the constraint order, and with it the simplex pivot sequence —
-    // a hash map would make iteration counts (and the trace) vary
-    // from run to run.
-    let mut x: BTreeMap<(usize, u32), VarId> = BTreeMap::new();
-    let mut through: BTreeMap<(usize, u32), Vec<VarId>> = BTreeMap::new();
+    // x_{j,i} variables, and each one's (sample, edge) pairs for the
+    // bandwidth rows, sorted by (sample, node) and (sample, edge): that
+    // order fixes the constraint order, and with it the pivot sequence.
+    // The sorts are stable, so a bandwidth row lists its x in the order
+    // they were added.
+    let mut x: Vec<((usize, u32), VarId)> = Vec::new();
+    let mut through: Vec<((usize, u32), VarId)> = Vec::new();
     for j in 0..num_samples {
         for &i in ctx.samples.ones(j) {
             if i == topo.root() {
                 continue; // the root's value is delivered for free
             }
             let xi = lp.add_var(0.0, 1.0, 1.0);
-            x.insert((j, i.0), xi);
-            for e in topo.edges_to_root(i) {
-                through.entry((j, e.0)).or_default().push(xi);
-            }
+            x.push(((j, i.0), xi));
+            through.extend(topo.edges_to_root(i).map(|e| ((j, e.0), xi)));
         }
     }
+    x.sort_by_key(|&(key, _)| key);
+    through.sort_by_key(|&(key, _)| key);
 
     // x_{j,i} ≤ y_{e(i)}.
-    for (&(_, i), &xi) in &x {
+    for &((_, i), xi) in &x {
         let yi = y[i as usize].expect("top-k node's edge is relevant");
         lp.add_constraint([(xi, 1.0), (yi, -1.0)], Cmp::Le, 0.0);
     }
@@ -149,10 +148,11 @@ pub fn build_lp(ctx: &PlanContext<'_>) -> (Problem, Vec<Option<VarId>>) {
             }
         }
     }
-    // Bandwidth rows.
-    for (&(_, e), xs) in &through {
+    // Bandwidth rows, one per (sample, edge).
+    for group in through.chunk_by(|a, b| a.0 == b.0) {
+        let ((_, e), _) = group[0];
         let we = w[e as usize].expect("edge with top-k traffic is relevant");
-        let mut terms: Vec<(VarId, f64)> = xs.iter().map(|&v| (v, 1.0)).collect();
+        let mut terms: Vec<(VarId, f64)> = group.iter().map(|&(_, v)| (v, 1.0)).collect();
         terms.push((we, -1.0));
         lp.add_constraint(terms, Cmp::Le, 0.0);
     }
@@ -240,33 +240,30 @@ fn solve_and_round(ctx: &PlanContext<'_>) -> Result<(Plan, LpStats), PlanError> 
 /// Greedily decrements bandwidths until the plan fits the budget, dropping
 /// the capacity whose removal costs the fewest expected sample hits.
 ///
-/// Candidate drops are scored on the worker pool; each worker evaluates
-/// its candidates serially (the outer fan-out already saturates the pool).
-/// Scores are reduced in edge order with the same strict comparison as the
-/// old serial loop, so the chosen drop — and therefore the final plan — is
-/// identical at any thread count. Each score is an `expected_misses` call,
-/// which `evaluate::hits_on_sample` serves from the window's stored top-k
-/// sets in O(k·depth) per sample — this loop visits every used edge per
-/// round, so the old per-candidate re-simulation was the piece that made
-/// LP+LF planning collapse beyond a few thousand nodes.
+/// Each round scores every used edge's drop in edge order and keeps the
+/// first strictly best one, so the chosen drop, and with it the final plan,
+/// depends on nothing but the plan and the window. Scoring runs inline:
+/// a round's work is tens of microseconds, less than the worker pool costs
+/// to start. Each score is an `expected_misses` call, which
+/// `evaluate::hits_on_sample` serves from the window's stored top-k sets in
+/// O(k·depth) per sample — this loop visits every used edge per round, so
+/// the old per-candidate re-simulation was the piece that made LP+LF
+/// planning collapse beyond a few thousand nodes.
 fn repair_budget(plan: &mut Plan, ctx: &PlanContext<'_>) {
     let topo = ctx.topology;
+    let misses = |p: &Plan| expected_misses_with(p, topo, ctx.samples, 1);
     loop {
         let cost = ctx.plan_cost(plan);
         if cost <= ctx.budget_mj || plan.total_bandwidth() == 0 {
             return;
         }
-        let base_misses = expected_misses(plan, topo, ctx.samples);
-        let current: &Plan = plan;
-        let used: Vec<NodeId> = topo.edges().filter(|&e| current.is_used(e)).collect();
-        let scored = prospector_par::par_map(&used, |_, &e| {
-            let candidate = decremented(current, topo, e);
-            let loss = expected_misses_with(&candidate, topo, ctx.samples, 1) - base_misses;
-            let saving = cost - ctx.plan_cost(&candidate);
-            (loss, -saving)
-        });
+        let base_misses = misses(plan);
         let mut best: Option<((f64, f64), NodeId)> = None;
-        for (&e, &key) in used.iter().zip(&scored) {
+        for e in topo.edges().filter(|&e| plan.is_used(e)) {
+            let candidate = decremented(plan, topo, e);
+            let loss = misses(&candidate) - base_misses;
+            let saving = cost - ctx.plan_cost(&candidate);
+            let key = (loss, -saving);
             if best.is_none_or(|(bk, _)| key < bk) {
                 best = Some((key, e));
             }
@@ -294,6 +291,7 @@ fn decremented(plan: &Plan, topo: &prospector_net::Topology, e: NodeId) -> Plan 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::evaluate::expected_misses;
     use crate::lp_no_lf::ProspectorLpNoLf;
     use prospector_data::SampleSet;
     use prospector_net::topology::{balanced, star};

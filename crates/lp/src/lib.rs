@@ -15,9 +15,10 @@
 //!   all-slack starting basis is out of bounds (the Prospector LPs start
 //!   feasible, but the solver is general);
 //! * two basis representations, chosen by size: a dense explicit inverse
-//!   ([`basis::DenseInverse`]) up to 600 rows and a product-form-of-the-inverse
-//!   eta file ([`basis::EtaFile`], which exploits the extreme sparsity of the
-//!   Prospector constraint matrices) above;
+//!   stored column by column ([`basis::DenseInverse`]) up to 600 rows and a
+//!   product-form-of-the-inverse eta file ([`basis::EtaFile`], which
+//!   exploits the extreme sparsity of the Prospector constraint matrices)
+//!   above;
 //! * Dantzig pricing, through a tournament tree over the reduced costs,
 //!   with an automatic switch to Bland's rule after a run of degenerate
 //!   pivots, bound-flip pivots, and periodic resync of the basic solution
@@ -27,13 +28,22 @@
 //!
 //! [`Problem::solve`] is the only entry point, and nothing about the solve
 //! is settable: the representation follows from the row count, and the
-//! tolerances, the resync period and the Bland trigger are constants. Each
-//! representation is the faster one where it runs, as measured on a 2-CPU
-//! VM. The serving workload's LPs have 18–193 rows (`serve_mix`, seed 1);
-//! an eta-file-only solver was slower there (`queries_per_s` 41.0k →
-//! 37.2k at seed 7), because the eta file's heap-driven btran costs 2.8×
-//! the dense inverse's. Field-sized LP+LF plans (`plan_heavy`, 969–1206
-//! rows) solve on the eta file in 23% of the dense inverse's time.
+//! tolerances, the resync period and the Bland trigger are constants.
+//! Measured on a 2-CPU VM:
+//!
+//! * The serving workload's LPs have 18–193 rows (`serve_mix`, seed 1).
+//!   An eta-file-only solver is slower there (`queries_per_s` 76.4k →
+//!   49.9k at seed 7), because the eta file's heap-driven unit btran
+//!   costs 3.3× the dense inverse's gather (1.63 against 0.50 µs on the
+//!   36 serve-shaped programs `tests/lp_eta_path.rs` pins).
+//! * Field-sized LP+LF programs (the five 1000-node ones that test pins,
+//!   1026–1145 rows) solve on the eta file in 37% of the dense inverse's
+//!   time.
+//! * On random LP+LF-shaped programs the eta file takes 2.7× the dense
+//!   time at 17–201 rows, 1.17× at 599–788 rows and 0.58× at 930–1082
+//!   rows, so for those the crossover lies above the 600-row split. At
+//!   seed 1 no benchmark workload runs the simplex on more than 193 rows
+//!   (`plan_heavy`'s and `lossy_30k`'s plans skip it).
 //!
 //! # Pricing and hyper-sparsity
 //!
@@ -46,7 +56,9 @@
 //! start, at every resync or refactor, and before it declares optimality,
 //! so drift cannot end a solve.
 //!
-//! * On the **dense inverse** the unit btran returns row `r` of `B⁻¹`.
+//! * On the **dense inverse** the unit btran gathers row `r` of `B⁻¹`,
+//!   and the basis update reuses it: it eliminates only in the columns
+//!   where `ρ_r` is nonzero (`basis` docs, "Dense inverse").
 //! * On the **eta file** btran visits only etas that read a nonzero,
 //!   through per-row incidence links threaded in its entry arena. On the
 //!   pinned 1000-node LP+LF solve (`tests/lp_eta_path.rs`, 745 pivots)

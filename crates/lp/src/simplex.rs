@@ -478,7 +478,7 @@ impl<'a, R: BasisRep> Simplex<'a, R> {
             let big = free_rows().map(|i| val[i].abs()).fold(0.0, f64::max);
             let row = free_rows().filter(|&i| val[i].abs() >= 0.1 * big).min_by_key(|&i| touch[i]);
             match row {
-                Some(row) if self.rep.update(&self.alpha, row) => {
+                Some(row) if self.rep.update(&self.alpha, None, row) => {
                     free[row] = false;
                     placed[row] = j as u32;
                     self.state[j] = VarState::Basic(row as u32);
@@ -682,7 +682,8 @@ impl<'a, R: BasisRep> Simplex<'a, R> {
                     self.state[leaving] = hit;
                     self.basis[r] = j as u32;
                     self.state[j] = VarState::Basic(r as u32);
-                    if !self.rep.update(&self.alpha, r) {
+                    // `rho` still holds ρ_r from `update_prices`.
+                    if !self.rep.update(&self.alpha, Some(&self.rho), r) {
                         return Err(LpError::SingularBasis);
                     }
                     self.iterations += 1;
@@ -846,6 +847,7 @@ pub(crate) fn solve(p: &Problem) -> Result<Solution, LpError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::basis::RowMajorInverse;
     use crate::common::{random_feasible_lp, random_lp_lf};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -1095,6 +1097,26 @@ mod tests {
             prop_assert_eq!(e.status, Status::Optimal);
             prop_assert!((d.objective - e.objective).abs() < 1e-6,
                 "seed {seed} shape {shape}: dense {} vs eta {}", d.objective, e.objective);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        // The column-major dense inverse solves LP+LF-shaped programs like
+        // the row-major one it replaced: the same pivots, and the same
+        // objective, point and duals bit for bit up to the sign of zero.
+        #[test]
+        fn dense_inverse_solves_like_the_row_major_oracle(seed in 0u64..1_000_000) {
+            let p = random_lp_lf(seed).problem;
+            let new = solve_on::<DenseInverse>(&p);
+            let old = solve_on::<RowMajorInverse>(&p);
+            prop_assert_eq!(new.status, Status::Optimal);
+            prop_assert_eq!(old.status, Status::Optimal);
+            prop_assert_eq!(new.iterations, old.iterations);
+            prop_assert!(new.objective == old.objective, "{} vs {}", new.objective, old.objective);
+            prop_assert!(new.x == old.x, "x differs");
+            prop_assert!(new.duals == old.duals, "duals differ");
         }
     }
 

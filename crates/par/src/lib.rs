@@ -2,7 +2,7 @@
 //!
 //! The whole Prospector pipeline reduces to re-evaluating candidate plans
 //! over the sample window — per-sample simulations in `core::evaluate`,
-//! per-candidate scoring in the budget-repair loops, per-budget-point
+//! per-candidate scoring in the proof plan's budget repair, per-budget-point
 //! planning in the figure harnesses. All of those are embarrassingly
 //! parallel, and none of them may change its answer when parallelized:
 //! plans, figures and the CI determinism gate demand bit-identical output
