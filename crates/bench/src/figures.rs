@@ -14,7 +14,7 @@ use prospector_core::{
 use prospector_data::{IndependentGaussian, SampleSet, ValueSource};
 use prospector_net::{EnergyModel, NodeId, Topology};
 use prospector_obs::NullTracer;
-use prospector_sim::{execute_plan, install_cost, run_exact, run_naive1};
+use prospector_sim::{charge_sweep, execute_plan, install_cost, run_exact, run_naive1};
 use std::time::Instant;
 
 /// A fully rendered figure: identifier, axes and data points.
@@ -1132,10 +1132,10 @@ pub fn e_obs(fast: bool) -> FigureResult {
 /// Scale validation (beyond the paper, DESIGN.md §13): wall time of the
 /// LP+LF simplex (the program built and solved; the planner answers these
 /// windows with the capture-all plan and skips it), the claiming-kernel
-/// window evaluator, and topology repair on 1k/10k/50k-node networks. The
-/// LP's relevant-edge count is governed by `k·depth·samples`, not `n`, so
-/// solve time should stay nearly flat while evaluation and repair grow
-/// linearly.
+/// window evaluator, topology repair and one exploration sweep on
+/// 1k/10k/50k-node networks. The LP's relevant-edge count is governed by
+/// `k·depth·samples`, not `n`, so solve time should stay nearly flat
+/// while evaluation stays flat and repair and the sweep grow linearly.
 pub fn scale(fast: bool) -> FigureResult {
     let sizes: &[usize] = if fast { &[1_000, 10_000] } else { &[1_000, 10_000, 50_000] };
     let k = 10;
@@ -1174,10 +1174,19 @@ pub fn scale(fast: bool) -> FigureResult {
         let repaired = topo.repair(&dead).expect("repair at scale");
         points.push(CurvePoint::new("repair_s", n as f64, t0.elapsed().as_secs_f64()));
         assert_eq!(repaired.len(), topo.len());
+
+        // One exploration sweep: every reading counted up the tree and
+        // billed node by node (DESIGN.md §5, execution cost model).
+        let values = source.values(num_samples as u64);
+        let mut meter = prospector_net::EnergyMeter::new(n);
+        let t0 = Instant::now();
+        let billed = charge_sweep(&topo, &vec![true; n], &em, &values, &mut meter, &mut NullTracer);
+        points.push(CurvePoint::new("sweep_s", n as f64, t0.elapsed().as_secs_f64()));
+        assert!(billed > 0.0 && billed == meter.total(), "sweep bill {billed}");
     }
     FigureResult {
         id: "scale",
-        title: "Scale: plan/evaluate/repair wall time vs network size",
+        title: "Scale: plan/evaluate/repair/sweep wall time vs network size",
         x_label: "nodes",
         y_label: "wall time (s)",
         points,

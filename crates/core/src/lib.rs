@@ -58,7 +58,7 @@ pub use continuous::{ContinuousPolicy, ContinuousPolicyError};
 pub use error::PlanError;
 pub use exact::ExactConfig;
 pub use exec::{
-    proven_on_values, run_plan, run_plan_lossy, run_proof_plan, CollectionOutcome,
+    proven_on_values, run_plan, run_plan_lossy, run_proof_plan, CollectionOutcome, Footprint, Hop,
     LossyCollectionOutcome, ProofOutcome,
 };
 pub use fallback::FallbackPlanner;

@@ -10,7 +10,7 @@
 
 use prospector_net::NodeId;
 use std::cmp::Ordering;
-use std::collections::VecDeque;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// A (node, value) pair with the total order used everywhere for top-k
 /// selection: higher values first, ties broken by lower node id. The
@@ -46,20 +46,27 @@ impl Ord for Reading {
 /// Nodes holding the top `k` values of `values` (deterministic
 /// tie-breaking), in rank order. Empty input or `k == 0` yields an empty
 /// vector; `k > n` clamps to all nodes.
+///
+/// One pass keeps the best `k` readings seen so far in a heap with the
+/// worst on top. Nodes arrive in ascending id, so a reading displaces
+/// the worst kept one only with a strictly higher value under the total
+/// order: on a tie, the lower id already kept ranks first.
 pub fn top_k_nodes(values: &[f64], k: usize) -> Vec<NodeId> {
-    if values.is_empty() || k == 0 {
+    let k = k.min(values.len());
+    if k == 0 {
         return Vec::new();
     }
-    let mut readings: Vec<Reading> = values
-        .iter()
-        .enumerate()
-        .map(|(i, &v)| Reading { node: NodeId::from_index(i), value: v })
-        .collect();
-    let k = k.min(readings.len());
-    readings.select_nth_unstable_by(k - 1, Reading::rank_cmp);
-    readings.truncate(k);
-    readings.sort_unstable_by(Reading::rank_cmp);
-    readings.into_iter().map(|r| r.node).collect()
+    let reading = |i: usize, value: f64| Reading { node: NodeId::from_index(i), value };
+    let mut best: BinaryHeap<Reading> =
+        values[..k].iter().enumerate().map(|(i, &value)| reading(i, value)).collect();
+    let mut floor = best.peek().expect("k ≥ 1").value;
+    for (i, &value) in values.iter().enumerate().skip(k) {
+        if value.total_cmp(&floor) == Ordering::Greater {
+            *best.peek_mut().expect("k ≥ 1") = reading(i, value);
+            floor = best.peek().expect("k ≥ 1").value;
+        }
+    }
+    best.into_sorted_vec().into_iter().map(|r| r.node).collect()
 }
 
 /// Packs a top-k node set into `words` `u64` words (bit `i` of the row =
@@ -738,6 +745,51 @@ mod tests {
                 [lo, hi, predicted].map(f64::to_bits)
             });
             assert_eq!(bulk, per_node, "node {i} of a {}-sample window", s.len());
+        }
+    }
+
+    /// The selection `top_k_nodes` replaced, kept as its oracle: every
+    /// reading materialized, then `select_nth` and a sort.
+    fn top_k_nodes_by_selection(values: &[f64], k: usize) -> Vec<NodeId> {
+        if values.is_empty() || k == 0 {
+            return Vec::new();
+        }
+        let mut readings: Vec<Reading> = values
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| Reading { node: NodeId::from_index(i), value: v })
+            .collect();
+        let k = k.min(readings.len());
+        readings.select_nth_unstable_by(k - 1, Reading::rank_cmp);
+        readings.truncate(k);
+        readings.sort_unstable_by(Reading::rank_cmp);
+        readings.into_iter().map(|r| r.node).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn one_pass_top_k_matches_the_selection(
+            n in 0usize..60,
+            k in 0usize..70,
+            levels in 1u32..12,
+            seed in 0u64..u64::MAX,
+        ) {
+            use rand::{RngExt, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            // Few distinct levels make ties common; dead nodes read −∞.
+            let values: Vec<f64> = (0..n)
+                .map(|_| match rng.random_range(0..16) {
+                    0 => f64::NEG_INFINITY,
+                    1 => f64::NAN,
+                    2 => -f64::NAN,
+                    3 => f64::INFINITY,
+                    4 => -0.0,
+                    _ => rng.random_range(0..levels) as f64,
+                })
+                .collect();
+            proptest::prop_assert_eq!(top_k_nodes(&values, k), top_k_nodes_by_selection(&values, k));
         }
     }
 

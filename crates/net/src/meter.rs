@@ -97,17 +97,34 @@ impl std::error::Error for MeterMergeError {}
 /// A charge on an edge is attributed to the *child* node (the sender); the
 /// receiver's share is already folded into the cost model's per-byte and
 /// per-message figures.
+///
+/// The meter remembers which nodes it has charged, so a merge visits only
+/// the blocks of 64 nodes that hold one: every other node holds 0.0 and
+/// adds +0.0, which leaves any sum unchanged, bit for bit (a total is
+/// never −0.0, the one value +0.0 would change).
 #[derive(Debug, Clone)]
 pub struct EnergyMeter {
     per_node: Vec<f64>,
+    /// One bit per node, set once the node is charged.
+    charged: Vec<u64>,
     per_phase: [f64; NUM_PHASES],
     total: f64,
+}
+
+/// Words of a one-bit-per-node set over `n` nodes.
+fn words(n: usize) -> usize {
+    n.div_ceil(64)
 }
 
 impl EnergyMeter {
     /// Creates a meter for a network of `n` nodes.
     pub fn new(n: usize) -> Self {
-        EnergyMeter { per_node: vec![0.0; n], per_phase: [0.0; NUM_PHASES], total: 0.0 }
+        EnergyMeter {
+            per_node: vec![0.0; n],
+            charged: vec![0; words(n)],
+            per_phase: [0.0; NUM_PHASES],
+            total: 0.0,
+        }
     }
 
     /// Rebuilds a meter from previously captured totals (see
@@ -117,7 +134,13 @@ impl EnergyMeter {
     /// order than the original charge sequence and so could differ in the
     /// last ulp, breaking bit-identical resume.
     pub fn from_parts(per_node: Vec<f64>, per_phase: [f64; NUM_PHASES], total: f64) -> Self {
-        EnergyMeter { per_node, per_phase, total }
+        let mut charged = vec![0; words(per_node.len())];
+        for (i, &mj) in per_node.iter().enumerate() {
+            if mj != 0.0 {
+                charged[i >> 6] |= 1 << (i & 63);
+            }
+        }
+        EnergyMeter { per_node, charged, per_phase, total }
     }
 
     /// Per-phase totals (mJ), indexed in [`Phase::ALL`] order. The
@@ -129,7 +152,9 @@ impl EnergyMeter {
     /// Charges `mj` millijoules to `node` under `phase`.
     pub fn charge(&mut self, node: NodeId, phase: Phase, mj: f64) {
         debug_assert!(mj >= 0.0, "negative energy charge");
-        self.per_node[node.index()] += mj;
+        let i = node.index();
+        self.per_node[i] += mj;
+        self.charged[i >> 6] |= 1 << (i & 63);
         self.per_phase[phase_index(phase)] += mj;
         self.total += mj;
     }
@@ -165,6 +190,39 @@ impl EnergyMeter {
         &self.per_node
     }
 
+    /// The nodes charged so far, in node order (a superset of the nodes
+    /// with a nonzero total; every other node's total is 0.0).
+    pub fn charged_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.charged.iter().enumerate().flat_map(|(w, &word)| {
+            let mut bits = word;
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let b = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    NodeId::from_index(w * 64 + b)
+                })
+            })
+        })
+    }
+
+    /// Adds `other`'s per-node, per-phase and total charges into `self`,
+    /// which is at least as large. Per-node totals are added 64 nodes at a
+    /// time, only for the words of `other` that hold a charged node.
+    fn add(&mut self, other: &EnergyMeter) {
+        let n = other.per_node.len();
+        for (w, &word) in other.charged.iter().enumerate().filter(|&(_, &word)| word != 0) {
+            let nodes = w * 64..n.min(w * 64 + 64);
+            for (a, b) in self.per_node[nodes.clone()].iter_mut().zip(&other.per_node[nodes]) {
+                *a += b;
+            }
+            self.charged[w] |= word;
+        }
+        for (a, b) in self.per_phase.iter_mut().zip(&other.per_phase) {
+            *a += b;
+        }
+        self.total += other.total;
+    }
+
     /// Adds all of `other`'s charges into `self`, failing without
     /// mutating `self` if the two meters describe networks of different
     /// sizes.
@@ -175,13 +233,7 @@ impl EnergyMeter {
                 other_nodes: other.per_node.len(),
             });
         }
-        for (a, b) in self.per_node.iter_mut().zip(&other.per_node) {
-            *a += b;
-        }
-        for (a, b) in self.per_phase.iter_mut().zip(&other.per_phase) {
-            *a += b;
-        }
-        self.total += other.total;
+        self.add(other);
         Ok(())
     }
 
@@ -197,20 +249,16 @@ impl EnergyMeter {
             debug_assert!(false, "{e}");
             if self.per_node.len() < other.per_node.len() {
                 self.per_node.resize(other.per_node.len(), 0.0);
+                self.charged.resize(words(other.per_node.len()), 0);
             }
-            for (a, b) in self.per_node.iter_mut().zip(&other.per_node) {
-                *a += b;
-            }
-            for (a, b) in self.per_phase.iter_mut().zip(&other.per_phase) {
-                *a += b;
-            }
-            self.total += other.total;
+            self.add(other);
         }
     }
 
     /// Resets all counters to zero.
     pub fn reset(&mut self) {
         self.per_node.iter_mut().for_each(|v| *v = 0.0);
+        self.charged.iter_mut().for_each(|w| *w = 0);
         self.per_phase.iter_mut().for_each(|v| *v = 0.0);
         self.total = 0.0;
     }
@@ -274,6 +322,81 @@ mod tests {
         assert!((a.total() - 3.0).abs() < 1e-12);
         assert!((a.node_total(NodeId(3)) - 2.0).abs() < 1e-12);
         assert!((a.phase_total(Phase::Sampling) - 2.0).abs() < 1e-12);
+    }
+
+    /// The merge the charged-node set replaced, kept as its oracle: every
+    /// node's total is added, charged or not.
+    fn merge_every_node(dst: &mut EnergyMeter, src: &EnergyMeter) {
+        for (a, b) in dst.per_node.iter_mut().zip(&src.per_node) {
+            *a += b;
+        }
+        for (a, b) in dst.per_phase.iter_mut().zip(&src.per_phase) {
+            *a += b;
+        }
+        dst.total += src.total;
+    }
+
+    fn random_meter(rng: &mut rand::rngs::StdRng, n: usize) -> EnergyMeter {
+        use rand::RngExt;
+        let mut m = EnergyMeter::new(n);
+        if rng.random_bool(0.3) {
+            // Every node: whole words of charged nodes.
+            for i in 0..n {
+                m.charge(NodeId::from_index(i), Phase::Sampling, rng.random_range(0.0..1.0));
+            }
+        }
+        for _ in 0..rng.random_range(0..3 * n) {
+            let node = NodeId::from_index(rng.random_range(0..n));
+            let phase = Phase::ALL[rng.random_range(0..NUM_PHASES)];
+            let mj = match rng.random_range(0..4) {
+                0 => 0.0,
+                _ => rng.random_range(0.0..10.0),
+            };
+            m.charge(node, phase, mj);
+        }
+        m
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn merging_charged_nodes_matches_merging_every_node(
+            n in 1usize..200,
+            meters in 1usize..5,
+            seed in 0u64..u64::MAX,
+        ) {
+            use rand::SeedableRng;
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut sparse = random_meter(&mut rng, n);
+            let mut dense = sparse.clone();
+            for _ in 0..meters {
+                let src = random_meter(&mut rng, n);
+                sparse.merge(&src);
+                merge_every_node(&mut dense, &src);
+                // A meter rebuilt from its parts merges the same way.
+                let restored =
+                    EnergyMeter::from_parts(src.per_node.clone(), src.per_phase, src.total);
+                sparse.merge(&restored);
+                merge_every_node(&mut dense, &restored);
+            }
+            // And merges on: a merged-in node counts as charged.
+            let (mut sparse_next, mut dense_next) = (EnergyMeter::new(n), EnergyMeter::new(n));
+            sparse_next.merge(&sparse);
+            merge_every_node(&mut dense_next, &dense);
+            let bits = |m: &EnergyMeter| {
+                let nodes: Vec<u64> = m.per_node.iter().map(|v| v.to_bits()).collect();
+                (nodes, m.per_phase.map(f64::to_bits), m.total.to_bits())
+            };
+            proptest::prop_assert_eq!(bits(&sparse), bits(&dense));
+            proptest::prop_assert_eq!(bits(&sparse_next), bits(&dense_next));
+            let nonzero = (0..n).filter(|&i| sparse.per_node[i] != 0.0);
+            proptest::prop_assert!(nonzero.map(NodeId::from_index).all(|u| {
+                sparse.charged_nodes().any(|c| c == u)
+            }));
+            proptest::prop_assert!(sparse.charged_nodes().zip(sparse.charged_nodes().skip(1))
+                .all(|(a, b)| a < b), "charged nodes come in node order");
+        }
     }
 
     #[test]

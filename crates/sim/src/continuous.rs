@@ -447,7 +447,8 @@ pub(crate) fn run_delta_epoch(
         }
     }
 
-    let tally = charge_links(topology, energy, &sent, &links, meter, tracer);
+    let hops = topology.edges().filter_map(|e| links[e.index()].map(|l| (e, sent[e.index()], l)));
+    let tally = charge_links(energy, hops, meter, tracer);
 
     // Root applies what arrived (single path per origin, but dedupe by
     // epoch anyway) in origin order; its own reading is free.
@@ -520,20 +521,17 @@ pub(crate) fn run_refresh_epoch(
     mask_dead_edges(&mut sweep, topology, alive);
     let lossless = FailureModel::none(topology.len());
     let failures = failures.unwrap_or(&lossless);
-    let c = collect_arq(meter, &sweep, topology, energy, values, 1, failures, arq, seed, tracer);
-    let sketch_uplinks = apply_refresh(
-        state,
-        topology,
-        alive,
-        values,
-        &c.out.reached,
-        sketch,
-        energy,
-        meter,
-        tracer,
-    );
+    // The refresh reads deliveries, not an answer: k = 0 gathers none.
+    let c = collect_arq(meter, &sweep, topology, energy, values, 0, failures, arq, seed, tracer);
+    let mut delivered = vec![false; topology.len()];
+    delivered[topology.root().index()] = true;
+    for h in &c.out.hops {
+        delivered[h.edge.index()] = h.reached;
+    }
+    let sketch_uplinks =
+        apply_refresh(state, topology, alive, values, &delivered, sketch, energy, meter, tracer);
     RefreshOutcome {
-        delivered: c.out.reached,
+        delivered,
         lost_edges: c.links.lost_edges,
         retransmissions: c.links.retransmissions,
         delivered_fraction: c.out.delivered_fraction,

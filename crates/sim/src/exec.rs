@@ -2,7 +2,9 @@
 
 use crate::runner::mask_dead_edges;
 use crate::trace::charge;
-use prospector_core::{run_plan, run_plan_lossy, run_proof_plan, LossyCollectionOutcome, Plan};
+use prospector_core::{
+    run_plan, run_plan_lossy, run_proof_plan, Footprint, LossyCollectionOutcome, Plan,
+};
 use prospector_data::Reading;
 use prospector_net::{
     ArqPolicy, EnergyMeter, EnergyModel, FailureModel, LinkAttempts, NodeId, Phase, Topology,
@@ -43,43 +45,31 @@ impl ExecutionReport {
 }
 
 /// Charges the subsequent-distribution trigger: a header-only broadcast at
-/// every participating node that has at least one participating child.
-/// Returns the number of broadcasts.
+/// every participating node that has at least one participating child, in
+/// node order. Returns the number of broadcasts.
 fn charge_trigger(
-    plan: &Plan,
-    topology: &Topology,
+    footprint: &Footprint,
     energy: &EnergyModel,
     meter: &mut EnergyMeter,
     tracer: &mut dyn Tracer,
 ) -> u32 {
-    let mut broadcasts = 0;
-    for u in (0..topology.len()).map(NodeId::from_index) {
-        if !plan.visits(topology, u) {
-            continue;
-        }
-        if topology.children(u).iter().any(|&c| plan.is_used(c)) {
-            charge(meter, tracer, u, Phase::Trigger, energy.broadcast());
-            broadcasts += 1;
-        }
+    for &u in footprint.triggers() {
+        charge(meter, tracer, u, Phase::Trigger, energy.broadcast());
     }
-    broadcasts
+    footprint.triggers().len() as u32
 }
 
-/// Charges per-edge unicast costs for the values actually sent, injecting
-/// transient failures when a model and RNG are supplied.
+/// Charges per-edge unicast costs for the values actually sent, in edge
+/// order, injecting transient failures when a model and RNG are supplied.
 fn charge_collection(
     sent: &[u32],
-    plan: &Plan,
-    topology: &Topology,
+    footprint: &Footprint,
     energy: &EnergyModel,
     meter: &mut EnergyMeter,
     tracer: &mut dyn Tracer,
     mut failures: Option<(&FailureModel, &mut StdRng)>,
 ) {
-    for e in topology.edges() {
-        if !plan.is_used(e) {
-            continue;
-        }
+    for e in footprint.edges() {
         charge(
             meter,
             tracer,
@@ -119,10 +109,11 @@ pub fn execute_plan_traced(
     failures: Option<(&FailureModel, &mut StdRng)>,
     tracer: &mut dyn Tracer,
 ) -> ExecutionReport {
+    let footprint = plan.footprint(topology);
     let mut meter = EnergyMeter::new(topology.len());
-    charge_trigger(plan, topology, energy, &mut meter, tracer);
+    charge_trigger(&footprint, energy, &mut meter, tracer);
     let out = run_plan(plan, topology, values, k);
-    charge_collection(&out.sent, plan, topology, energy, &mut meter, tracer, failures);
+    charge_collection(&out.sent, &footprint, energy, &mut meter, tracer, failures);
     ExecutionReport {
         answer: out.answer,
         proven: 0,
@@ -216,9 +207,10 @@ pub(crate) fn collect_arq(
     seed: u64,
     tracer: &mut dyn Tracer,
 ) -> ArqCollection {
-    let triggers = charge_trigger(plan, topology, energy, meter, tracer);
+    let triggers = charge_trigger(&plan.footprint(topology), energy, meter, tracer);
     let out = run_plan_lossy(plan, topology, values, k, failures, policy, seed);
-    let links = charge_links(topology, energy, &out.sent, &out.links, meter, tracer);
+    let hops = out.hops.iter().map(|h| (h.edge, out.sent[h.edge.index()], h.link));
+    let links = charge_links(energy, hops, meter, tracer);
     ArqCollection { out, links, triggers }
 }
 
@@ -234,10 +226,11 @@ pub(crate) struct LinkTally {
     pub messages: u32,
 }
 
-/// The link ledger: prices every ARQ hop (`links[e]`, carrying `sent[e]`
-/// values) exactly to the attempt, in [`Topology::edges`] order — the
-/// order the reliable path charges in, so with a zero-loss model the
-/// meter is byte-identical to it (f64 accumulation order included):
+/// The link ledger: prices every ARQ hop (an edge, the values its batch
+/// carried and how delivery went) exactly to the attempt. Callers pass
+/// the hops in [`Topology::edges`] order — the order the reliable path
+/// charges in, so with a zero-loss model the meter is byte-identical to
+/// it (f64 accumulation order included):
 /// * the **first** transmission of each batch is charged under
 ///   [`Phase::Collection`] — exactly what the reliable path charges;
 /// * every retry resends the whole batch and is charged under
@@ -251,17 +244,14 @@ pub(crate) struct LinkTally {
 ///
 /// Each hop emits one `LinkDelivery` event after its charges.
 pub(crate) fn charge_links(
-    topology: &Topology,
     energy: &EnergyModel,
-    sent: &[u32],
-    links: &[Option<LinkAttempts>],
+    hops: impl IntoIterator<Item = (NodeId, u32, LinkAttempts)>,
     meter: &mut EnergyMeter,
     tracer: &mut dyn Tracer,
 ) -> LinkTally {
     let mut tally = LinkTally { hops: 0, lost_edges: Vec::new(), retransmissions: 0, messages: 0 };
-    for e in topology.edges() {
-        let Some(link) = links[e.index()] else { continue };
-        let msg = energy.unicast_values(sent[e.index()] as usize);
+    for (e, sent, link) in hops {
+        let msg = energy.unicast_values(sent as usize);
         charge(meter, tracer, e, Phase::Collection, msg);
         let acked = link.attempts > 1 && link.delivered;
         if link.attempts > 1 {
@@ -280,7 +270,7 @@ pub(crate) fn charge_links(
         if tracer.enabled() {
             tracer.record(TraceEvent::LinkDelivery {
                 child: e.0,
-                sent_values: sent[e.index()],
+                sent_values: sent,
                 attempts: link.attempts,
                 delivered: link.delivered,
                 acked,
@@ -303,15 +293,13 @@ pub fn execute_proof_plan(
     k: usize,
     failures: Option<(&FailureModel, &mut StdRng)>,
 ) -> (ExecutionReport, prospector_core::ProofOutcome) {
+    let footprint = plan.footprint(topology);
     let mut meter = EnergyMeter::new(topology.len());
-    charge_trigger(plan, topology, energy, &mut meter, &mut NullTracer);
+    charge_trigger(&footprint, energy, &mut meter, &mut NullTracer);
     let out = run_proof_plan(plan, topology, values, k);
-    charge_collection(&out.sent, plan, topology, energy, &mut meter, &mut NullTracer, failures);
-    for e in topology.edges() {
-        if !topology.is_leaf(e)
-            && plan.is_used(e)
-            && out.proven_count[e.index()] < out.sent[e.index()]
-        {
+    charge_collection(&out.sent, &footprint, energy, &mut meter, &mut NullTracer, failures);
+    for e in footprint.edges() {
+        if !topology.is_leaf(e) && out.proven_count[e.index()] < out.sent[e.index()] {
             meter.charge(
                 e,
                 Phase::Collection,
@@ -333,7 +321,8 @@ pub fn execute_proof_plan(
 /// The exploration sweep shared by the runner and the serving front end:
 /// the full-sweep plan with dead nodes masked, every reading delivered,
 /// its charges re-attributed to [`Phase::Sampling`] node by node. Returns
-/// the energy charged.
+/// the energy charged. No edge of a sweep cuts its batch, so the pass
+/// only counts; the bill needs no answer, so none is gathered (k = 0).
 pub fn charge_sweep(
     topology: &Topology,
     alive: &[bool],
@@ -344,13 +333,13 @@ pub fn charge_sweep(
 ) -> f64 {
     let mut sweep = Plan::full_sweep(topology);
     mask_dead_edges(&mut sweep, topology, alive);
-    let report = execute_plan(&sweep, topology, energy, values, 1, None);
+    let report = execute_plan(&sweep, topology, energy, values, 0, None);
     charge_as(meter, &report.meter, Phase::Sampling, tracer)
 }
 
-/// Re-attributes all of `src`'s charges to `phase`, node by node,
-/// mirroring each re-attributed charge as an `Energy` event. Returns the
-/// energy charged.
+/// Re-attributes all of `src`'s charges to `phase`, node by node in node
+/// order, mirroring each re-attributed charge as an `Energy` event.
+/// Returns the energy charged.
 pub(crate) fn charge_as(
     dst: &mut EnergyMeter,
     src: &EnergyMeter,
@@ -358,9 +347,10 @@ pub(crate) fn charge_as(
     tracer: &mut dyn Tracer,
 ) -> f64 {
     let mut total = 0.0;
-    for (i, &mj) in src.node_totals().iter().enumerate() {
+    for node in src.charged_nodes() {
+        let mj = src.node_total(node);
         if mj > 0.0 {
-            charge(dst, tracer, NodeId::from_index(i), phase, mj);
+            charge(dst, tracer, node, phase, mj);
             total += mj;
         }
     }

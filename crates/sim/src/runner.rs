@@ -376,6 +376,9 @@ pub struct ExperimentRunner<'a> {
     /// Per-node plausibility-gate trust state; stays all-default without
     /// a gate policy (and on honest data with one).
     trust: Vec<TrustState>,
+    /// Nodes of `trust` in quarantine, kept in step with every trust
+    /// change so the report gauge needs no scan.
+    quarantined: usize,
     /// Continuous-protocol state, present exactly when
     /// [`ExperimentConfig::continuous`] is.
     cont: Option<ContinuousState>,
@@ -433,6 +436,7 @@ impl<'a> ExperimentRunner<'a> {
             arq,
             alive: vec![true; topology.len()],
             trust: vec![TrustState::default(); topology.len()],
+            quarantined: 0,
             cont: config.continuous.as_ref().map(|_| ContinuousState::new(topology.len())),
             bands: None,
             meter: EnergyMeter::new(topology.len()),
@@ -599,6 +603,7 @@ impl<'a> ExperimentRunner<'a> {
             failures: ckpt.failures,
             arq: ckpt.arq,
             alive: ckpt.alive,
+            quarantined: ckpt.trust.iter().filter(|t| t.is_quarantined()).count(),
             trust: ckpt.trust,
             cont,
             bands: None,
@@ -1270,7 +1275,7 @@ impl<'a> ExperimentRunner<'a> {
             retry_budget: self.arq.max_retries,
             install_undelivered: 0,
             flagged: gated.substituted,
-            quarantined: self.quarantined_count(),
+            quarantined: self.quarantined,
             readmitted: gated.readmitted,
             deltas_shipped: 0,
             full_refresh: false,
@@ -1364,11 +1369,6 @@ impl<'a> ExperimentRunner<'a> {
         messages
     }
 
-    /// Nodes currently in quarantine.
-    fn quarantined_count(&self) -> usize {
-        self.trust.iter().filter(|t| t.is_quarantined()).count()
-    }
-
     /// The window's gate bands for a pass over every node. In continuous
     /// mode the table built for an earlier epoch is reused while the
     /// window's readings are unchanged; otherwise one row-major pass
@@ -1398,6 +1398,8 @@ impl<'a> ExperimentRunner<'a> {
         let Band { lo, hi, predicted } = band?;
         let in_band = reading.value >= lo && reading.value <= hi;
         let t = self.trust[node.index()].observe(in_band, epoch, policy);
+        self.quarantined += usize::from(t.quarantined);
+        self.quarantined -= usize::from(t.readmitted);
         if tracer.enabled() {
             if t.flagged {
                 tracer.record(TraceEvent::ReadingFlagged {

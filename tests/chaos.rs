@@ -142,7 +142,8 @@ fn energy_is_exact_to_the_attempt() {
                         }
                         let msg = em.unicast_values(out.sent[e.index()] as usize);
                         expected.charge(e, Phase::Collection, msg);
-                        let link = out.links[e.index()].expect("used edge has a record");
+                        let hop = out.hops.iter().find(|h| h.edge == e);
+                        let link = hop.expect("used edge has a record").link;
                         if link.attempts > 1 {
                             retransmissions += link.retries();
                             expected.charge(
@@ -457,5 +458,61 @@ fn continuous_mode_keeps_chaos_invariants() {
                 );
             }
         }
+    }
+}
+
+/// Invariant 7: the quarantine gauge every report carries is the count
+/// the runner keeps as trust changes, and it must equal a scan of the
+/// trust states (read from the runner's checkpoint image) after every
+/// epoch: through the `data_fault` golden's quarantine and parole, and
+/// through the chaos sweep's combined schedule under both sampling
+/// policies, resuming from a checkpoint mid-run.
+#[test]
+fn quarantine_gauge_matches_a_scan_of_trust_states() {
+    use prospector::ckpt::Checkpoint;
+    use prospector::core::FallbackPlanner;
+    use prospector_testutil::golden;
+
+    fn scan(ckpt: &Checkpoint) -> usize {
+        ckpt.trust.iter().filter(|t| t.is_quarantined()).count()
+    }
+
+    let sc = golden::scenario("data_fault");
+    let mut source = sc.source();
+    let mut runner = sc.runner();
+    let mut peak = 0;
+    for epoch in 0..golden::EPOCHS {
+        let report = runner.step(&mut source, epoch).expect("data_fault runs");
+        assert_eq!(report.quarantined, scan(&runner.checkpoint()), "data_fault epoch {epoch}");
+        peak = peak.max(report.quarantined);
+    }
+    assert!(peak > 0, "the data_fault golden quarantines a node");
+
+    let t = topology::balanced(3, 2);
+    let n = t.len();
+    let em = EnergyModel::mica2();
+    let planner = FallbackPlanner::standard();
+    let faults = FaultSchedule::new()
+        .with_death(20, t.children(t.root())[0])
+        .with_data_fault(10, t.children(t.root())[1], DataFault::StuckAt { level: 500.0 }, 8)
+        .with_data_fault(16, t.children(t.root())[2], DataFault::Noise { amplitude: 80.0 }, 6)
+        .with_noise_seed(87);
+    let adaptive = SamplePolicy::Adaptive { warmup: 5, audit_every: 4, accuracy_floor: 0.8 };
+    let periodic = lossy_config(n, 0.0, 0, FaultSchedule::new()).policy;
+    for policy in [periodic, adaptive] {
+        let config = ExperimentConfig { policy, ..lossy_config(n, 0.3, 1, faults.clone()) };
+        let mut source = IndependentGaussian::random(n, 40.0..60.0, 1.0..4.0, 87);
+        let mut runner = ExperimentRunner::new(&t, &em, &planner, config);
+        let mut peak = 0;
+        for epoch in 0..48 {
+            if epoch == 24 {
+                // A resumed runner rebuilds the count from the image.
+                runner = ExperimentRunner::resume(runner.checkpoint(), &em, &planner).unwrap();
+            }
+            let report = runner.step(&mut source, epoch).expect("chaos run");
+            assert_eq!(report.quarantined, scan(&runner.checkpoint()), "epoch {epoch}");
+            peak = peak.max(report.quarantined);
+        }
+        assert!(peak > 0, "the stuck sensor is quarantined at some epoch");
     }
 }
