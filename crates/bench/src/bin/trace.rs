@@ -32,8 +32,9 @@
 //! byte-identical to the uninterrupted trace. `--resume-epoch` prints the
 //! epoch a resume would continue from and exits.
 
-use prospector_ckpt::{CheckpointPolicy, CheckpointStore};
+use prospector_ckpt::CheckpointPolicy;
 use prospector_obs::{event, RingTracer};
+use prospector_sim::CheckpointStore;
 use prospector_testutil::golden;
 use std::io::Write as _;
 
@@ -143,7 +144,11 @@ fn main() {
         }
     }
     if metrics {
-        let snapshot = runner.metrics().expect("metrics enabled").snapshot();
-        eprintln!("{}", snapshot.to_json());
+        // A resumed runner has metrics only if its checkpoint did: the
+        // committed fixtures are written with them off.
+        let registry = runner
+            .metrics()
+            .unwrap_or_else(|| die("--metrics: the resumed checkpoint carries no metrics"));
+        eprintln!("{}", registry.snapshot().to_json());
     }
 }

@@ -1,12 +1,21 @@
-//! Byte-deterministic binary primitives for checkpoint payloads.
+//! Byte-deterministic binary codec for checkpoint payloads.
 //!
 //! The codec mirrors the obs crate's hand-rolled JSON philosophy: no
 //! external dependencies, no ambient nondeterminism. Every multi-byte
 //! integer is little-endian, every float is its IEEE-754 bit pattern
 //! (`f64::to_bits`), every collection is length-prefixed, and decoding
-//! is total — malformed input yields a typed [`DecodeError`], never a
-//! panic. Encoding the same value twice yields the same bytes, which is
-//! what lets the checksum (FNV-1a 64) stand in for equality.
+//! is total — malformed input yields a typed error, never a panic.
+//! Encoding the same value twice yields the same bytes, which is what
+//! lets the checksum (FNV-1a 64) stand in for equality.
+//!
+//! A type's wire form is one field walk, its [`Codec`] impl, which the
+//! [`Writer`] drives to encode and the [`Reader`] drives to decode. Plain
+//! data gets its walk from [`walk!`](crate::walk): one field list serves
+//! both directions, in the order written. `Option`, `Vec`, pairs, arrays
+//! and `BTreeMap` walk their elements generically.
+
+use crate::checkpoint::CheckpointError;
+use std::collections::BTreeMap;
 
 /// FNV-1a 64-bit offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -29,6 +38,34 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
+/// A type's field walk, which both directions drive: [`Writer::put`]
+/// appends the fields, [`Reader::get`] reads them back in the same order.
+pub trait Codec: Sized {
+    fn put(&self, w: &mut Writer);
+    fn get(r: &mut Reader<'_>) -> Result<Self, CheckpointError>;
+}
+
+/// Implements [`Codec`] for a struct of plain data from one list of its
+/// fields, which is the walk in both directions. Every field must be
+/// listed (the decoder builds the struct from the list), so a field
+/// added to the struct and not to its walk fails to compile.
+#[macro_export]
+macro_rules! walk {
+    ($ty:ty { $($field:ident),+ $(,)? }) => {
+        impl $crate::Codec for $ty {
+            fn put(&self, w: &mut $crate::Writer) {
+                $(w.put(&self.$field);)+
+            }
+
+            fn get(r: &mut $crate::Reader<'_>) -> Result<Self, $crate::CheckpointError> {
+                // A struct expression evaluates its fields in the order
+                // written, which is the order `put` wrote them.
+                Ok(Self { $($field: r.get()?,)+ })
+            }
+        }
+    };
+}
+
 /// Append-only encoder over a byte buffer.
 #[derive(Debug, Default)]
 pub struct Writer {
@@ -45,57 +82,28 @@ impl Writer {
         self.buf
     }
 
-    pub fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
+    /// Appends `v`'s walk.
+    pub fn put<T: Codec>(&mut self, v: &T) {
+        v.put(self);
     }
 
-    pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+    /// A collection's length prefix, as `u64`.
+    pub(crate) fn put_len(&mut self, len: usize) {
+        self.put(&len);
     }
 
-    pub fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// `usize` travels as `u64` so 32- and 64-bit hosts agree on bytes.
-    pub fn put_usize(&mut self, v: usize) {
-        self.put_u64(v as u64);
-    }
-
-    /// Floats travel as IEEE-754 bit patterns: `to_bits` round-trips
-    /// every value including NaN payloads, infinities and signed zeros,
-    /// which decimal formatting would not.
-    pub fn put_f64(&mut self, v: f64) {
-        self.put_u64(v.to_bits());
-    }
-
-    pub fn put_bool(&mut self, v: bool) {
-        self.put_u8(u8::from(v));
-    }
-
-    /// Option tag: 0 = None, 1 = Some (followed by the payload).
-    pub fn put_opt<T>(&mut self, v: &Option<T>, mut put: impl FnMut(&mut Self, &T)) {
-        match v {
-            None => self.put_u8(0),
-            Some(inner) => {
-                self.put_u8(1);
-                put(self, inner);
-            }
-        }
-    }
-
-    /// Length-prefixed UTF-8 string.
-    pub fn put_str(&mut self, s: &str) {
-        self.put_usize(s.len());
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-
-    /// Length-prefixed sequence.
-    pub fn put_seq<T>(&mut self, items: &[T], mut put: impl FnMut(&mut Self, &T)) {
-        self.put_usize(items.len());
+    /// A length-prefixed sequence: the wire form of `Vec<T>`.
+    pub fn put_slice<T: Codec>(&mut self, items: &[T]) {
+        self.put_len(items.len());
         for item in items {
-            put(self, item);
+            item.put(self);
         }
+    }
+
+    /// A length-prefixed UTF-8 string.
+    pub(crate) fn put_str(&mut self, s: &str) {
+        self.put_len(s.len());
+        self.buf.extend_from_slice(s.as_bytes());
     }
 }
 
@@ -138,7 +146,8 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-/// Cursor-based decoder over an encoded payload.
+/// Cursor-based decoder over an encoded payload. Every error it reports
+/// carries the offset of the byte it failed at.
 #[derive(Debug)]
 pub struct Reader<'a> {
     buf: &'a [u8],
@@ -177,82 +186,188 @@ impl<'a> Reader<'a> {
         Ok(slice)
     }
 
-    pub fn get_u8(&mut self) -> Result<u8, DecodeError> {
-        Ok(self.take(1)?[0])
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
+        Ok(self.take(N)?.try_into().expect("took N bytes"))
     }
 
-    pub fn get_u32(&mut self) -> Result<u32, DecodeError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
+    /// Reads a `T` by its walk.
+    pub fn get<T: Codec>(&mut self) -> Result<T, CheckpointError> {
+        T::get(self)
     }
 
-    pub fn get_u64(&mut self) -> Result<u64, DecodeError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    pub fn get_usize(&mut self) -> Result<usize, DecodeError> {
+    /// A collection's length prefix. Every value takes at least one byte
+    /// on the wire, so a prefix longer than the rest of the payload is
+    /// rejected before anything is allocated.
+    pub(crate) fn get_len(&mut self) -> Result<usize, DecodeError> {
         let offset = self.pos;
-        let v = self.get_u64()?;
-        usize::try_from(v).map_err(|_| DecodeError::BadLength { offset, len: v })
-    }
-
-    pub fn get_f64(&mut self) -> Result<f64, DecodeError> {
-        Ok(f64::from_bits(self.get_u64()?))
-    }
-
-    pub fn get_bool(&mut self) -> Result<bool, DecodeError> {
-        let offset = self.pos;
-        match self.get_u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            tag => Err(DecodeError::BadTag { offset, tag }),
-        }
-    }
-
-    pub fn get_opt<T>(
-        &mut self,
-        mut get: impl FnMut(&mut Self) -> Result<T, DecodeError>,
-    ) -> Result<Option<T>, DecodeError> {
-        let offset = self.pos;
-        match self.get_u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(get(self)?)),
-            tag => Err(DecodeError::BadTag { offset, tag }),
-        }
-    }
-
-    /// Length prefix for a sequence of items at least `min_item_bytes`
-    /// wide each; rejects prefixes the remaining payload cannot satisfy
-    /// so a corrupt length cannot trigger a huge allocation.
-    fn get_len(&mut self, min_item_bytes: usize) -> Result<usize, DecodeError> {
-        let offset = self.pos;
-        let len = self.get_u64()?;
-        let cap = (self.remaining() / min_item_bytes.max(1)) as u64;
-        if len > cap {
+        let len = u64::from_le_bytes(self.array()?);
+        if len > self.remaining() as u64 {
             return Err(DecodeError::BadLength { offset, len });
         }
         Ok(len as usize)
     }
 
-    pub fn get_str(&mut self) -> Result<String, DecodeError> {
-        let len = self.get_len(1)?;
+    /// An enum tag, rejected at its own offset unless it is below
+    /// `variants`.
+    pub(crate) fn get_tag(&mut self, variants: u8) -> Result<u8, DecodeError> {
         let offset = self.pos;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| DecodeError::BadUtf8 { offset })
+        let tag = self.take(1)?[0];
+        if tag < variants {
+            Ok(tag)
+        } else {
+            Err(DecodeError::BadTag { offset, tag })
+        }
+    }
+}
+
+/// Fixed-width integers travel little-endian.
+macro_rules! le_ints {
+    ($($t:ty),+) => {$(
+        impl Codec for $t {
+            fn put(&self, w: &mut Writer) {
+                w.buf.extend_from_slice(&self.to_le_bytes());
+            }
+
+            fn get(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
+                Ok(<$t>::from_le_bytes(r.array()?))
+            }
+        }
+    )+};
+}
+
+le_ints!(u8, u32, u64);
+
+/// `usize` travels as `u64` so 32- and 64-bit hosts agree on bytes.
+impl Codec for usize {
+    fn put(&self, w: &mut Writer) {
+        w.put(&(*self as u64));
     }
 
-    /// Length-prefixed sequence; `min_item_bytes` bounds the allocation
-    /// against corrupt prefixes.
-    pub fn get_seq<T>(
-        &mut self,
-        min_item_bytes: usize,
-        mut get: impl FnMut(&mut Self) -> Result<T, DecodeError>,
-    ) -> Result<Vec<T>, DecodeError> {
-        let len = self.get_len(min_item_bytes)?;
+    fn get(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
+        let offset = r.pos;
+        let v: u64 = r.get()?;
+        Ok(usize::try_from(v).map_err(|_| DecodeError::BadLength { offset, len: v })?)
+    }
+}
+
+/// Floats travel as IEEE-754 bit patterns: `to_bits` round-trips every
+/// value including NaN payloads, infinities and signed zeros, which
+/// decimal formatting would not.
+impl Codec for f64 {
+    fn put(&self, w: &mut Writer) {
+        w.put(&self.to_bits());
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
+        Ok(f64::from_bits(r.get()?))
+    }
+}
+
+impl Codec for bool {
+    fn put(&self, w: &mut Writer) {
+        w.put(&u8::from(*self));
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
+        Ok(r.get_tag(2)? == 1)
+    }
+}
+
+impl Codec for String {
+    fn put(&self, w: &mut Writer) {
+        w.put_str(self);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
+        let len = r.get_len()?;
+        let offset = r.pos;
+        let bytes = r.take(len)?;
+        Ok(String::from_utf8(bytes.to_vec()).map_err(|_| DecodeError::BadUtf8 { offset })?)
+    }
+}
+
+/// Option tag: 0 = None, 1 = Some (followed by the value).
+impl<T: Codec> Codec for Option<T> {
+    fn put(&self, w: &mut Writer) {
+        match self {
+            None => w.put(&0u8),
+            Some(v) => {
+                w.put(&1u8);
+                w.put(v);
+            }
+        }
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
+        match r.get_tag(2)? {
+            0 => Ok(None),
+            _ => Ok(Some(r.get()?)),
+        }
+    }
+}
+
+impl<T: Codec> Codec for Vec<T> {
+    fn put(&self, w: &mut Writer) {
+        w.put_slice(self);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
+        let len = r.get_len()?;
         let mut items = Vec::with_capacity(len);
         for _ in 0..len {
-            items.push(get(self)?);
+            items.push(r.get()?);
         }
         Ok(items)
+    }
+}
+
+impl<A: Codec, B: Codec> Codec for (A, B) {
+    fn put(&self, w: &mut Writer) {
+        w.put(&self.0);
+        w.put(&self.1);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
+        Ok((r.get()?, r.get()?))
+    }
+}
+
+/// Fixed-size arrays carry no length prefix.
+impl<T: Codec + Copy + Default, const N: usize> Codec for [T; N] {
+    fn put(&self, w: &mut Writer) {
+        for v in self {
+            w.put(v);
+        }
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
+        let mut out = [T::default(); N];
+        for v in &mut out {
+            *v = r.get()?;
+        }
+        Ok(out)
+    }
+}
+
+/// Maps travel as length-prefixed `(key, value)` pairs in key order, so
+/// the bytes are deterministic.
+impl<K: Codec + Ord, V: Codec> Codec for BTreeMap<K, V> {
+    fn put(&self, w: &mut Writer) {
+        w.put_len(self.len());
+        for (k, v) in self {
+            w.put(k);
+            w.put(v);
+        }
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
+        let len = r.get_len()?;
+        let mut map = BTreeMap::new();
+        for _ in 0..len {
+            let (k, v) = r.get()?;
+            map.insert(k, v);
+        }
+        Ok(map)
     }
 }
 
@@ -260,32 +375,44 @@ impl<'a> Reader<'a> {
 mod tests {
     use super::*;
 
+    fn decode_err<T: Codec + std::fmt::Debug>(bytes: &[u8]) -> DecodeError {
+        match Reader::new(bytes).get::<T>() {
+            Err(CheckpointError::Decode(e)) => e,
+            other => panic!("expected a decode error, got {other:?}"),
+        }
+    }
+
     #[test]
     fn primitives_round_trip() {
         let mut w = Writer::new();
-        w.put_u8(0xAB);
-        w.put_u32(0xDEAD_BEEF);
-        w.put_u64(u64::MAX);
-        w.put_f64(-0.0);
-        w.put_f64(f64::NAN);
-        w.put_bool(true);
-        w.put_str("epoch");
-        w.put_opt(&Some(7u64), |w, v| w.put_u64(*v));
-        w.put_opt(&None::<u64>, |w, v| w.put_u64(*v));
-        w.put_seq(&[1.5f64, -2.5], |w, v| w.put_f64(*v));
+        w.put(&0xABu8);
+        w.put(&0xDEAD_BEEFu32);
+        w.put(&u64::MAX);
+        w.put(&-0.0f64);
+        w.put(&f64::NAN);
+        w.put(&true);
+        w.put(&"epoch".to_string());
+        w.put(&Some(7u64));
+        w.put(&None::<u64>);
+        w.put(&vec![1.5f64, -2.5]);
+        w.put(&(3u32, [4u64, 5]));
+        w.put(&BTreeMap::from([("b".to_string(), 2u64), ("a".to_string(), 1)]));
         let bytes = w.into_bytes();
 
         let mut r = Reader::new(&bytes);
-        assert_eq!(r.get_u8().unwrap(), 0xAB);
-        assert_eq!(r.get_u32().unwrap(), 0xDEAD_BEEF);
-        assert_eq!(r.get_u64().unwrap(), u64::MAX);
-        assert_eq!(r.get_f64().unwrap().to_bits(), (-0.0f64).to_bits());
-        assert!(r.get_f64().unwrap().is_nan());
-        assert!(r.get_bool().unwrap());
-        assert_eq!(r.get_str().unwrap(), "epoch");
-        assert_eq!(r.get_opt(|r| r.get_u64()).unwrap(), Some(7));
-        assert_eq!(r.get_opt(|r| r.get_u64()).unwrap(), None);
-        assert_eq!(r.get_seq(8, |r| r.get_f64()).unwrap(), vec![1.5, -2.5]);
+        assert_eq!(r.get::<u8>().unwrap(), 0xAB);
+        assert_eq!(r.get::<u32>().unwrap(), 0xDEAD_BEEF);
+        assert_eq!(r.get::<u64>().unwrap(), u64::MAX);
+        assert_eq!(r.get::<f64>().unwrap().to_bits(), (-0.0f64).to_bits());
+        assert!(r.get::<f64>().unwrap().is_nan());
+        assert!(r.get::<bool>().unwrap());
+        assert_eq!(r.get::<String>().unwrap(), "epoch");
+        assert_eq!(r.get::<Option<u64>>().unwrap(), Some(7));
+        assert_eq!(r.get::<Option<u64>>().unwrap(), None);
+        assert_eq!(r.get::<Vec<f64>>().unwrap(), vec![1.5, -2.5]);
+        assert_eq!(r.get::<(u32, [u64; 2])>().unwrap(), (3, [4, 5]));
+        let map: BTreeMap<String, u64> = r.get().unwrap();
+        assert_eq!(map.into_iter().collect::<Vec<_>>(), [("a".into(), 1), ("b".into(), 2)]);
         r.finish().unwrap();
     }
 
@@ -293,8 +420,8 @@ mod tests {
     fn encoding_is_deterministic() {
         let encode = || {
             let mut w = Writer::new();
-            w.put_f64(std::f64::consts::PI);
-            w.put_seq(&[3u64, 1, 4], |w, v| w.put_u64(*v));
+            w.put(&std::f64::consts::PI);
+            w.put(&vec![3u64, 1, 4]);
             w.put_str("same bytes every time");
             w.into_bytes()
         };
@@ -305,31 +432,34 @@ mod tests {
     #[test]
     fn truncated_input_is_an_error_not_a_panic() {
         let mut w = Writer::new();
-        w.put_u64(42);
+        w.put(&42u64);
         let bytes = w.into_bytes();
         for cut in 0..bytes.len() {
-            let mut r = Reader::new(&bytes[..cut]);
-            assert!(matches!(r.get_u64(), Err(DecodeError::UnexpectedEof { .. })), "cut at {cut}");
+            assert!(
+                matches!(decode_err::<u64>(&bytes[..cut]), DecodeError::UnexpectedEof { .. }),
+                "cut at {cut}"
+            );
         }
     }
 
     #[test]
     fn absurd_length_prefix_is_rejected_before_allocation() {
         let mut w = Writer::new();
-        w.put_u64(u64::MAX); // claimed sequence length
+        w.put(&u64::MAX); // claimed sequence length
         let bytes = w.into_bytes();
-        let mut r = Reader::new(&bytes);
-        assert!(matches!(r.get_seq(8, |r| r.get_u64()), Err(DecodeError::BadLength { .. })));
-        let mut r = Reader::new(&bytes);
-        assert!(matches!(r.get_str(), Err(DecodeError::BadLength { .. })));
+        let too_long = DecodeError::BadLength { offset: 0, len: u64::MAX };
+        assert_eq!(decode_err::<Vec<u64>>(&bytes), too_long);
+        assert_eq!(decode_err::<String>(&bytes), too_long);
+        assert_eq!(decode_err::<BTreeMap<u8, u8>>(&bytes), too_long);
     }
 
     #[test]
-    fn bad_tags_and_trailing_bytes_are_errors() {
-        let mut r = Reader::new(&[2]);
-        assert!(matches!(r.get_bool(), Err(DecodeError::BadTag { offset: 0, tag: 2 })));
-        let mut r = Reader::new(&[9]);
-        assert!(matches!(r.get_opt(|r| r.get_u8()), Err(DecodeError::BadTag { .. })));
+    fn bad_tags_report_their_offset_and_trailing_bytes_are_errors() {
+        assert_eq!(decode_err::<bool>(&[2]), DecodeError::BadTag { offset: 0, tag: 2 });
+        assert_eq!(
+            decode_err::<(u8, Option<u8>)>(&[0, 9]),
+            DecodeError::BadTag { offset: 1, tag: 9 }
+        );
         let r = Reader::new(&[0, 0]);
         assert_eq!(r.finish(), Err(DecodeError::TrailingBytes { remaining: 2 }));
     }
@@ -338,7 +468,7 @@ mod tests {
     fn fnv_detects_every_single_byte_substitution() {
         let mut w = Writer::new();
         w.put_str("checksum coverage");
-        w.put_u64(0x0123_4567_89AB_CDEF);
+        w.put(&0x0123_4567_89AB_CDEFu64);
         let bytes = w.into_bytes();
         let clean = fnv1a64(&bytes);
         for i in 0..bytes.len() {

@@ -1,17 +1,18 @@
 //! On-disk checkpoint management: atomic writes, retention, and
 //! fallback across corrupt files.
 //!
-//! A store is a directory of `ckpt-<epoch>.bin` files. Writes are
-//! crash-consistent: the image is written to a temporary name, synced,
-//! then atomically renamed into place, so a crash mid-write can leave a
-//! stray temp file but never a half-written checkpoint under the real
-//! name. Loads scan newest-first and skip anything that fails the
-//! checksum, so one corrupt or truncated file silently falls back to the
-//! previous good one.
+//! A store is a directory of `ckpt-<epoch>.bin` files, each the encoded
+//! [`Image`] of one state type. Writes are crash-consistent: the image is
+//! written to a temporary name, synced, then atomically renamed into
+//! place, so a crash mid-write can leave a stray temp file but never a
+//! half-written checkpoint under the real name. Loads scan newest-first
+//! and skip anything that fails the checksum, so one corrupt or
+//! truncated file silently falls back to the previous good one.
 
-use crate::checkpoint::{Checkpoint, CheckpointError};
+use crate::checkpoint::{decode, encode, CheckpointError, Image};
 use std::fs;
 use std::io::Write;
+use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 
 /// When (and how many) checkpoints to keep.
@@ -41,10 +42,11 @@ impl CheckpointPolicy {
     }
 }
 
-/// A directory of checkpoint files.
+/// A directory of checkpoint files holding images of type `T`.
 #[derive(Debug, Clone)]
-pub struct CheckpointStore {
+pub struct CheckpointStore<T> {
     dir: PathBuf,
+    image: PhantomData<fn() -> T>,
 }
 
 /// A store-level failure: IO wrapped with the path it concerned.
@@ -76,12 +78,12 @@ impl std::fmt::Display for StoreError {
 
 impl std::error::Error for StoreError {}
 
-impl CheckpointStore {
+impl<T> CheckpointStore<T> {
     /// Opens (creating if needed) a store at `dir`.
     pub fn open(dir: impl Into<PathBuf>) -> Result<Self, StoreError> {
         let dir = dir.into();
         fs::create_dir_all(&dir).map_err(|error| StoreError::Io { path: dir.clone(), error })?;
-        Ok(CheckpointStore { dir })
+        Ok(CheckpointStore { dir, image: PhantomData })
     }
 
     /// The store's directory.
@@ -114,15 +116,18 @@ impl CheckpointStore {
         epochs.sort_unstable();
         Ok(epochs)
     }
+}
 
-    /// Atomically writes `ckpt` under its `next_epoch`, then prunes to
+impl<T: Image> CheckpointStore<T> {
+    /// Atomically writes `image` under its `next_epoch`, then prunes to
     /// `keep_last` files. The write path is temp-file + `sync_all` +
     /// rename: a crash at any instant leaves either the old directory
     /// contents or the new file, never a torn one.
-    pub fn save(&self, ckpt: &Checkpoint, keep_last: usize) -> Result<PathBuf, StoreError> {
-        let bytes = ckpt.encode();
-        let final_path = self.path_for(ckpt.next_epoch);
-        let tmp_path = self.dir.join(format!(".ckpt-{:010}.tmp", ckpt.next_epoch));
+    pub fn save(&self, image: &T, keep_last: usize) -> Result<PathBuf, StoreError> {
+        let bytes = encode(image);
+        let epoch = image.next_epoch();
+        let final_path = self.path_for(epoch);
+        let tmp_path = self.dir.join(format!(".ckpt-{epoch:010}.tmp"));
         let io = |path: &Path, error| StoreError::Io { path: path.to_path_buf(), error };
         {
             let mut f = fs::File::create(&tmp_path).map_err(|e| io(&tmp_path, e))?;
@@ -158,11 +163,11 @@ impl CheckpointStore {
     }
 
     /// Loads the checkpoint for exactly `epoch`.
-    pub fn load(&self, epoch: u64) -> Result<Checkpoint, CheckpointError> {
+    pub fn load(&self, epoch: u64) -> Result<T, CheckpointError> {
         let path = self.path_for(epoch);
         let bytes = fs::read(&path)
             .map_err(|e| CheckpointError::Invalid(format!("{}: {e}", path.display())))?;
-        Checkpoint::decode(&bytes)
+        decode(&bytes)
     }
 
     /// Loads the newest checkpoint that passes validation, skipping (and
@@ -170,7 +175,7 @@ impl CheckpointStore {
     /// crash-recovery entry point: a half-written or bit-flipped latest
     /// file falls back to the previous good one instead of failing the
     /// resume.
-    pub fn latest_valid(&self) -> Result<(Checkpoint, Vec<(u64, CheckpointError)>), StoreError> {
+    pub fn latest_valid(&self) -> Result<(T, Vec<(u64, CheckpointError)>), StoreError> {
         let mut skipped = Vec::new();
         for epoch in self.list()?.into_iter().rev() {
             match self.load(epoch) {
@@ -199,7 +204,7 @@ mod tests {
 
     #[test]
     fn filenames_sort_by_epoch() {
-        let s = CheckpointStore { dir: PathBuf::from("/x") };
+        let s = CheckpointStore::<()> { dir: PathBuf::from("/x"), image: PhantomData };
         let a = s.path_for(9);
         let b = s.path_for(10);
         let c = s.path_for(100);

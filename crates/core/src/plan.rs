@@ -137,6 +137,11 @@ impl Plan {
         Plan::from_bandwidths(bw, false)
     }
 
+    /// Every edge's bandwidth, indexed by child node.
+    pub fn bandwidths(&self) -> &[u32] {
+        &self.bandwidth
+    }
+
     /// Bandwidth of the edge above `edge`'s child node.
     pub fn bandwidth(&self, edge: NodeId) -> u32 {
         self.bandwidth[edge.index()]

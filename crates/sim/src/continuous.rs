@@ -41,6 +41,7 @@
 use crate::exec::{charge_links, collect_arq};
 use crate::runner::mask_dead_edges;
 use crate::trace::charge;
+use prospector_ckpt::{CheckpointError, Codec, Reader, Writer};
 use prospector_core::{Plan, QDigest, SketchPrecision};
 use prospector_data::Reading;
 use prospector_net::{
@@ -81,7 +82,7 @@ pub struct ContinuousState {
     eff: Vec<f64>,
     /// Incremental answer index over `eff`: `(desc_key(eff), node)`.
     /// Contains exactly the nodes with finite `eff`. Rebuilt from `eff`
-    /// on resume, never serialized.
+    /// on decode, never serialized.
     ordered: BTreeSet<(u64, u32)>,
     /// Per holder node: delta batches awaiting a working uplink.
     custody: Vec<Vec<Delta>>,
@@ -109,38 +110,6 @@ impl ContinuousState {
             last_refresh: None,
             force_refresh: false,
             sketches: Vec::new(),
-        }
-    }
-
-    /// Rebuilds a state from checkpointed parts (the ordered index is
-    /// derived from `eff`).
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_parts(
-        view: Vec<f64>,
-        last_shipped: Vec<f64>,
-        eff: Vec<f64>,
-        custody: Vec<Vec<Delta>>,
-        threshold: f64,
-        last_refresh: Option<u64>,
-        force_refresh: bool,
-        sketches: Vec<(NodeId, QDigest)>,
-    ) -> ContinuousState {
-        let ordered = eff
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| v.is_finite())
-            .map(|(i, &v)| (desc_key(v), i as u32))
-            .collect();
-        ContinuousState {
-            view,
-            last_shipped,
-            eff,
-            ordered,
-            custody,
-            threshold,
-            last_refresh,
-            force_refresh,
-            sketches,
         }
     }
 
@@ -247,59 +216,24 @@ impl ContinuousState {
         all
     }
 
-    /// Serializes to the checkpoint wire image (sketches travel in their
-    /// byte-deterministic encoded form).
-    pub fn to_image(&self) -> prospector_ckpt::ContinuousImage {
-        prospector_ckpt::ContinuousImage {
-            view: self.view.clone(),
-            last_shipped: self.last_shipped.clone(),
-            eff: self.eff.clone(),
-            threshold: self.threshold,
-            last_refresh: self.last_refresh,
-            force_refresh: self.force_refresh,
-            custody: self
-                .custody
-                .iter()
-                .map(|held| held.iter().map(|d| (d.origin.0, d.epoch, d.value)).collect())
-                .collect(),
-            sketches: self.sketches.iter().map(|(c, d)| (c.0, d.encode())).collect(),
+    /// Checks a state against a network of `n` nodes: every per-node
+    /// vector covers it, and every node id the state holds lies in it.
+    pub(crate) fn check(&self, n: usize) -> Result<(), String> {
+        let lengths = [
+            ("view", self.view.len()),
+            ("last_shipped", self.last_shipped.len()),
+            ("eff", self.eff.len()),
+            ("custody", self.custody.len()),
+        ];
+        if let Some((what, len)) = lengths.into_iter().find(|&(_, len)| len != n) {
+            return Err(format!("continuous {what} covers {len} nodes, topology has {n}"));
         }
-    }
-
-    /// Rebuilds from a checkpoint image; fails if an encoded sketch does
-    /// not decode.
-    pub fn from_image(img: prospector_ckpt::ContinuousImage) -> Result<ContinuousState, String> {
-        let custody = img
-            .custody
-            .into_iter()
-            .map(|held| {
-                let mut held: Vec<Delta> = held
-                    .into_iter()
-                    .map(|(origin, epoch, value)| Delta { origin: NodeId(origin), epoch, value })
-                    .collect();
-                held.sort_by_key(|d| d.origin);
-                held
-            })
-            .collect();
-        let sketches = img
-            .sketches
-            .into_iter()
-            .map(|(c, bytes)| {
-                QDigest::decode(&bytes)
-                    .map(|d| (NodeId(c), d))
-                    .map_err(|e| format!("sketch for node {c} does not decode: {e}"))
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        Ok(ContinuousState::from_parts(
-            img.view,
-            img.last_shipped,
-            img.eff,
-            custody,
-            img.threshold,
-            img.last_refresh,
-            img.force_refresh,
-            sketches,
-        ))
+        let origins = self.custody.iter().flatten().map(|d| d.origin);
+        let children = self.sketches.iter().map(|&(c, _)| c);
+        if let Some(bad) = origins.chain(children).find(|c| c.index() >= n) {
+            return Err(format!("continuous state names node {}, topology has {n}", bad.0));
+        }
+        Ok(())
     }
 
     /// The silence-under-loss invariant: for every alive non-root node,
@@ -332,6 +266,49 @@ impl ContinuousState {
         for held in &mut self.custody {
             held.retain(|e| deaths.iter().all(|d| *d != e.origin));
         }
+    }
+}
+
+prospector_ckpt::walk!(Delta { origin, epoch, value });
+
+/// The protocol's checkpoint walk. The answer index is derived, so it is
+/// rebuilt from `eff`; custody is re-sorted by origin, the order
+/// `merge_deltas` keeps; sketches decode through `QDigest::decode`.
+impl Codec for ContinuousState {
+    fn put(&self, w: &mut Writer) {
+        w.put(&self.view);
+        w.put(&self.last_shipped);
+        w.put(&self.eff);
+        w.put(&self.threshold);
+        w.put(&self.last_refresh);
+        w.put(&self.force_refresh);
+        w.put(&self.custody);
+        w.put(&self.sketches);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Self, CheckpointError> {
+        let mut s = ContinuousState {
+            view: r.get()?,
+            last_shipped: r.get()?,
+            eff: r.get()?,
+            ordered: BTreeSet::new(),
+            threshold: r.get()?,
+            last_refresh: r.get()?,
+            force_refresh: r.get()?,
+            custody: r.get()?,
+            sketches: r.get()?,
+        };
+        for held in &mut s.custody {
+            held.sort_by_key(|d| d.origin);
+        }
+        s.ordered = s
+            .eff
+            .iter()
+            .enumerate()
+            .filter(|(_, v)| v.is_finite())
+            .map(|(i, &v)| (desc_key(v), i as u32))
+            .collect();
+        Ok(s)
     }
 }
 

@@ -17,7 +17,9 @@
 //!   move the sampling period (`SamplePolicy::Adaptive`); it also holds
 //!   [`apply_deaths`], the one death stage (Section 4.4: repair the tree,
 //!   charge detection and re-attachment, mask the window) that the
-//!   runner and the serving layer both call;
+//!   runner and the serving layer both call. The runner's resumable
+//!   state is one struct, [`Checkpoint`], whose field walk is the
+//!   checkpoint image (see `prospector-ckpt`);
 //! * [`continuous`] — the continuous-query delta protocol: custody-based
 //!   delta shipping, change beacons, forced full refreshes and per-subtree
 //!   q-digest summaries.
@@ -51,6 +53,6 @@ pub use exec::{
 };
 pub use naive1::run_naive1;
 pub use runner::{
-    apply_deaths, mask_dead_values, CheckpointedRunError, ConfigError, EpochReport,
-    ExperimentConfig, ExperimentRunner, ResumeError,
+    apply_deaths, mask_dead_values, Checkpoint, CheckpointStore, CheckpointedRunError, ConfigError,
+    EpochReport, ExperimentConfig, ExperimentRunner, ResumeError,
 };

@@ -28,7 +28,7 @@ use crate::dissemination::{install_plan, install_plan_lossy};
 use crate::exact_exec::run_exact;
 use crate::exec::{charge_as, charge_sweep, execute_plan_arq_traced, execute_plan_traced};
 use crate::trace::charge;
-use prospector_ckpt::{Checkpoint, CheckpointPolicy, CheckpointStore, StoreError};
+use prospector_ckpt::{walk, CheckpointError, CheckpointPolicy, Image, StoreError};
 use prospector_core::{
     evaluate, exact::ExactConfig, ContinuousPolicy, GatePolicy, Plan, PlanContext, PlanError,
     Planner, TrustState,
@@ -104,6 +104,24 @@ pub struct ExperimentConfig {
     /// Seed for failure injection.
     pub seed: u64,
 }
+
+walk!(ExperimentConfig {
+    k,
+    window,
+    policy,
+    budget_mj,
+    replan_every,
+    replan_threshold,
+    failures,
+    faults,
+    install_retries,
+    arq,
+    min_delivered,
+    max_retry_budget,
+    gate,
+    continuous,
+    seed,
+});
 
 /// Why an [`ExperimentConfig`] cannot drive an experiment (see
 /// [`ExperimentConfig::validate`]). Catching these at construction turns
@@ -261,21 +279,6 @@ impl std::fmt::Display for CheckpointedRunError {
 
 impl std::error::Error for CheckpointedRunError {}
 
-/// Planner names a resumed checkpoint may carry. `plan_via` holds a
-/// `&'static str` (planner names are compile-time constants); a name
-/// deserialized from disk is matched back to the known set, or leaked
-/// once for an out-of-tree planner — a bounded leak, since checkpoints
-/// are loaded a handful of times per process.
-fn intern_planner_name(name: &str) -> &'static str {
-    const KNOWN: &[&str] =
-        &["greedy", "lp+lf", "lp-lf(-)", "naive-k", "prospector-proof", "fallback", "FAILING"];
-    KNOWN
-        .iter()
-        .find(|&&k| k == name)
-        .copied()
-        .unwrap_or_else(|| Box::leak(name.to_string().into_boxed_str()))
-}
-
 /// What happened during one epoch.
 #[derive(Debug, Clone)]
 pub struct EpochReport {
@@ -348,53 +351,166 @@ struct GateTally {
     readmitted: usize,
 }
 
-/// Drives a planner over a value source for many epochs.
-pub struct ExperimentRunner<'a> {
-    /// Owned: permanent failures rewrite the tree mid-run.
-    topology: Topology,
-    energy: &'a EnergyModel,
-    planner: &'a dyn Planner,
-    config: ExperimentConfig,
-    samples: SampleSet,
-    plan: Option<Plan>,
-    /// Provenance of the currently installed plan (planner name, depth).
-    plan_via: Option<(&'static str, usize)>,
-    /// Epoch of the last plan recalculation (None before the first).
-    last_replan: Option<u64>,
-    /// The sampling period, in query epochs, as audits have set it; only
-    /// [`SamplePolicy::Adaptive`] reads it.
-    sweep_period: u64,
-    /// Query epochs run since the last sweep.
-    since_sweep: u64,
-    /// Owned: link degradations worsen edges mid-run.
-    failures: Option<FailureModel>,
-    /// Collection ARQ policy currently in force; starts at the configured
-    /// policy and escalates when delivery degrades.
-    arq: ArqPolicy,
+/// The runner's resumable state at an epoch boundary, and the
+/// checkpoint image: its field walk is the payload, in the order below.
+///
+/// An [`ExperimentRunner`] keeps exactly this, so
+/// [`ExperimentRunner::checkpoint`] is a clone and
+/// [`ExperimentRunner::resume`] a validated move. It holds the
+/// configuration (a resumed process needs no side channel), the repaired
+/// tree, liveness and trust, the sample window, cumulative energy, the
+/// installed plan and its provenance, the re-sampling state, the
+/// degraded failure model, the escalated ARQ policy, the dissemination
+/// RNG (the only stream that survives across epochs: collection draws
+/// are re-derived per epoch from `epoch_seed`), the metrics and the
+/// continuous protocol's state.
+#[derive(Debug, Clone)]
+pub struct Checkpoint {
+    /// The epoch the next [`ExperimentRunner::run_to`] call starts at:
+    /// one past the last completed epoch (0 for a fresh runner).
+    pub next_epoch: u64,
+    /// The configuration the run was built with (never changes).
+    pub config: ExperimentConfig,
+    /// The routing tree as currently repaired.
+    pub topology: Topology,
     /// `alive[i]` is false once node i has permanently failed.
-    alive: Vec<bool>,
+    pub alive: Vec<bool>,
     /// Per-node plausibility-gate trust state; stays all-default without
     /// a gate policy (and on honest data with one).
-    trust: Vec<TrustState>,
+    pub trust: Vec<TrustState>,
+    /// The sample window with its derived top-k sets.
+    pub samples: SampleSet,
+    /// Cumulative energy across all epochs.
+    pub meter: EnergyMeter,
+    /// The installed plan, if any.
+    pub plan: Option<Plan>,
+    /// Provenance of the installed plan (planner name, fallback depth).
+    pub plan_via: Option<(&'static str, usize)>,
+    /// Epoch of the last plan recalculation (None before the first).
+    pub last_replan: Option<u64>,
+    /// The sampling period, in query epochs, as audits have set it; only
+    /// [`SamplePolicy::Adaptive`] reads it.
+    pub sweep_period: u64,
+    /// Query epochs run since the last sweep.
+    pub since_sweep: u64,
+    /// The failure model as link degradations have worsened it.
+    pub failures: Option<FailureModel>,
+    /// Collection ARQ policy currently in force; starts at the configured
+    /// policy and escalates when delivery degrades.
+    pub arq: ArqPolicy,
+    /// The dissemination RNG stream.
+    pub rng: StdRng,
+    /// Aggregate metrics; present only after
+    /// [`ExperimentRunner::enable_metrics`]. They carry wall-clock plan
+    /// latencies, so with metrics on a checkpoint's bytes are not a
+    /// function of the seeds alone.
+    pub metrics: Option<MetricsRegistry>,
+    /// Continuous-protocol state, present exactly when
+    /// [`ExperimentConfig::continuous`] is.
+    pub cont: Option<ContinuousState>,
+}
+
+walk!(Checkpoint {
+    next_epoch,
+    config,
+    topology,
+    alive,
+    trust,
+    samples,
+    meter,
+    plan,
+    plan_via,
+    last_replan,
+    sweep_period,
+    since_sweep,
+    failures,
+    arq,
+    rng,
+    metrics,
+    cont,
+});
+
+impl Checkpoint {
+    /// The wire image (header + payload) of this state.
+    pub fn encode(&self) -> Vec<u8> {
+        prospector_ckpt::encode(self)
+    }
+
+    /// Parses a wire image and runs the consistency check `resume` runs.
+    pub fn decode(bytes: &[u8]) -> Result<Checkpoint, CheckpointError> {
+        prospector_ckpt::decode(bytes)
+    }
+
+    /// The one consistency check, which decode and resume both run: the
+    /// configuration against the tree, then every per-node piece against
+    /// the tree's size, and every node id against its range. A state that
+    /// passes can run its next epoch without indexing out of bounds.
+    fn validate(&self) -> Result<(), ResumeError> {
+        let n = self.topology.len();
+        self.config.validate(n).map_err(ResumeError::Config)?;
+        let inconsistent = |why: String| Err(ResumeError::Inconsistent(why));
+        let pieces = [
+            ("sample window", self.samples.num_nodes()),
+            ("alive mask", self.alive.len()),
+            ("trust state", self.trust.len()),
+            ("meter", self.meter.node_totals().len()),
+            ("plan", self.plan.as_ref().map_or(n, |p| p.bandwidths().len())),
+            ("failure model", self.failures.as_ref().map_or(n, FailureModel::len)),
+        ];
+        if let Some((what, len)) = pieces.into_iter().find(|&(_, len)| len != n) {
+            return inconsistent(format!("{what} covers {len} nodes, topology has {n}"));
+        }
+        let (k, window) = (self.config.k, self.config.window);
+        if (self.samples.k(), self.samples.capacity()) != (k, window) {
+            return inconsistent(format!(
+                "sample window is (k={}, capacity={}), config says (k={k}, window={window})",
+                self.samples.k(),
+                self.samples.capacity(),
+            ));
+        }
+        if !(MIN_SWEEP_PERIOD..=MAX_SWEEP_PERIOD).contains(&self.sweep_period) {
+            return inconsistent(format!("sampling period {} is out of range", self.sweep_period));
+        }
+        match (&self.config.continuous, &self.cont) {
+            (Some(_), Some(cont)) => cont.check(n).map_err(ResumeError::Inconsistent),
+            (None, None) => Ok(()),
+            (Some(_), None) => inconsistent(
+                "config is continuous but the checkpoint has no protocol state".to_string(),
+            ),
+            (None, Some(_)) => inconsistent(
+                "checkpoint carries continuous state but the config is not continuous".to_string(),
+            ),
+        }
+    }
+}
+
+impl Image for Checkpoint {
+    fn next_epoch(&self) -> u64 {
+        self.next_epoch
+    }
+
+    fn check(&self) -> Result<(), String> {
+        self.validate().map_err(|e| e.to_string())
+    }
+}
+
+/// The runner's checkpoint store: a directory of [`Checkpoint`] images.
+pub type CheckpointStore = prospector_ckpt::CheckpointStore<Checkpoint>;
+
+/// Drives a planner over a value source for many epochs.
+pub struct ExperimentRunner<'a> {
+    energy: &'a EnergyModel,
+    planner: &'a dyn Planner,
+    /// Everything a checkpoint carries.
+    state: Checkpoint,
     /// Nodes of `trust` in quarantine, kept in step with every trust
     /// change so the report gauge needs no scan.
     quarantined: usize,
-    /// Continuous-protocol state, present exactly when
-    /// [`ExperimentConfig::continuous`] is.
-    cont: Option<ContinuousState>,
     /// Continuous mode only: the gate bands of the window whose
     /// [`SampleSet::generation`] is paired with them. Every continuous
     /// epoch audits the whole view, and between sweeps the window does
     /// not change, so one table serves many epochs.
     bands: Option<(u64, BandTable)>,
-    meter: EnergyMeter,
-    rng: StdRng,
-    /// Aggregate metrics; populated only after
-    /// [`ExperimentRunner::enable_metrics`].
-    metrics: Option<MetricsRegistry>,
-    /// The epoch the next [`ExperimentRunner::run_to`] call starts at:
-    /// one past the last completed epoch (0 for a fresh runner).
-    next_epoch: u64,
 }
 
 impl<'a> ExperimentRunner<'a> {
@@ -417,34 +533,28 @@ impl<'a> ExperimentRunner<'a> {
         planner: &'a dyn Planner,
         config: ExperimentConfig,
     ) -> Result<Self, ConfigError> {
-        config.validate(topology.len())?;
-        let samples = SampleSet::new(topology.len(), config.k, config.window);
-        let rng = StdRng::seed_from_u64(config.seed);
-        let failures = config.failures.clone();
-        let arq = config.arq;
-        Ok(ExperimentRunner {
+        let n = topology.len();
+        config.validate(n)?;
+        let state = Checkpoint {
+            next_epoch: 0,
             topology: topology.clone(),
-            energy,
-            planner,
-            samples,
+            alive: vec![true; n],
+            trust: vec![TrustState::default(); n],
+            samples: SampleSet::new(n, config.k, config.window),
+            meter: EnergyMeter::new(n),
             plan: None,
             plan_via: None,
             last_replan: None,
             sweep_period: INITIAL_SWEEP_PERIOD,
             since_sweep: 0,
-            failures,
-            arq,
-            alive: vec![true; topology.len()],
-            trust: vec![TrustState::default(); topology.len()],
-            quarantined: 0,
-            cont: config.continuous.as_ref().map(|_| ContinuousState::new(topology.len())),
-            bands: None,
-            meter: EnergyMeter::new(topology.len()),
-            rng,
+            failures: config.failures.clone(),
+            arq: config.arq,
+            rng: StdRng::seed_from_u64(config.seed),
             metrics: None,
+            cont: config.continuous.map(|_| ContinuousState::new(n)),
             config,
-            next_epoch: 0,
-        })
+        };
+        Ok(ExperimentRunner { energy, planner, state, quarantined: 0, bands: None })
     }
 
     /// Captures the full resumable state at the current epoch boundary.
@@ -453,39 +563,7 @@ impl<'a> ExperimentRunner<'a> {
     /// mutates nothing — so a run that checkpoints every epoch produces
     /// traces byte-identical to one that never checkpoints.
     pub fn checkpoint(&self) -> Checkpoint {
-        Checkpoint {
-            next_epoch: self.next_epoch,
-            k: self.config.k,
-            window: self.config.window,
-            policy: self.config.policy.clone(),
-            budget_mj: self.config.budget_mj,
-            replan_every: self.config.replan_every,
-            replan_threshold: self.config.replan_threshold,
-            config_failures: self.config.failures.clone(),
-            faults: self.config.faults.clone(),
-            install_retries: self.config.install_retries,
-            config_arq: self.config.arq,
-            min_delivered: self.config.min_delivered,
-            max_retry_budget: self.config.max_retry_budget,
-            gate: self.config.gate,
-            continuous: self.config.continuous,
-            seed: self.config.seed,
-            topology: self.topology.clone(),
-            alive: self.alive.clone(),
-            trust: self.trust.clone(),
-            samples: self.samples.clone(),
-            meter: self.meter.clone(),
-            plan: self.plan.clone(),
-            plan_via: self.plan_via.map(|(name, depth)| (name.to_string(), depth as u64)),
-            last_replan: self.last_replan,
-            sweep_period: self.sweep_period,
-            since_sweep: self.since_sweep,
-            failures: self.failures.clone(),
-            arq: self.arq,
-            rng_state: self.rng.state(),
-            metrics: self.metrics.as_ref().map(|m| m.snapshot()),
-            cont_state: self.cont.as_ref().map(ContinuousState::to_image),
-        }
+        self.state.clone()
     }
 
     /// Rebuilds a runner from a checkpoint. The energy model and planner
@@ -495,176 +573,72 @@ impl<'a> ExperimentRunner<'a> {
     /// at `ckpt.next_epoch` and replays the uninterrupted run exactly,
     /// provided the value source is epoch-deterministic (stateless per
     /// epoch, like `IndependentGaussian` — a stateful source such as
-    /// `RandomWalk` must be fast-forwarded by the caller).
+    /// `RandomWalk` must be fast-forwarded by the caller). The image must
+    /// pass the consistency check every decode runs too.
     pub fn resume(
         ckpt: Checkpoint,
         energy: &'a EnergyModel,
         planner: &'a dyn Planner,
     ) -> Result<Self, ResumeError> {
-        let config = ExperimentConfig {
-            k: ckpt.k,
-            window: ckpt.window,
-            policy: ckpt.policy,
-            budget_mj: ckpt.budget_mj,
-            replan_every: ckpt.replan_every,
-            replan_threshold: ckpt.replan_threshold,
-            failures: ckpt.config_failures,
-            faults: ckpt.faults,
-            install_retries: ckpt.install_retries,
-            arq: ckpt.config_arq,
-            min_delivered: ckpt.min_delivered,
-            max_retry_budget: ckpt.max_retry_budget,
-            gate: ckpt.gate,
-            continuous: ckpt.continuous,
-            seed: ckpt.seed,
-        };
-        let n = ckpt.topology.len();
-        config.validate(n).map_err(ResumeError::Config)?;
-        let inconsistent = |why: String| Err(ResumeError::Inconsistent(why));
-        if ckpt.samples.num_nodes() != n {
-            return inconsistent(format!(
-                "sample window covers {} nodes, topology has {n}",
-                ckpt.samples.num_nodes()
-            ));
-        }
-        if ckpt.samples.k() != config.k || ckpt.samples.capacity() != config.window {
-            return inconsistent(format!(
-                "sample window is (k={}, capacity={}), config says (k={}, window={})",
-                ckpt.samples.k(),
-                ckpt.samples.capacity(),
-                config.k,
-                config.window
-            ));
-        }
-        if ckpt.alive.len() != n {
-            return inconsistent(format!(
-                "alive mask covers {} nodes, topology has {n}",
-                ckpt.alive.len()
-            ));
-        }
-        if ckpt.trust.len() != n {
-            return inconsistent(format!(
-                "trust state covers {} nodes, topology has {n}",
-                ckpt.trust.len()
-            ));
-        }
-        if ckpt.meter.node_totals().len() != n {
-            return inconsistent(format!(
-                "meter covers {} nodes, topology has {n}",
-                ckpt.meter.node_totals().len()
-            ));
-        }
-        if let Some(f) = &ckpt.failures {
-            if f.len() != n {
-                return inconsistent(format!(
-                    "failure model covers {} nodes, topology has {n}",
-                    f.len()
-                ));
-            }
-        }
-        if !(MIN_SWEEP_PERIOD..=MAX_SWEEP_PERIOD).contains(&ckpt.sweep_period) {
-            return inconsistent(format!("sampling period {} is out of range", ckpt.sweep_period));
-        }
-        let cont = match (&config.continuous, ckpt.cont_state) {
-            (Some(_), Some(img)) => {
-                if img.view.len() != n {
-                    return inconsistent(format!(
-                        "continuous state covers {} nodes, topology has {n}",
-                        img.view.len()
-                    ));
-                }
-                Some(ContinuousState::from_image(img).map_err(ResumeError::Inconsistent)?)
-            }
-            (Some(_), None) => {
-                return inconsistent(
-                    "config is continuous but the checkpoint has no protocol state".to_string(),
-                )
-            }
-            (None, Some(_)) => {
-                return inconsistent(
-                    "checkpoint carries continuous state but the config is not continuous"
-                        .to_string(),
-                )
-            }
-            (None, None) => None,
-        };
-        Ok(ExperimentRunner {
-            topology: ckpt.topology,
-            energy,
-            planner,
-            samples: ckpt.samples,
-            plan: ckpt.plan,
-            plan_via: ckpt
-                .plan_via
-                .map(|(name, depth)| (intern_planner_name(&name), depth as usize)),
-            last_replan: ckpt.last_replan,
-            sweep_period: ckpt.sweep_period,
-            since_sweep: ckpt.since_sweep,
-            failures: ckpt.failures,
-            arq: ckpt.arq,
-            alive: ckpt.alive,
-            quarantined: ckpt.trust.iter().filter(|t| t.is_quarantined()).count(),
-            trust: ckpt.trust,
-            cont,
-            bands: None,
-            meter: ckpt.meter,
-            rng: StdRng::from_state(ckpt.rng_state),
-            metrics: ckpt.metrics.as_ref().map(MetricsRegistry::from_snapshot),
-            config,
-            next_epoch: ckpt.next_epoch,
-        })
+        ckpt.validate()?;
+        let quarantined = ckpt.trust.iter().filter(|t| t.is_quarantined()).count();
+        Ok(ExperimentRunner { energy, planner, state: ckpt, quarantined, bands: None })
     }
 
     /// Turns on aggregate metrics: every subsequent epoch updates the
     /// registry and embeds a cumulative [`MetricsSnapshot`] in its report.
     pub fn enable_metrics(&mut self) {
-        self.metrics = Some(MetricsRegistry::new());
+        self.state.metrics = Some(MetricsRegistry::new());
     }
 
     /// The metrics registry, if [`ExperimentRunner::enable_metrics`] was
     /// called.
     pub fn metrics(&self) -> Option<&MetricsRegistry> {
-        self.metrics.as_ref()
+        self.state.metrics.as_ref()
     }
 
     /// Collection ARQ policy currently in force (reflects escalations).
     pub fn arq(&self) -> ArqPolicy {
-        self.arq
+        self.state.arq
     }
 
     /// Cumulative energy across all epochs run so far.
     pub fn meter(&self) -> &EnergyMeter {
-        &self.meter
+        &self.state.meter
     }
 
     /// The currently installed plan, if any.
     pub fn current_plan(&self) -> Option<&Plan> {
-        self.plan.as_ref()
+        self.state.plan.as_ref()
     }
 
     /// Current sample window (for inspection).
     pub fn samples(&self) -> &SampleSet {
-        &self.samples
+        &self.state.samples
     }
 
     /// The routing tree as currently repaired.
     pub fn topology(&self) -> &Topology {
-        &self.topology
+        &self.state.topology
     }
 
     /// Per-node liveness (false once permanently failed).
     pub fn alive(&self) -> &[bool] {
-        &self.alive
+        &self.state.alive
     }
 
     fn plan_context(&self) -> PlanContext<'_> {
-        let mut ctx =
-            PlanContext::new(&self.topology, self.energy, &self.samples, self.config.budget_mj);
-        if let Some(f) = &self.failures {
+        let mut ctx = PlanContext::new(
+            &self.state.topology,
+            self.energy,
+            &self.state.samples,
+            self.state.config.budget_mj,
+        );
+        if let Some(f) = &self.state.failures {
             // Edge costs price the ARQ policy collection will actually run
             // under (including escalations), steering plans around bad
             // links.
-            ctx = ctx.with_failures(f).with_arq(self.arq);
+            ctx = ctx.with_failures(f).with_arq(self.state.arq);
         }
         ctx
     }
@@ -680,10 +654,10 @@ impl<'a> ExperimentRunner<'a> {
         tracer: &mut dyn Tracer,
     ) -> Result<Vec<NodeId>, PlanError> {
         let deaths = apply_deaths(
-            &self.config.faults.deaths_at(epoch),
-            &mut self.topology,
-            &mut self.alive,
-            &mut self.samples,
+            &self.state.config.faults.deaths_at(epoch),
+            &mut self.state.topology,
+            &mut self.state.alive,
+            &mut self.state.samples,
             self.energy,
             epoch_meter,
             tracer,
@@ -691,12 +665,12 @@ impl<'a> ExperimentRunner<'a> {
         if !deaths.is_empty() {
             // The old plan routes through the dead node; discard it and
             // re-plan on the repaired tree immediately.
-            self.plan = None;
-            self.plan_via = None;
-            self.last_replan = None;
+            self.state.plan = None;
+            self.state.plan_via = None;
+            self.state.last_replan = None;
         }
-        for (child, added) in self.config.faults.degradations_at(epoch) {
-            if let Some(f) = self.failures.as_mut() {
+        for (child, added) in self.state.config.faults.degradations_at(epoch) {
+            if let Some(f) = self.state.failures.as_mut() {
                 // `validate` sized the model to the network and kept the
                 // schedule inside it; the schedule checked the probability.
                 f.degrade(child, added).expect("validated degradation");
@@ -732,25 +706,25 @@ impl<'a> ExperimentRunner<'a> {
             tracer.record(TraceEvent::EpochStart { epoch });
         }
         let mut values = source.values(epoch);
-        let k = self.config.k;
-        let mut epoch_meter = EnergyMeter::new(self.topology.len());
+        let k = self.state.config.k;
+        let mut epoch_meter = EnergyMeter::new(self.state.topology.len());
 
         let deaths = self.apply_faults(epoch, &mut epoch_meter, tracer)?;
-        if let Some(cont) = self.cont.as_mut() {
+        if let Some(cont) = self.state.cont.as_mut() {
             // Custody held at a dead node dies with it; scrubbing here
             // (before any transport) keeps the repair-forced refresh the
             // only thing that can re-learn the lost subtree.
             cont.on_deaths(&deaths);
         }
-        mask_dead_values(&mut values, &self.alive);
+        mask_dead_values(&mut values, &self.state.alive);
 
         // Data faults corrupt readings where they are sourced, after death
         // masking (a dead sensor reports nothing, corrupted or not), so
         // every execution path below sees the same lies. The clean copy is
         // the ground truth accuracy is scored against; without data faults
         // the truth is `values` itself and no copy is taken.
-        let clean = self.config.faults.has_data_faults().then(|| values.clone());
-        for f in self.config.faults.corrupt_values(epoch, &mut values) {
+        let clean = self.state.config.faults.has_data_faults().then(|| values.clone());
+        for f in self.state.config.faults.corrupt_values(epoch, &mut values) {
             if tracer.enabled() {
                 tracer.record(TraceEvent::DataFault {
                     node: f.node.0,
@@ -763,12 +737,16 @@ impl<'a> ExperimentRunner<'a> {
 
         // The sampling stage, for every policy: a full sweep feeds the
         // window and answers exactly.
-        let sweep = self.config.policy.should_sample(epoch, self.since_sweep, self.sweep_period);
-        self.since_sweep = if sweep { 0 } else { self.since_sweep + 1 };
+        let sweep = self.state.config.policy.should_sample(
+            epoch,
+            self.state.since_sweep,
+            self.state.sweep_period,
+        );
+        self.state.since_sweep = if sweep { 0 } else { self.state.since_sweep + 1 };
         if sweep {
             charge_sweep(
-                &self.topology,
-                &self.alive,
+                &self.state.topology,
+                &self.state.alive,
                 self.energy,
                 &values,
                 &mut epoch_meter,
@@ -777,9 +755,9 @@ impl<'a> ExperimentRunner<'a> {
             // Root-side gate on the sweep: implausible readings feed the
             // window (and the answer) as predictions, so a lying sensor
             // cannot poison the very history it is judged against.
-            let raw = self.cont.is_some().then(|| values.clone());
+            let raw = self.state.cont.is_some().then(|| values.clone());
             let mut gated = GateTally::default();
-            if let Some(policy) = self.config.gate {
+            if let Some(policy) = self.state.config.gate {
                 gated = self.gate_sweep(epoch, &mut values, &policy, tracer);
             }
             // In continuous mode a sweep delivers every alive reading, so
@@ -792,7 +770,7 @@ impl<'a> ExperimentRunner<'a> {
                 }
                 None => 0,
             };
-            self.meter.merge(&epoch_meter);
+            self.state.meter.merge(&epoch_meter);
             // Sweeps answer exactly over what the network reports; with
             // data faults in play, score the (gated) report against the
             // clean truth instead of hard-coding exactness.
@@ -804,10 +782,10 @@ impl<'a> ExperimentRunner<'a> {
                     answered.iter().filter(|n| truth.contains(n)).count() as f64 / k as f64
                 }
             };
-            self.samples.push(values);
+            self.state.samples.push(values);
             let report = EpochReport {
                 sampled: true,
-                full_refresh: self.cont.is_some(),
+                full_refresh: self.state.cont.is_some(),
                 messages: cont_messages,
                 ..self.report(epoch, accuracy, deaths, gated, &epoch_meter)
             };
@@ -817,7 +795,7 @@ impl<'a> ExperimentRunner<'a> {
         // Continuous query epochs bypass planning and plan execution
         // entirely (and need no samples: without a window the gate simply
         // abstains, and thresholds come from the protocol itself).
-        if self.cont.is_some() {
+        if self.state.cont.is_some() {
             let report = self.continuous_query_epoch(
                 epoch,
                 &values,
@@ -829,7 +807,7 @@ impl<'a> ExperimentRunner<'a> {
             return Ok(self.finish_epoch(report, tracer));
         }
 
-        if self.samples.is_empty() {
+        if self.state.samples.is_empty() {
             return Err(PlanError::NoSamples);
         }
 
@@ -839,19 +817,22 @@ impl<'a> ExperimentRunner<'a> {
         // can starve replanning entirely.
         let mut replanned = false;
         let mut install_undelivered = 0usize;
-        let due = self.plan.is_none()
-            || (self.config.replan_every > 0
-                && self.last_replan.is_none_or(|lr| epoch - lr >= self.config.replan_every));
+        let due = self.state.plan.is_none()
+            || (self.state.config.replan_every > 0
+                && self
+                    .state
+                    .last_replan
+                    .is_none_or(|lr| epoch - lr >= self.state.config.replan_every));
         if due {
-            self.last_replan = Some(epoch);
+            self.state.last_replan = Some(epoch);
             // Plan latency is wall-clock and lives only in the metrics
             // registry, never in the trace.
-            let plan_start = self.metrics.is_some().then(Instant::now);
+            let plan_start = self.state.metrics.is_some().then(Instant::now);
             let traced = {
                 let ctx = self.plan_context();
                 self.planner.plan_traced(&ctx)?
             };
-            if let (Some(m), Some(t0)) = (self.metrics.as_mut(), plan_start) {
+            if let (Some(m), Some(t0)) = (self.state.metrics.as_mut(), plan_start) {
                 m.observe("plan_latency_ms", t0.elapsed().as_secs_f64() * 1e3);
                 if let Some(lp) = &traced.lp {
                     m.observe("lp_iterations", lp.iterations as f64);
@@ -860,16 +841,24 @@ impl<'a> ExperimentRunner<'a> {
             let mut candidate = traced.plan;
             // A planner that ignores samples (e.g. NAIVE-k as the last
             // fallback) may still route dead parked leaves; strip them.
-            mask_dead_edges(&mut candidate, &self.topology, &self.alive);
-            let install = match &self.plan {
+            mask_dead_edges(&mut candidate, &self.state.topology, &self.state.alive);
+            let install = match &self.state.plan {
                 None => true,
                 Some(current) => {
                     // Scored by the rank-order claiming kernel over the
                     // window's stored top-k sets (O(k·depth) per sample),
                     // so this comparison stays cheap at 50k nodes.
-                    let cur = evaluate::expected_misses(current, &self.topology, &self.samples);
-                    let new = evaluate::expected_misses(&candidate, &self.topology, &self.samples);
-                    cur - new >= self.config.replan_threshold
+                    let cur = evaluate::expected_misses(
+                        current,
+                        &self.state.topology,
+                        &self.state.samples,
+                    );
+                    let new = evaluate::expected_misses(
+                        &candidate,
+                        &self.state.topology,
+                        &self.state.samples,
+                    );
+                    cur - new >= self.state.config.replan_threshold
                 }
             };
             if tracer.enabled() {
@@ -891,22 +880,23 @@ impl<'a> ExperimentRunner<'a> {
             }
             if install {
                 let used_edges =
-                    self.topology.edges().filter(|&e| candidate.is_used(e)).count() as u32;
-                let (install_meter, undelivered, attempts) = match &self.failures {
+                    self.state.topology.edges().filter(|&e| candidate.is_used(e)).count() as u32;
+                let (install_meter, undelivered, attempts) = match &self.state.failures {
                     Some(f) if !f.is_trivial() => {
                         let (meter, delivery) = install_plan_lossy(
                             &candidate,
-                            &self.topology,
+                            &self.state.topology,
                             self.energy,
                             f,
-                            &mut self.rng,
-                            self.config.install_retries,
+                            &mut self.state.rng,
+                            self.state.config.install_retries,
                             tracer,
                         );
                         (meter, delivery.undelivered, delivery.attempts)
                     }
                     _ => {
-                        let meter = install_plan(&candidate, &self.topology, self.energy, tracer);
+                        let meter =
+                            install_plan(&candidate, &self.state.topology, self.energy, tracer);
                         (meter, Vec::new(), used_edges)
                     }
                 };
@@ -923,38 +913,46 @@ impl<'a> ExperimentRunner<'a> {
                     // Nodes that never heard the new subplan keep executing
                     // their old one.
                     for &e in &undelivered {
-                        let old = self.plan.as_ref().map_or(0, |p| p.bandwidth(e));
+                        let old = self.state.plan.as_ref().map_or(0, |p| p.bandwidth(e));
                         candidate.set_bandwidth(e, old);
                     }
-                    candidate.repair_connectivity(&self.topology);
-                    mask_dead_edges(&mut candidate, &self.topology, &self.alive);
+                    candidate.repair_connectivity(&self.state.topology);
+                    mask_dead_edges(&mut candidate, &self.state.topology, &self.state.alive);
                 }
-                self.plan = Some(candidate);
-                self.plan_via = Some((traced.planner, traced.fallback_depth));
+                self.state.plan = Some(candidate);
+                self.state.plan_via = Some((traced.planner, traced.fallback_depth));
                 replanned = true;
             }
         }
 
-        let plan = self.plan.as_ref().expect("plan exists after planning step");
-        let retry_budget = self.arq.max_retries;
+        let plan = self.state.plan.as_ref().expect("plan exists after planning step");
+        let retry_budget = self.state.arq.max_retries;
         // With lossy links, collection runs real per-hop delivery: every
         // upward batch is retried under the ARQ policy and a hop that
         // exhausts its budget loses its subtree's batch. Loss-free runs
         // keep the exact reliable path (and its energy accounting,
         // byte-for-byte).
-        let report = match &self.failures {
+        let report = match &self.state.failures {
             Some(f) if !f.is_trivial() => execute_plan_arq_traced(
                 plan,
-                &self.topology,
+                &self.state.topology,
                 self.energy,
                 &values,
                 k,
                 f,
-                &self.arq,
-                epoch_seed(self.config.seed, epoch),
+                &self.state.arq,
+                epoch_seed(self.state.config.seed, epoch),
                 tracer,
             ),
-            _ => execute_plan_traced(plan, &self.topology, self.energy, &values, k, None, tracer),
+            _ => execute_plan_traced(
+                plan,
+                &self.state.topology,
+                self.energy,
+                &values,
+                k,
+                None,
+                tracer,
+            ),
         };
         epoch_meter.merge(&report.meter);
 
@@ -965,9 +963,9 @@ impl<'a> ExperimentRunner<'a> {
         let mut kept: Vec<Reading> = Vec::new();
         let mut substituted: Vec<AnswerEntry> = Vec::new();
         let mut gated = GateTally::default();
-        if let Some(policy) = self.config.gate {
+        if let Some(policy) = self.state.config.gate {
             for &reading in &report.answer {
-                let band = node_band(&self.samples, reading.node, &policy);
+                let band = node_band(&self.state.samples, reading.node, &policy);
                 match self.gate_reading(reading, band, epoch, &policy, &mut gated, tracer) {
                     Some(prediction) => {
                         substituted.push(AnswerEntry { reading: prediction, estimated: true })
@@ -976,15 +974,22 @@ impl<'a> ExperimentRunner<'a> {
                 }
             }
         }
-        let answer: &[Reading] = if self.config.gate.is_some() { &kept } else { &report.answer };
+        let answer: &[Reading] =
+            if self.state.config.gate.is_some() { &kept } else { &report.answer };
         // Re-borrow: gating above needed `&mut self`.
-        let plan = self.plan.as_ref().expect("plan exists after planning step");
+        let plan = self.state.plan.as_ref().expect("plan exists after planning step");
 
         // Graceful degradation at the root: estimate lost subtrees from
         // the sample window and answer over delivered + backfilled (+
         // gate-substituted) entries.
-        let mut entries =
-            backfill_answer(answer, &report.lost_edges, plan, &self.topology, &self.samples, k);
+        let mut entries = backfill_answer(
+            answer,
+            &report.lost_edges,
+            plan,
+            &self.state.topology,
+            &self.state.samples,
+            k,
+        );
         if !substituted.is_empty() {
             // Substituted entries compete by rank exactly like backfilled
             // ones.
@@ -1009,19 +1014,20 @@ impl<'a> ExperimentRunner<'a> {
         let truth = top_k_nodes(clean.as_deref().unwrap_or(&values), k);
         let hits = entries.iter().filter(|e| truth.contains(&e.reading.node)).count();
 
-        if let SamplePolicy::Adaptive { audit_every, accuracy_floor, .. } = self.config.policy {
+        if let SamplePolicy::Adaptive { audit_every, accuracy_floor, .. } = self.state.config.policy
+        {
             if epoch.is_multiple_of(audit_every) {
                 self.audit(&values, &entries, accuracy_floor, &mut epoch_meter, tracer)?;
             }
         }
-        self.meter.merge(&epoch_meter);
+        self.state.meter.merge(&epoch_meter);
 
         // Adaptive reliability, once the retry budget is maxed out: force
         // a re-plan so a fallback chain can route around the loss (edge
         // costs in `plan_context` already price the current ARQ).
         if self.escalate_retries(report.delivered_fraction, "forced_replans", tracer) {
-            self.plan = None;
-            self.last_replan = None;
+            self.state.plan = None;
+            self.state.last_replan = None;
             if tracer.enabled() {
                 tracer.record(TraceEvent::ReplanForced {
                     delivered_fraction: report.delivered_fraction,
@@ -1044,7 +1050,7 @@ impl<'a> ExperimentRunner<'a> {
 
     /// The continuous-protocol state, when the run is in continuous mode.
     pub fn continuous_state(&self) -> Option<&ContinuousState> {
-        self.cont.as_ref()
+        self.state.cont.as_ref()
     }
 
     /// Runs one continuous-mode query epoch: either a full refresh (first
@@ -1061,11 +1067,11 @@ impl<'a> ExperimentRunner<'a> {
         epoch_meter: &mut EnergyMeter,
         tracer: &mut dyn Tracer,
     ) -> EpochReport {
-        let k = self.config.k;
-        let policy = self.config.continuous.expect("continuous mode");
-        let mut state = self.cont.take().expect("continuous mode");
-        let retry_budget = self.arq.max_retries;
-        let seed = epoch_seed(self.config.seed, epoch);
+        let k = self.state.config.k;
+        let policy = self.state.config.continuous.expect("continuous mode");
+        let mut state = self.state.cont.take().expect("continuous mode");
+        let retry_budget = self.state.arq.max_retries;
+        let seed = epoch_seed(self.state.config.seed, epoch);
 
         // Refresh-reason precedence: a run must start with one; deaths
         // invalidate custody and silence alike; a lost beacon (or maxed
@@ -1090,13 +1096,13 @@ impl<'a> ExperimentRunner<'a> {
             }
             let out = run_refresh_epoch(
                 &mut state,
-                &self.topology,
-                &self.alive,
+                &self.state.topology,
+                &self.state.alive,
                 self.energy,
                 values,
                 policy.sketch,
-                self.failures.as_ref(),
-                &self.arq,
+                self.state.failures.as_ref(),
+                &self.state.arq,
                 seed,
                 epoch_meter,
                 tracer,
@@ -1111,13 +1117,13 @@ impl<'a> ExperimentRunner<'a> {
         } else {
             let out = run_delta_epoch(
                 &mut state,
-                &self.topology,
-                &self.alive,
+                &self.state.topology,
+                &self.state.alive,
                 self.energy,
                 values,
                 policy.tolerance,
-                self.failures.as_ref(),
-                &self.arq,
+                self.state.failures.as_ref(),
+                &self.state.arq,
                 seed,
                 epoch,
                 epoch_meter,
@@ -1138,10 +1144,10 @@ impl<'a> ExperimentRunner<'a> {
         // arrived this epoch or is being carried forward — the property
         // the delta-vs-refresh-every-epoch equivalence tests pin down.
         let mut gated = GateTally::default();
-        if let Some(gate_policy) = self.config.gate {
+        if let Some(gate_policy) = self.state.config.gate {
             let bands = self.window_bands(&gate_policy);
-            for i in 0..self.topology.len() {
-                if !self.alive[i] {
+            for i in 0..self.state.topology.len() {
+                if !self.state.alive[i] {
                     continue;
                 }
                 let v = state.view()[i];
@@ -1155,10 +1161,10 @@ impl<'a> ExperimentRunner<'a> {
                     self.gate_reading(reading, band, epoch, &gate_policy, &mut gated, tracer);
                 state.set_eff(i, substitute.map_or(v, |prediction| prediction.value));
             }
-            self.bands = Some((self.samples.generation(), bands));
+            self.bands = Some((self.state.samples.generation(), bands));
         } else {
-            for i in 0..self.topology.len() {
-                if self.alive[i] {
+            for i in 0..self.state.topology.len() {
+                if self.state.alive[i] {
                     state.set_eff(i, state.view()[i]);
                 }
             }
@@ -1176,8 +1182,8 @@ impl<'a> ExperimentRunner<'a> {
             state.set_force_refresh(true);
         }
 
-        self.cont = Some(state);
-        self.meter.merge(epoch_meter);
+        self.state.cont = Some(state);
+        self.state.meter.merge(epoch_meter);
         EpochReport {
             lost_edges,
             retransmissions,
@@ -1202,23 +1208,23 @@ impl<'a> ExperimentRunner<'a> {
         epoch_meter: &mut EnergyMeter,
         tracer: &mut dyn Tracer,
     ) -> Result<(), PlanError> {
-        let k = self.config.k;
-        let ctx = PlanContext::new(&self.topology, self.energy, &self.samples, 0.0);
+        let k = self.state.config.k;
+        let ctx = PlanContext::new(&self.state.topology, self.energy, &self.state.samples, 0.0);
         let budget = ctx.min_proof_cost() * AUDIT_BUDGET_FACTOR;
         let phase1 = ExactConfig { phase1_budget_mj: budget }.plan_phase1(&ctx)?;
-        let exact = run_exact(&phase1, &self.topology, self.energy, values, k, None);
+        let exact = run_exact(&phase1, &self.state.topology, self.energy, values, k, None);
         charge_as(epoch_meter, &exact.meter, Phase::Sampling, tracer);
         let hits =
             answer.iter().filter(|e| exact.answer.iter().any(|r| r.node == e.reading.node)).count();
         let accuracy = hits as f64 / k as f64;
-        let p = self.sweep_period;
-        self.sweep_period = if accuracy < accuracy_floor {
+        let p = self.state.sweep_period;
+        self.state.sweep_period = if accuracy < accuracy_floor {
             (p / 2).max(MIN_SWEEP_PERIOD)
         } else {
             (p + p / 4 + 1).min(MAX_SWEEP_PERIOD)
         };
         if tracer.enabled() {
-            tracer.record(TraceEvent::Audit { accuracy, period: self.sweep_period });
+            tracer.record(TraceEvent::Audit { accuracy, period: self.state.sweep_period });
         }
         Ok(())
     }
@@ -1233,17 +1239,20 @@ impl<'a> ExperimentRunner<'a> {
         fallback_metric: &str,
         tracer: &mut dyn Tracer,
     ) -> bool {
-        if self.config.min_delivered <= 0.0 || delivered_fraction >= self.config.min_delivered {
+        if self.state.config.min_delivered <= 0.0
+            || delivered_fraction >= self.state.config.min_delivered
+        {
             return false;
         }
-        let escalate = self.arq.max_retries < self.config.max_retry_budget;
+        let escalate = self.state.arq.max_retries < self.state.config.max_retry_budget;
         if escalate {
-            self.arq.max_retries += 1;
+            self.state.arq.max_retries += 1;
             if tracer.enabled() {
-                tracer.record(TraceEvent::RetryEscalated { max_retries: self.arq.max_retries });
+                tracer
+                    .record(TraceEvent::RetryEscalated { max_retries: self.state.arq.max_retries });
             }
         }
-        if let Some(m) = self.metrics.as_mut() {
+        if let Some(m) = self.state.metrics.as_mut() {
             m.count(if escalate { "retry_escalations" } else { fallback_metric }, 1);
         }
         !escalate
@@ -1272,7 +1281,7 @@ impl<'a> ExperimentRunner<'a> {
             retransmissions: 0,
             delivered_fraction: 1.0,
             backfilled: 0,
-            retry_budget: self.arq.max_retries,
+            retry_budget: self.state.arq.max_retries,
             install_undelivered: 0,
             flagged: gated.substituted,
             quarantined: self.quarantined,
@@ -1298,18 +1307,18 @@ impl<'a> ExperimentRunner<'a> {
         epoch_meter: &mut EnergyMeter,
         tracer: &mut dyn Tracer,
     ) -> u32 {
-        let policy = self.config.continuous.expect("continuous mode");
-        let mut state = self.cont.take().expect("continuous mode");
+        let policy = self.state.config.continuous.expect("continuous mode");
+        let mut state = self.state.cont.take().expect("continuous mode");
         if tracer.enabled() {
             tracer.record(TraceEvent::FullRefresh { reason: "sweep" });
         }
         // Every alive node's reading was delivered.
         let mut messages = apply_refresh(
             &mut state,
-            &self.topology,
-            &self.alive,
+            &self.state.topology,
+            &self.state.alive,
             raw,
-            &self.alive,
+            &self.state.alive,
             policy.sketch,
             self.energy,
             epoch_meter,
@@ -1318,12 +1327,12 @@ impl<'a> ExperimentRunner<'a> {
         state.set_last_refresh(epoch);
         state.set_force_refresh(false);
         for (i, &g) in gated_values.iter().enumerate() {
-            if self.alive[i] {
+            if self.state.alive[i] {
                 state.set_eff(i, g);
             }
         }
         messages += self.continuous_update_threshold(&mut state, policy, epoch_meter, tracer);
-        self.cont = Some(state);
+        self.state.cont = Some(state);
         messages
     }
 
@@ -1339,9 +1348,9 @@ impl<'a> ExperimentRunner<'a> {
         epoch_meter: &mut EnergyMeter,
         tracer: &mut dyn Tracer,
     ) -> u32 {
-        let answer = state.answer(self.config.k);
-        let new_tau = if answer.len() == self.config.k {
-            answer[self.config.k - 1].value
+        let answer = state.answer(self.state.config.k);
+        let new_tau = if answer.len() == self.state.config.k {
+            answer[self.state.config.k - 1].value
         } else {
             f64::NEG_INFINITY
         };
@@ -1353,12 +1362,12 @@ impl<'a> ExperimentRunner<'a> {
         }
         state.set_threshold(new_tau);
         let mut messages = 0u32;
-        for i in 0..self.topology.len() {
+        for i in 0..self.state.topology.len() {
             let u = NodeId::from_index(i);
-            if !self.alive[i] {
+            if !self.state.alive[i] {
                 continue;
             }
-            if self.topology.children(u).iter().any(|&c| self.alive[c.index()]) {
+            if self.state.topology.children(u).iter().any(|&c| self.state.alive[c.index()]) {
                 charge(epoch_meter, tracer, u, Phase::Trigger, self.energy.broadcast());
                 messages += 1;
             }
@@ -1375,8 +1384,8 @@ impl<'a> ExperimentRunner<'a> {
     /// builds it.
     fn window_bands(&mut self, policy: &GatePolicy) -> BandTable {
         match self.bands.take() {
-            Some((generation, table)) if generation == self.samples.generation() => table,
-            _ => self.samples.band_table(policy.z, policy.min_sigma, policy.min_window),
+            Some((generation, table)) if generation == self.state.samples.generation() => table,
+            _ => self.state.samples.band_table(policy.z, policy.min_sigma, policy.min_window),
         }
     }
 
@@ -1397,7 +1406,7 @@ impl<'a> ExperimentRunner<'a> {
         let node = reading.node;
         let Band { lo, hi, predicted } = band?;
         let in_band = reading.value >= lo && reading.value <= hi;
-        let t = self.trust[node.index()].observe(in_band, epoch, policy);
+        let t = self.state.trust[node.index()].observe(in_band, epoch, policy);
         self.quarantined += usize::from(t.quarantined);
         self.quarantined -= usize::from(t.readmitted);
         if tracer.enabled() {
@@ -1413,7 +1422,7 @@ impl<'a> ExperimentRunner<'a> {
             if t.quarantined {
                 tracer.record(TraceEvent::NodeQuarantined {
                     node: node.0,
-                    strikes: self.trust[node.index()].strikes,
+                    strikes: self.state.trust[node.index()].strikes,
                 });
             }
             if t.readmitted {
@@ -1424,7 +1433,7 @@ impl<'a> ExperimentRunner<'a> {
             }
         }
         tally.readmitted += usize::from(t.readmitted);
-        if !in_band || self.trust[node.index()].is_quarantined() {
+        if !in_band || self.state.trust[node.index()].is_quarantined() {
             tally.substituted += 1;
             Some(Reading { node, value: predicted })
         } else {
@@ -1466,8 +1475,8 @@ impl<'a> ExperimentRunner<'a> {
     /// metrics registry (attaching a cumulative snapshot), advances the
     /// resume cursor, and emits the closing `EpochEnd` event.
     fn finish_epoch(&mut self, mut report: EpochReport, tracer: &mut dyn Tracer) -> EpochReport {
-        self.next_epoch = report.epoch + 1;
-        if let Some(m) = self.metrics.as_mut() {
+        self.state.next_epoch = report.epoch + 1;
+        if let Some(m) = self.state.metrics.as_mut() {
             m.count("epochs", 1);
             if report.sampled {
                 m.count("sample_sweeps", 1);
@@ -1492,9 +1501,9 @@ impl<'a> ExperimentRunner<'a> {
             m.count("messages", u64::from(report.messages));
             m.gauge("quarantined_nodes", report.quarantined as f64);
             m.gauge("delivered_fraction", report.delivered_fraction);
-            m.gauge("retry_budget", f64::from(self.arq.max_retries));
-            m.gauge("energy_total_mj", self.meter.total());
-            m.gauge("energy_gini", gini(self.meter.node_totals()));
+            m.gauge("retry_budget", f64::from(self.state.arq.max_retries));
+            m.gauge("energy_total_mj", self.state.meter.total());
+            m.gauge("energy_gini", gini(self.state.meter.node_totals()));
             m.observe("epoch_energy_mj", report.energy_mj);
             m.observe("accuracy", report.accuracy);
             report.metrics = Some(m.snapshot());
@@ -1516,7 +1525,7 @@ impl<'a> ExperimentRunner<'a> {
     }
 
     fn fallback_used(&self) -> Option<&'static str> {
-        match self.plan_via {
+        match self.state.plan_via {
             Some((name, depth)) if depth > 0 => Some(name),
             _ => None,
         }
@@ -1525,7 +1534,7 @@ impl<'a> ExperimentRunner<'a> {
     /// The epoch the next [`ExperimentRunner::run_to`] call starts at:
     /// 0 for a fresh runner, `ckpt.next_epoch` for a resumed one.
     pub fn next_epoch(&self) -> u64 {
-        self.next_epoch
+        self.state.next_epoch
     }
 
     /// Runs epochs `next_epoch..until`, recording their event streams
@@ -1537,7 +1546,7 @@ impl<'a> ExperimentRunner<'a> {
         until: u64,
         tracer: &mut dyn Tracer,
     ) -> Result<Vec<EpochReport>, PlanError> {
-        (self.next_epoch..until).map(|e| self.step_traced(source, e, tracer)).collect()
+        (self.state.next_epoch..until).map(|e| self.step_traced(source, e, tracer)).collect()
     }
 
     /// [`ExperimentRunner::run_to`] with periodic checkpointing: after
@@ -1554,7 +1563,7 @@ impl<'a> ExperimentRunner<'a> {
         tracer: &mut dyn Tracer,
     ) -> Result<Vec<EpochReport>, CheckpointedRunError> {
         let mut reports = Vec::new();
-        for e in self.next_epoch..until {
+        for e in self.state.next_epoch..until {
             reports.push(self.step_traced(source, e, tracer).map_err(CheckpointedRunError::Plan)?);
             if policy.due(e) {
                 store
@@ -1999,7 +2008,7 @@ mod tests {
                 let mut tracer = prospector_obs::RingTracer::new(1 << 12);
                 let report = runner.step_traced(source, e, &mut tracer).unwrap();
                 let audited = tracer.take().iter().any(|ev| matches!(ev, TraceEvent::Audit { .. }));
-                (report, runner.sweep_period, audited)
+                (report, runner.state.sweep_period, audited)
             })
             .collect()
     }

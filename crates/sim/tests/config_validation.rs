@@ -2,12 +2,16 @@
 //! a typed `ConfigError` raised at construction, where it names the bad
 //! field — not a panic three layers down in `SampleSet` or the planner.
 
-use prospector_core::{ContinuousPolicy, FallbackPlanner, GatePolicy};
+use prospector_ckpt::{CheckpointError, Reader, Writer};
+use prospector_core::{ContinuousPolicy, FallbackPlanner, GatePolicy, Plan};
 use prospector_data::SamplePolicy;
 use prospector_net::{topology, EnergyModel, FailureModel, FaultSchedule, NodeId};
 use prospector_obs::NullTracer;
-use prospector_sim::{ConfigError, ExperimentConfig, ExperimentRunner, ResumeError};
-use prospector_testutil::recovery_config;
+use prospector_sim::{
+    Checkpoint, ConfigError, ContinuousState, Delta, ExperimentConfig, ExperimentRunner,
+    ResumeError,
+};
+use prospector_testutil::{golden, recovery_config};
 
 fn base() -> ExperimentConfig {
     recovery_config(FaultSchedule::new())
@@ -250,7 +254,7 @@ fn resume_rejects_invalid_and_inconsistent_checkpoints() {
 
     // A checkpoint whose config went bad fails config validation.
     let mut bad = good.clone();
-    bad.window = 0;
+    bad.config.window = 0;
     // (The sample set still has the old capacity; config error wins.)
     match ExperimentRunner::resume(bad, &em, &planner) {
         Err(ResumeError::Config(ConfigError::ZeroWindow)) => {}
@@ -271,7 +275,7 @@ fn resume_rejects_invalid_and_inconsistent_checkpoints() {
 
     // Resume inherits the fault-schedule check.
     let mut bad = good.clone();
-    bad.faults = FaultSchedule::new().with_death(8, NodeId(99));
+    bad.config.faults = FaultSchedule::new().with_death(8, NodeId(99));
     match ExperimentRunner::resume(bad, &em, &planner) {
         Err(ResumeError::Config(ConfigError::FaultNodeOutOfRange { node: NodeId(99), .. })) => {}
         Err(e) => panic!("expected Config(FaultNodeOutOfRange), got {e}"),
@@ -300,6 +304,71 @@ fn resume_rejects_invalid_and_inconsistent_checkpoints() {
         Ok(_) => panic!("truncated trust vector was accepted"),
     }
 
+    // A plan sized for another network is inconsistent, and encoding it
+    // walks the plan's own bandwidths instead of indexing past them.
+    let mut bad = good.clone();
+    bad.plan = Some(Plan::from_bandwidths(vec![1; 5], false));
+    assert_rejected(bad, &em, &planner, "plan covers 5 nodes");
+
     // The untampered image still resumes.
     assert!(ExperimentRunner::resume(good, &em, &planner).is_ok());
+
+    // The continuous protocol's per-node vectors and node ids are checked
+    // too, against a continuous run's image.
+    let sc = golden::scenario("continuous_drift");
+    let mut runner =
+        ExperimentRunner::new(&sc.topology, &sc.energy, &sc.planner, sc.config.clone());
+    runner.run_to(&mut sc.source(), 4, &mut NullTracer).expect("continuous run");
+    let good = runner.checkpoint();
+    let cont = good.cont.as_ref().expect("continuous state");
+
+    let mut bad = good.clone();
+    bad.cont = Some(rewalk(cont, |vectors, _| {
+        vectors[1].pop(); // last_shipped
+        vectors[2].pop(); // eff
+    }));
+    assert_rejected(bad, &em, &planner, "last_shipped covers 12 nodes");
+
+    let mut bad = good.clone();
+    bad.cont = Some(rewalk(cont, |_, custody| {
+        custody[1].push(Delta { origin: NodeId(99), epoch: 3, value: 50.0 });
+    }));
+    assert_rejected(bad, &em, &planner, "names node 99");
+
+    assert!(ExperimentRunner::resume(good, &sc.energy, &sc.planner).is_ok());
+}
+
+/// `state` rebuilt through its own checkpoint walk after `edit` changed
+/// its view, last-shipped and effective vectors (in that order) or its
+/// custody: protocol state the protocol itself never produces.
+fn rewalk(
+    state: &ContinuousState,
+    edit: impl FnOnce(&mut [Vec<f64>; 3], &mut Vec<Vec<Delta>>),
+) -> ContinuousState {
+    let mut vectors = [state.view().to_vec(), state.last_shipped().to_vec(), state.eff().to_vec()];
+    let mut custody = state.custody().to_vec();
+    edit(&mut vectors, &mut custody);
+    let mut w = Writer::new();
+    vectors.iter().for_each(|v| w.put(v));
+    w.put(&state.threshold());
+    w.put(&state.last_refresh());
+    w.put(&state.force_refresh());
+    w.put(&custody);
+    w.put_slice(state.sketches());
+    Reader::new(&w.into_bytes()).get().expect("the rewalked state parses")
+}
+
+/// `bad` is rejected as inconsistent, naming `why`, both by resume and
+/// by decode, which runs the same check; encoding it does not panic.
+fn assert_rejected(bad: Checkpoint, em: &EnergyModel, planner: &FallbackPlanner, why: &str) {
+    match Checkpoint::decode(&bad.encode()) {
+        Err(CheckpointError::Invalid(e)) => assert!(e.contains(why), "decode: {e}"),
+        Err(e) => panic!("decode: expected Invalid naming {why:?}, got {e}"),
+        Ok(_) => panic!("decode accepted an image whose {why}"),
+    }
+    match ExperimentRunner::resume(bad, em, planner) {
+        Err(ResumeError::Inconsistent(e)) => assert!(e.contains(why), "resume: {e}"),
+        Err(e) => panic!("resume: expected Inconsistent naming {why:?}, got {e}"),
+        Ok(_) => panic!("resume accepted an image whose {why}"),
+    }
 }

@@ -9,14 +9,13 @@
 //! `prospector-obs` crate docs.
 
 use crate::{lossy_config, recovery_config, FailingPlanner};
-use prospector_ckpt::Checkpoint;
 use prospector_core::{
     ContinuousPolicy, FallbackPlanner, GatePolicy, NaiveK, ProspectorGreedy, SketchPrecision,
 };
 use prospector_data::{IndependentGaussian, PiecewiseConstant, SamplePolicy, ValueSource};
 use prospector_net::{topology, DataFault, EnergyModel, FaultSchedule, NodeId, Topology};
 use prospector_obs::{event, MetricsSnapshot, RingTracer, TraceEvent};
-use prospector_sim::{ExperimentConfig, ExperimentRunner, ResumeError};
+use prospector_sim::{Checkpoint, ExperimentConfig, ExperimentRunner, ResumeError};
 
 /// Names of the canonical scenarios, in blessing order.
 pub const SCENARIOS: &[&str] =

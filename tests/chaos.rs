@@ -469,8 +469,8 @@ fn continuous_mode_keeps_chaos_invariants() {
 /// policies, resuming from a checkpoint mid-run.
 #[test]
 fn quarantine_gauge_matches_a_scan_of_trust_states() {
-    use prospector::ckpt::Checkpoint;
     use prospector::core::FallbackPlanner;
+    use prospector::sim::Checkpoint;
     use prospector_testutil::golden;
 
     fn scan(ckpt: &Checkpoint) -> usize {

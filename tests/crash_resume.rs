@@ -10,14 +10,14 @@
 //! (an actual `kill -9` mid-run) lives in CI's `crash` job, driven by the
 //! `trace` binary's `--kill-at` / `--resume` flags.
 
-use prospector::ckpt::{
-    Checkpoint, CheckpointError, CheckpointPolicy, CheckpointStore, StoreError,
-};
+use prospector::ckpt::{CheckpointError, CheckpointPolicy, StoreError};
 use prospector::core::FallbackPlanner;
 use prospector::data::{IndependentGaussian, SamplePolicy};
 use prospector::net::{EnergyModel, FaultSchedule, NodeId, Topology};
 use prospector::obs::{event, NullTracer, RingTracer, TraceEvent};
-use prospector::sim::{EpochReport, ExperimentConfig, ExperimentRunner};
+use prospector::sim::{
+    Checkpoint, CheckpointStore, EpochReport, ExperimentConfig, ExperimentRunner,
+};
 use prospector_testutil::{
     assert_meters_bit_identical, assert_reports_equivalent, golden, lossy_config, network,
 };

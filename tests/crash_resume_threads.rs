@@ -7,9 +7,9 @@
 //! This file holds exactly one test: it mutates `PROSPECTOR_THREADS`,
 //! which is process-global, and must not race sibling tests.
 
-use prospector::ckpt::Checkpoint;
 use prospector::obs::{event, RingTracer};
 use prospector::par::THREADS_ENV;
+use prospector::sim::Checkpoint;
 use prospector_testutil::golden;
 
 const RING_CAP: usize = 1 << 16;

@@ -4,11 +4,11 @@
 //! truncation ever decodes.
 
 use proptest::prelude::*;
-use prospector::ckpt::Checkpoint;
 use prospector::core::FallbackPlanner;
 use prospector::data::{IndependentGaussian, SamplePolicy};
 use prospector::net::{EnergyModel, FaultSchedule, NodeId};
 use prospector::obs::NullTracer;
+use prospector::sim::Checkpoint;
 use prospector::sim::ExperimentRunner;
 use prospector_testutil::{lossy_config, network};
 

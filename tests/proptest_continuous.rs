@@ -27,13 +27,13 @@
 //! environment.
 
 use proptest::prelude::*;
-use prospector::ckpt::Checkpoint;
 use prospector::core::{ContinuousPolicy, FallbackPlanner, GatePolicy, SketchPrecision};
 use prospector::data::{DriftField, SamplePolicy};
 use prospector::net::{
     ArqPolicy, Backoff, DataFault, EnergyModel, FailureModel, FaultSchedule, NodeId, Topology,
 };
 use prospector::obs::NullTracer;
+use prospector::sim::Checkpoint;
 use prospector::sim::{ExperimentConfig, ExperimentRunner};
 use prospector_testutil::{assert_meters_bit_identical, assert_reports_equivalent};
 
