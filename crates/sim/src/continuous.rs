@@ -5,8 +5,8 @@
 //! ([`ContinuousState::last_shipped`]) and the last k-th threshold the
 //! root broadcast; a **delta epoch** ships only readings that moved
 //! beyond the tolerance or crossed the threshold, and the root patches
-//! its cached view instead of re-merging the world. Steady state costs
-//! O(changes), not O(n).
+//! its cached view instead of re-merging the world. Steady state sends
+//! O(changes) messages, not O(n).
 //!
 //! **Silence is a claim.** A subtree that sends nothing asserts "nothing
 //! changed", and the protocol must make that claim trustworthy under
@@ -33,10 +33,14 @@
 //! planner-facing quantile summary whose upper bound (plus the tolerance)
 //! also bounds what a silent subtree could contribute.
 //!
-//! The root-side cached answer is maintained incrementally in an ordered
-//! set ([`ContinuousState::answer`]); `recompute_answer` re-sorts from
-//! scratch so the differential harness can prove patch ≡ re-merge on
-//! every epoch.
+//! Past one pass over the nodes for the ship rule, a delta epoch's
+//! transport costs what moved: each entry in flight climbs from where it
+//! is held toward the root, so only the edges the epoch's deltas and
+//! beacons cross are touched (`run_delta_epoch`). The root-side answer is
+//! the top k of the post-gate view, taken in one pass with a k-entry heap
+//! ([`ContinuousState::answer`]); `recompute_answer` re-sorts from
+//! scratch so the differential harness can prove the two agree on every
+//! epoch.
 
 use crate::exec::{charge_links, collect_arq};
 use crate::runner::mask_dead_edges;
@@ -49,7 +53,8 @@ use prospector_net::{
     Topology,
 };
 use prospector_obs::{TraceEvent, Tracer};
-use std::collections::BTreeSet;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 /// One in-flight changed reading: `origin` reported `value` at `epoch`.
 /// Later epochs supersede earlier ones wherever two entries for the same
@@ -59,13 +64,6 @@ pub struct Delta {
     pub origin: NodeId,
     pub epoch: u64,
     pub value: f64,
-}
-
-/// Monotone key: orders f64 descending (IEEE total order), ties by node
-/// ascending — exactly `Reading::rank_cmp`.
-fn desc_key(v: f64) -> u64 {
-    let b = v.to_bits();
-    !(if b >> 63 == 1 { !b } else { b | (1 << 63) })
 }
 
 /// Root + node state of the continuous protocol.
@@ -78,12 +76,8 @@ pub struct ContinuousState {
     /// pipeline (or delivered in a refresh); `-inf` before the first.
     last_shipped: Vec<f64>,
     /// Root's post-gate effective value per node (`-inf` = absent); the
-    /// answer is the top k of this vector.
+    /// answer is the top k of this vector's finite entries.
     eff: Vec<f64>,
-    /// Incremental answer index over `eff`: `(desc_key(eff), node)`.
-    /// Contains exactly the nodes with finite `eff`. Rebuilt from `eff`
-    /// on decode, never serialized.
-    ordered: BTreeSet<(u64, u32)>,
     /// Per holder node: delta batches awaiting a working uplink.
     custody: Vec<Vec<Delta>>,
     /// The k-th threshold as last broadcast (`-inf` before the first).
@@ -104,7 +98,6 @@ impl ContinuousState {
             view: vec![f64::NEG_INFINITY; n],
             last_shipped: vec![f64::NEG_INFINITY; n],
             eff: vec![f64::NEG_INFINITY; n],
-            ordered: BTreeSet::new(),
             custody: vec![Vec::new(); n],
             threshold: f64::NEG_INFINITY,
             last_refresh: None,
@@ -172,32 +165,43 @@ impl ContinuousState {
         self.force_refresh = v;
     }
 
-    /// Sets node `i`'s effective value, maintaining the ordered index.
-    /// `-inf` (or any non-finite) clears the node from the answer.
+    /// Sets node `i`'s effective value. `-inf` (or any non-finite)
+    /// keeps the node out of the answer.
     pub(crate) fn set_eff(&mut self, i: usize, v: f64) {
-        let old = self.eff[i];
-        if old.to_bits() == v.to_bits() {
-            return;
-        }
-        if old.is_finite() {
-            self.ordered.remove(&(desc_key(old), i as u32));
-        }
-        if v.is_finite() {
-            self.ordered.insert((desc_key(v), i as u32));
-        }
         self.eff[i] = v;
     }
 
-    /// The cached answer: top `k` of the incrementally-patched index.
+    /// The root's answer: the top `k` finite entries of the effective
+    /// view, in rank order. One pass keeps the best `k` seen so far in a
+    /// heap with the worst on top; nodes arrive in ascending id, so a
+    /// later node displaces the worst kept one only with a strictly
+    /// higher value, which is `Reading::rank_cmp`'s tie-break.
     pub fn answer(&self, k: usize) -> Vec<Reading> {
-        self.ordered
-            .iter()
-            .take(k)
-            .map(|&(key, node)| {
-                debug_assert_eq!(desc_key(self.eff[node as usize]), key);
-                Reading { node: NodeId(node), value: self.eff[node as usize] }
-            })
-            .collect()
+        if k == 0 {
+            return Vec::new();
+        }
+        let reading = |i: usize, value: f64| Reading { node: NodeId::from_index(i), value };
+        let mut best: BinaryHeap<Reading> = BinaryHeap::with_capacity(k);
+        let mut rest = self.eff.iter().enumerate();
+        for (i, &value) in rest.by_ref() {
+            if value.is_finite() {
+                best.push(reading(i, value));
+                if best.len() == k {
+                    break;
+                }
+            }
+        }
+        if let Some(mut floor) = best.peek().map(|r| r.value) {
+            // −∞ and negative NaNs order below a finite floor; +∞ and
+            // positive NaNs above it, so only those need the check.
+            for (i, &value) in rest {
+                if value.total_cmp(&floor) == Ordering::Greater && value.is_finite() {
+                    *best.peek_mut().expect("k ≥ 1") = reading(i, value);
+                    floor = best.peek().expect("k ≥ 1").value;
+                }
+            }
+        }
+        best.into_sorted_vec()
     }
 
     /// The answer recomputed from scratch (full sort of `eff`) — the
@@ -216,9 +220,22 @@ impl ContinuousState {
         all
     }
 
-    /// Checks a state against a network of `n` nodes: every per-node
-    /// vector covers it, and every node id the state holds lies in it.
-    pub(crate) fn check(&self, n: usize) -> Result<(), String> {
+    /// Checks a state against the tree and liveness it runs on, before
+    /// the epoch `next_epoch`: every per-node vector covers the tree,
+    /// every node id the state holds lies in it, and the custody is what
+    /// the transport can leave behind. An entry is held by an alive
+    /// non-root node on its alive origin's root path (the origin itself
+    /// included), was shipped before `next_epoch`, and is the only copy
+    /// of its origin at that holder; a deeper copy of an origin is
+    /// strictly newer than a shallower one, because the newer copy that
+    /// reaches an older one supersedes it.
+    pub(crate) fn check(
+        &self,
+        topology: &Topology,
+        alive: &[bool],
+        next_epoch: u64,
+    ) -> Result<(), String> {
+        let n = topology.len();
         let lengths = [
             ("view", self.view.len()),
             ("last_shipped", self.last_shipped.len()),
@@ -232,6 +249,55 @@ impl ContinuousState {
         let children = self.sketches.iter().map(|&(c, _)| c);
         if let Some(bad) = origins.chain(children).find(|c| c.index() >= n) {
             return Err(format!("continuous state names node {}, topology has {n}", bad.0));
+        }
+        // (origin, holder depth, epoch) of every entry, to compare copies.
+        let mut copies: Vec<(NodeId, u32, u64)> = Vec::new();
+        for (h, held) in self.custody.iter().enumerate() {
+            let holder = NodeId::from_index(h);
+            for d in held {
+                let o = d.origin;
+                if holder == topology.root() {
+                    return Err(format!("the root holds custody for node {}", o.0));
+                }
+                if !alive[h] {
+                    return Err(format!("dead node {h} holds custody for node {}", o.0));
+                }
+                if !alive[o.index()] {
+                    return Err(format!("node {h} holds custody for dead node {}", o.0));
+                }
+                if !topology.is_ancestor(holder, o) {
+                    return Err(format!(
+                        "node {h} holds custody for node {}, not on its path",
+                        o.0
+                    ));
+                }
+                if d.epoch >= next_epoch {
+                    return Err(format!(
+                        "custody for node {} is from epoch {}, the next epoch is {next_epoch}",
+                        o.0, d.epoch
+                    ));
+                }
+                copies.push((o, topology.depth(holder), d.epoch));
+            }
+        }
+        // Deepest first per origin. Copies sit on one root path, so two at
+        // one depth sit at one holder.
+        copies.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)));
+        for pair in copies.windows(2) {
+            let [(o, deep, newer), (next, shallow, older)] = [pair[0], pair[1]];
+            if next != o {
+                continue;
+            }
+            if deep == shallow {
+                return Err(format!("a holder keeps two custody entries for node {}", o.0));
+            }
+            if newer <= older {
+                return Err(format!(
+                    "custody for node {} at depth {deep} (epoch {newer}) is not newer than at \
+                     depth {shallow} (epoch {older})",
+                    o.0
+                ));
+            }
         }
         Ok(())
     }
@@ -271,9 +337,9 @@ impl ContinuousState {
 
 prospector_ckpt::walk!(Delta { origin, epoch, value });
 
-/// The protocol's checkpoint walk. The answer index is derived, so it is
-/// rebuilt from `eff`; custody is re-sorted by origin, the order
-/// `merge_deltas` keeps; sketches decode through `QDigest::decode`.
+/// The protocol's checkpoint walk. Custody is re-sorted by origin, the
+/// order the transport pushes stuck entries in; sketches decode through
+/// `QDigest::decode`.
 impl Codec for ContinuousState {
     fn put(&self, w: &mut Writer) {
         w.put(&self.view);
@@ -291,7 +357,6 @@ impl Codec for ContinuousState {
             view: r.get()?,
             last_shipped: r.get()?,
             eff: r.get()?,
-            ordered: BTreeSet::new(),
             threshold: r.get()?,
             last_refresh: r.get()?,
             force_refresh: r.get()?,
@@ -301,13 +366,6 @@ impl Codec for ContinuousState {
         for held in &mut s.custody {
             held.sort_by_key(|d| d.origin);
         }
-        s.ordered = s
-            .eff
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| v.is_finite())
-            .map(|(i, &v)| (desc_key(v), i as u32))
-            .collect();
         Ok(s)
     }
 }
@@ -331,26 +389,48 @@ pub struct DeltaOutcome {
     pub beacon_lost: bool,
 }
 
-/// Merges `incoming` into `held` with latest-wins per origin, keeping
-/// the result sorted by origin.
-fn merge_deltas(held: &mut Vec<Delta>, incoming: Vec<Delta>) {
-    for d in incoming {
-        match held.binary_search_by_key(&d.origin, |e| e.origin) {
-            Ok(i) => {
-                if d.epoch >= held[i].epoch {
-                    held[i] = d;
-                }
-            }
-            Err(i) => held.insert(i, d),
+/// The epoch's active uplinks, in first-use order: each edge's ARQ
+/// outcome is drawn once, from its own `link_rng` stream, and shared by
+/// every entry that crosses it.
+struct Uplinks<'a> {
+    /// Per node: 1 + the index of its uplink's hop, 0 while unused.
+    slot: Vec<u32>,
+    /// (edge, values sent, outcome) per active edge.
+    hops: Vec<(NodeId, u32, LinkAttempts)>,
+    failures: Option<&'a FailureModel>,
+    arq: &'a ArqPolicy,
+    seed: u64,
+}
+
+impl Uplinks<'_> {
+    /// The hop across `u`'s uplink, drawn on first use. Without a failure
+    /// model every hop delivers on its first try.
+    fn hop(&mut self, u: NodeId) -> &mut (NodeId, u32, LinkAttempts) {
+        let slot = &mut self.slot[u.index()];
+        if *slot == 0 {
+            let link = self.failures.map_or(LinkAttempts::first_try(), |f| {
+                self.arq.attempt_delivery(f, u, &mut link_rng(self.seed, u))
+            });
+            self.hops.push((u, 0, link));
+            *slot = self.hops.len() as u32;
         }
+        &mut self.hops[*slot as usize - 1]
     }
 }
 
 /// Runs one delta epoch: generates fresh deltas against the tolerance
-/// and the last broadcast threshold, routes custody + fresh batches up
+/// and the last broadcast threshold, routes custody + fresh entries up
 /// the tree under ARQ (priced by the same link ledger as classic
 /// collection), applies what reaches the root to the view, and records
 /// per-root-child beacons.
+///
+/// Every entry climbs from its holder toward the root, one hop per
+/// delivered uplink; an uplink that exhausts its retries keeps the entry
+/// in that node's custody for the next epoch. The newest copy of an
+/// origin climbs first, and an older copy it reaches is superseded
+/// (latest wins). The cost is one pass over the nodes for the ship rule
+/// and the held entries, a hop per entry per edge it crosses, and one
+/// scan of the per-edge hop index to hand the hops over in edge order.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_delta_epoch(
     state: &mut ContinuousState,
@@ -369,70 +449,71 @@ pub(crate) fn run_delta_epoch(
     let n = topology.len();
     let root = topology.root();
 
-    // Fresh deltas enter the pipeline at their origin's custody buffer,
-    // superseding any older stuck entry for the same origin.
-    for i in 0..n {
+    // Held entries board where they are held; fresh deltas board at
+    // their origin. Each entry travels with its holder.
+    let mut flight: Vec<(Delta, NodeId)> = Vec::new();
+    let tau = state.threshold;
+    let nodes = state.custody.iter_mut().zip(&mut state.last_shipped).zip(values.iter().zip(alive));
+    for (i, ((held, last), (&v, &up))) in nodes.enumerate() {
+        if !up || i == root.index() {
+            continue;
+        }
         let u = NodeId::from_index(i);
-        if u == root || !alive[i] {
-            continue;
+        if !held.is_empty() {
+            flight.extend(held.drain(..).map(|d| (d, u)));
         }
-        let v = values[i];
-        let last = state.last_shipped[i];
-        let crossed = (v >= state.threshold) != (last >= state.threshold);
-        if (v - last).abs() > tolerance || crossed {
-            merge_deltas(&mut state.custody[i], vec![Delta { origin: u, epoch, value: v }]);
-            state.last_shipped[i] = v;
+        let crossed = (v >= tau) != (*last >= tau);
+        if (v - *last).abs() > tolerance || crossed {
+            flight.push((Delta { origin: u, epoch, value: v }, u));
+            *last = v;
         }
     }
+    flight.sort_unstable_by(|(a, _), (b, _)| a.origin.cmp(&b.origin).then(b.epoch.cmp(&a.epoch)));
 
-    // Transport: children before parents, so a batch can cross several
-    // hops in one epoch when every hop delivers. Failed hops keep the
-    // batch in the child's custody for next epoch.
-    let mut sent = vec![0u32; n];
-    let mut links: Vec<Option<LinkAttempts>> = vec![None; n];
-    let mut inbox: Vec<Vec<Delta>> = vec![Vec::new(); n];
-    let mut root_inbox: Vec<Delta> = Vec::new();
+    let mut uplinks = Uplinks { slot: vec![0; n], hops: Vec::new(), failures, arq, seed };
+    // Every alive root child sends, if only its beacon.
     let mut beacon_lost = false;
-    for &u in topology.post_order() {
-        if u == root || !alive[u.index()] {
-            continue;
+    for &c in topology.children(root).iter().filter(|c| alive[c.index()]) {
+        beacon_lost |= !uplinks.hop(c).2.delivered;
+    }
+    let mut arrived: Vec<Delta> = Vec::new();
+    // The origin whose copy climbed last, and the depth it stopped at.
+    let mut reached: Option<(NodeId, u32)> = None;
+    for (d, holder) in flight {
+        if reached.is_some_and(|(o, top)| o == d.origin && topology.depth(holder) >= top) {
+            continue; // a newer copy passed this holder
         }
-        let mut payload = std::mem::take(&mut state.custody[u.index()]);
-        merge_deltas(&mut payload, std::mem::take(&mut inbox[u.index()]));
-        let parent = topology.parent(u).expect("non-root node has a parent");
-        let is_beacon_edge = parent == root;
-        if payload.is_empty() && !is_beacon_edge {
-            continue; // a silent interior edge sends nothing — the saving
-        }
-        // Without a failure model every hop delivers on its first try.
-        let link = failures.map_or(LinkAttempts::first_try(), |f| {
-            arq.attempt_delivery(f, u, &mut link_rng(seed, u))
-        });
-        sent[u.index()] = payload.len() as u32;
-        links[u.index()] = Some(link);
-        if link.delivered {
-            if is_beacon_edge {
-                root_inbox.extend(payload);
-            } else {
-                merge_deltas(&mut inbox[parent.index()], payload);
+        let mut u = holder;
+        let top = loop {
+            let hop = uplinks.hop(u);
+            hop.1 += 1;
+            if !hop.2.delivered {
+                state.custody[u.index()].push(d);
+                break topology.depth(u);
             }
-        } else {
-            state.custody[u.index()] = payload;
-            if is_beacon_edge {
-                beacon_lost = true;
+            let parent = topology.parent(u).expect("non-root node has a parent");
+            if parent == root {
+                arrived.push(d);
+                break 0;
             }
-        }
+            if !alive[parent.index()] {
+                break topology.depth(parent); // a dead node forwards nothing
+            }
+            u = parent;
+        };
+        reached = Some((d.origin, top));
     }
 
-    let hops = topology.edges().filter_map(|e| links[e.index()].map(|l| (e, sent[e.index()], l)));
-    let tally = charge_links(energy, hops, meter, tracer);
+    // The hops leave in edge order: a scan of the index array costs less
+    // than sorting them.
+    let Uplinks { slot, hops, .. } = uplinks;
+    let in_edge_order = slot.iter().filter(|&&h| h != 0).map(|&h| hops[h as usize - 1]);
+    let tally = charge_links(energy, in_edge_order, meter, tracer);
 
-    // Root applies what arrived (single path per origin, but dedupe by
-    // epoch anyway) in origin order; its own reading is free.
-    let mut final_in: Vec<Delta> = Vec::new();
-    merge_deltas(&mut final_in, root_inbox);
-    let mut applied = Vec::with_capacity(final_in.len());
-    for d in final_in {
+    // The root applies what arrived, in origin order; its own reading is
+    // free.
+    let mut applied = Vec::with_capacity(arrived.len());
+    for d in arrived {
         state.view[d.origin.index()] = d.value;
         applied.push((d.origin, d.value));
         if tracer.enabled() {
@@ -591,11 +672,147 @@ fn subtree_slots(topology: &Topology, root: NodeId) -> Vec<Option<usize>> {
     slot
 }
 
+/// The post-order transport [`run_delta_epoch`] replaced, kept verbatim
+/// as the oracle its proptest compares against: every alive node, in
+/// post order, merges its custody with what its children delivered
+/// (latest wins per origin, kept sorted by origin) and sends the batch
+/// up; the link ledger then walks every edge.
+#[cfg(test)]
+mod transport_oracle {
+    use super::*;
+
+    /// Merges `incoming` into `held` with latest-wins per origin, keeping
+    /// the result sorted by origin.
+    fn merge_deltas(held: &mut Vec<Delta>, incoming: Vec<Delta>) {
+        for d in incoming {
+            match held.binary_search_by_key(&d.origin, |e| e.origin) {
+                Ok(i) => {
+                    if d.epoch >= held[i].epoch {
+                        held[i] = d;
+                    }
+                }
+                Err(i) => held.insert(i, d),
+            }
+        }
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    pub(super) fn run_delta_epoch(
+        state: &mut ContinuousState,
+        topology: &Topology,
+        alive: &[bool],
+        energy: &EnergyModel,
+        values: &[f64],
+        tolerance: f64,
+        failures: Option<&FailureModel>,
+        arq: &ArqPolicy,
+        seed: u64,
+        epoch: u64,
+        meter: &mut EnergyMeter,
+        tracer: &mut dyn Tracer,
+    ) -> DeltaOutcome {
+        let n = topology.len();
+        let root = topology.root();
+
+        // Fresh deltas enter the pipeline at their origin's custody buffer,
+        // superseding any older stuck entry for the same origin.
+        for i in 0..n {
+            let u = NodeId::from_index(i);
+            if u == root || !alive[i] {
+                continue;
+            }
+            let v = values[i];
+            let last = state.last_shipped[i];
+            let crossed = (v >= state.threshold) != (last >= state.threshold);
+            if (v - last).abs() > tolerance || crossed {
+                merge_deltas(&mut state.custody[i], vec![Delta { origin: u, epoch, value: v }]);
+                state.last_shipped[i] = v;
+            }
+        }
+
+        // Transport: children before parents, so a batch can cross several
+        // hops in one epoch when every hop delivers. Failed hops keep the
+        // batch in the child's custody for next epoch.
+        let mut sent = vec![0u32; n];
+        let mut links: Vec<Option<LinkAttempts>> = vec![None; n];
+        let mut inbox: Vec<Vec<Delta>> = vec![Vec::new(); n];
+        let mut root_inbox: Vec<Delta> = Vec::new();
+        let mut beacon_lost = false;
+        for &u in topology.post_order() {
+            if u == root || !alive[u.index()] {
+                continue;
+            }
+            let mut payload = std::mem::take(&mut state.custody[u.index()]);
+            merge_deltas(&mut payload, std::mem::take(&mut inbox[u.index()]));
+            let parent = topology.parent(u).expect("non-root node has a parent");
+            let is_beacon_edge = parent == root;
+            if payload.is_empty() && !is_beacon_edge {
+                continue; // a silent interior edge sends nothing — the saving
+            }
+            // Without a failure model every hop delivers on its first try.
+            let link = failures.map_or(LinkAttempts::first_try(), |f| {
+                arq.attempt_delivery(f, u, &mut link_rng(seed, u))
+            });
+            sent[u.index()] = payload.len() as u32;
+            links[u.index()] = Some(link);
+            if link.delivered {
+                if is_beacon_edge {
+                    root_inbox.extend(payload);
+                } else {
+                    merge_deltas(&mut inbox[parent.index()], payload);
+                }
+            } else {
+                state.custody[u.index()] = payload;
+                if is_beacon_edge {
+                    beacon_lost = true;
+                }
+            }
+        }
+
+        let hops =
+            topology.edges().filter_map(|e| links[e.index()].map(|l| (e, sent[e.index()], l)));
+        let tally = charge_links(energy, hops, meter, tracer);
+
+        // Root applies what arrived (single path per origin, but dedupe by
+        // epoch anyway) in origin order; its own reading is free.
+        let mut final_in: Vec<Delta> = Vec::new();
+        merge_deltas(&mut final_in, root_inbox);
+        let mut applied = Vec::with_capacity(final_in.len());
+        for d in final_in {
+            state.view[d.origin.index()] = d.value;
+            applied.push((d.origin, d.value));
+            if tracer.enabled() {
+                tracer.record(TraceEvent::DeltaShipped { node: d.origin.0, value: d.value });
+            }
+        }
+        state.view[root.index()] = values[root.index()];
+        state.last_shipped[root.index()] = values[root.index()];
+
+        let delivered_fraction = if tally.hops == 0 {
+            1.0
+        } else {
+            (tally.hops - tally.lost_edges.len()) as f64 / tally.hops as f64
+        };
+        DeltaOutcome {
+            applied,
+            lost_edges: tally.lost_edges,
+            retransmissions: tally.retransmissions,
+            delivered_fraction,
+            messages: tally.messages,
+            beacon_lost,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use prospector_net::topology::{balanced, chain};
-    use prospector_obs::NullTracer;
+    use prospector_obs::{NullTracer, RingTracer};
+    use prospector_testutil::random_tree;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
 
     fn quiet_state(n: usize, values: &[f64]) -> ContinuousState {
         let mut s = ContinuousState::new(n);
@@ -817,5 +1034,165 @@ mod tests {
         assert!(!s.answer(4).iter().any(|r| r.node == NodeId(3)));
         let alive = [true, true, true, false];
         assert!(s.custody_invariant_holds(&alive, t.root()));
+    }
+
+    /// Small integer readings (ties, tolerance and threshold crossings
+    /// are common) and the odd non-finite one.
+    fn random_reading(rng: &mut StdRng) -> f64 {
+        match rng.random_range(0..40u32) {
+            0 => f64::NEG_INFINITY,
+            1 => f64::NAN,
+            _ => rng.random_range(0..8u32) as f64,
+        }
+    }
+
+    /// A delta-epoch world mid-run: a tree whose dead nodes are usually
+    /// parked by repair (sometimes left in place), per-edge loss from 0
+    /// to 1, a retry budget of 0–3, and custody the transport could have
+    /// left behind: up to three copies per origin on its root path, the
+    /// deeper ones strictly newer, the origin itself a possible holder.
+    struct World {
+        t: Topology,
+        alive: Vec<bool>,
+        failures: Option<FailureModel>,
+        arq: ArqPolicy,
+        tolerance: f64,
+        state: ContinuousState,
+        first_epoch: u64,
+    }
+
+    fn random_world(rng: &mut StdRng) -> World {
+        let n = rng.random_range(1..40usize);
+        let mut t = random_tree(rng, n);
+        let mut alive = vec![true; n];
+        let dead: Vec<NodeId> = t.edges().filter(|_| rng.random_bool(0.15)).collect();
+        for d in &dead {
+            alive[d.index()] = false;
+        }
+        if rng.random_bool(0.75) {
+            t = t.repair(&dead).unwrap();
+        }
+        let failures = rng.random_bool(0.85).then(|| {
+            let probs = (0..n).map(|_| [0.0, 0.2, 0.5, 1.0][rng.random_range(0..4usize)]).collect();
+            FailureModel::per_edge(n, probs, 0.0).unwrap()
+        });
+        let backoff = prospector_net::Backoff { base_mj: 0.1, factor: 2.0, jitter: 0.5 };
+        let arq = ArqPolicy { max_retries: rng.random_range(0..4u32), backoff };
+        let tolerance = [0.0, 0.5, 1.5][rng.random_range(0..3usize)];
+        let first_epoch = rng.random_range(3..20u64);
+
+        let mut state = ContinuousState::new(n);
+        for i in 0..n {
+            state.view[i] = random_reading(rng);
+            state.last_shipped[i] =
+                if rng.random_bool(0.8) { state.view[i] } else { random_reading(rng) };
+        }
+        state.threshold = [f64::NEG_INFINITY, 2.5, 4.0][rng.random_range(0..3usize)];
+        for o in t.edges().filter(|o| alive[o.index()]) {
+            if !rng.random_bool(0.4) {
+                continue;
+            }
+            let path: Vec<NodeId> = t.edges_to_root(o).collect();
+            let mut epoch = first_epoch;
+            let mut below = 0; // copies sit at path[below..], newest deepest
+            for _ in 0..rng.random_range(1..=3usize) {
+                if below == path.len() || epoch == 0 {
+                    break;
+                }
+                let at = rng.random_range(below..path.len());
+                if !alive[path[at].index()] {
+                    break;
+                }
+                epoch -= rng.random_range(1..=epoch.min(3));
+                let value = random_reading(rng);
+                state.custody[path[at].index()].push(Delta { origin: o, epoch, value });
+                if below == 0 {
+                    state.last_shipped[o.index()] = value; // the newest copy's
+                }
+                below = at + 1;
+            }
+        }
+        for held in &mut state.custody {
+            held.sort_by_key(|d| d.origin);
+        }
+        World { t, alive, failures, arq, tolerance, state, first_epoch }
+    }
+
+    fn delta_bits(held: &[Vec<Delta>]) -> Vec<Vec<(NodeId, u64, u64)>> {
+        held.iter()
+            .map(|h| h.iter().map(|d| (d.origin, d.epoch, d.value.to_bits())).collect())
+            .collect()
+    }
+
+    fn f64_bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn meter_bits(m: &EnergyMeter) -> (Vec<u64>, Vec<u64>, u64) {
+        (f64_bits(m.node_totals()), f64_bits(m.phase_totals()), m.total().to_bits())
+    }
+
+    fn outcome_bits(o: &DeltaOutcome) -> impl PartialEq + std::fmt::Debug {
+        let applied: Vec<(NodeId, u64)> =
+            o.applied.iter().map(|&(u, v)| (u, v.to_bits())).collect();
+        (
+            applied,
+            o.lost_edges.clone(),
+            o.retransmissions,
+            o.delivered_fraction.to_bits(),
+            o.messages,
+            o.beacon_lost,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(384))]
+
+        // The climbing transport and the post-order walk it replaced
+        // agree, epoch after epoch, on everything a delta epoch leaves
+        // behind: the outcome, custody, view, last-shipped, the meter per
+        // node and per phase, and the event stream.
+        #[test]
+        fn climbing_transport_matches_the_post_order_oracle(seed in 0u64..u64::MAX) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let w = random_world(&mut rng);
+            let n = w.t.len();
+            prop_assert!(w.state.check(&w.t, &w.alive, w.first_epoch).is_ok(), "seed {}", seed);
+            let em = EnergyModel::mica2();
+            let (mut got, mut want) = (w.state.clone(), w.state.clone());
+            let mut values: Vec<f64> = (0..n).map(|_| random_reading(&mut rng)).collect();
+            for epoch in w.first_epoch..w.first_epoch + 4 {
+                for v in values.iter_mut() {
+                    if rng.random_bool(0.3) {
+                        *v = random_reading(&mut rng);
+                    }
+                }
+                if rng.random_bool(0.3) {
+                    let tau = [f64::NEG_INFINITY, 1.5, 3.0, 5.0][rng.random_range(0..4usize)];
+                    got.set_threshold(tau);
+                    want.set_threshold(tau);
+                }
+                let link_seed = rng.random_range(0..u64::MAX);
+                let (mut gm, mut wm) = (EnergyMeter::new(n), EnergyMeter::new(n));
+                let (mut gt, mut wt) = (RingTracer::new(1 << 16), RingTracer::new(1 << 16));
+                let g = run_delta_epoch(
+                    &mut got, &w.t, &w.alive, &em, &values, w.tolerance, w.failures.as_ref(),
+                    &w.arq, link_seed, epoch, &mut gm, &mut gt,
+                );
+                let o = transport_oracle::run_delta_epoch(
+                    &mut want, &w.t, &w.alive, &em, &values, w.tolerance, w.failures.as_ref(),
+                    &w.arq, link_seed, epoch, &mut wm, &mut wt,
+                );
+                prop_assert_eq!(outcome_bits(&g), outcome_bits(&o), "seed {} epoch {}", seed, epoch);
+                prop_assert_eq!(delta_bits(&got.custody), delta_bits(&want.custody), "seed {}", seed);
+                prop_assert_eq!(f64_bits(&got.view), f64_bits(&want.view), "seed {}", seed);
+                prop_assert_eq!(
+                    f64_bits(&got.last_shipped), f64_bits(&want.last_shipped), "seed {}", seed
+                );
+                prop_assert_eq!(meter_bits(&gm), meter_bits(&wm), "seed {}", seed);
+                let events = |t: &RingTracer| t.events().map(|e| format!("{e:?}")).collect::<Vec<_>>();
+                prop_assert_eq!(events(&gt), events(&wt), "seed {} epoch {}", seed, epoch);
+            }
+        }
     }
 }

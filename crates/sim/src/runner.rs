@@ -472,7 +472,9 @@ impl Checkpoint {
             return inconsistent(format!("sampling period {} is out of range", self.sweep_period));
         }
         match (&self.config.continuous, &self.cont) {
-            (Some(_), Some(cont)) => cont.check(n).map_err(ResumeError::Inconsistent),
+            (Some(_), Some(cont)) => cont
+                .check(&self.topology, &self.alive, self.next_epoch)
+                .map_err(ResumeError::Inconsistent),
             (None, None) => Ok(()),
             (Some(_), None) => inconsistent(
                 "config is continuous but the checkpoint has no protocol state".to_string(),
@@ -507,9 +509,10 @@ pub struct ExperimentRunner<'a> {
     /// change so the report gauge needs no scan.
     quarantined: usize,
     /// Continuous mode only: the gate bands of the window whose
-    /// [`SampleSet::generation`] is paired with them. Every continuous
-    /// epoch audits the whole view, and between sweeps the window does
-    /// not change, so one table serves many epochs.
+    /// [`SampleSet::generation`] is paired with them, kept by the last
+    /// view audit. Between sweeps the window does not change, so one
+    /// table serves many epochs, and a node that audit left as it found
+    /// need not be audited again (`continuous_query_epoch`).
     bands: Option<(u64, BandTable)>,
 }
 
@@ -1143,15 +1146,34 @@ impl<'a> ExperimentRunner<'a> {
         // just what moved), so trust evolves identically whether a value
         // arrived this epoch or is being carried forward — the property
         // the delta-vs-refresh-every-epoch equivalence tests pin down.
+        //
+        // Observing a node changes nothing when the previous audit's bands
+        // are still in force, the node is fully trusted and its effective
+        // value already is its view: that audit saw this value in band (an
+        // out-of-band one leaves a strike) or without a band, and an
+        // in-band observation of a default trust state is a no-op. Those
+        // nodes are skipped. An audit that leaves an alive node's finite
+        // effective value unjudged (its view is not finite) keeps no
+        // bands, so the next audit judges every node.
         let mut gated = GateTally::default();
         if let Some(gate_policy) = self.state.config.gate {
+            let generation = self.state.samples.generation();
+            let reused = self.bands.as_ref().is_some_and(|&(g, _)| g == generation);
             let bands = self.window_bands(&gate_policy);
+            let mut unjudged = false;
             for i in 0..self.state.topology.len() {
                 if !self.state.alive[i] {
                     continue;
                 }
                 let v = state.view()[i];
+                if reused
+                    && state.eff()[i].to_bits() == v.to_bits()
+                    && self.state.trust[i] == TrustState::default()
+                {
+                    continue;
+                }
                 if !v.is_finite() {
+                    unjudged |= state.eff()[i].is_finite();
                     continue;
                 }
                 let node = NodeId::from_index(i);
@@ -1161,7 +1183,9 @@ impl<'a> ExperimentRunner<'a> {
                     self.gate_reading(reading, band, epoch, &gate_policy, &mut gated, tracer);
                 state.set_eff(i, substitute.map_or(v, |prediction| prediction.value));
             }
-            self.bands = Some((self.state.samples.generation(), bands));
+            if !unjudged {
+                self.bands = Some((generation, bands));
+            }
         } else {
             for i in 0..self.state.topology.len() {
                 if self.state.alive[i] {
@@ -1173,7 +1197,8 @@ impl<'a> ExperimentRunner<'a> {
         let answer = state.answer(k);
         let truth = top_k_nodes(clean.unwrap_or(values), k);
         let hits = answer.iter().filter(|r| truth.contains(&r.node)).count();
-        messages += self.continuous_update_threshold(&mut state, policy, epoch_meter, tracer);
+        messages +=
+            self.continuous_update_threshold(&mut state, policy, &answer, epoch_meter, tracer);
 
         // Adaptive reliability, continuous flavour: once the retry budget
         // is maxed, the next epoch re-learns the network with a forced
@@ -1331,13 +1356,15 @@ impl<'a> ExperimentRunner<'a> {
                 state.set_eff(i, g);
             }
         }
-        messages += self.continuous_update_threshold(&mut state, policy, epoch_meter, tracer);
+        let answer = state.answer(self.state.config.k);
+        messages +=
+            self.continuous_update_threshold(&mut state, policy, &answer, epoch_meter, tracer);
         self.state.cont = Some(state);
         messages
     }
 
-    /// Recomputes the k-th threshold from the cached answer and, when it
-    /// moved by more than the tolerance, broadcasts it down the tree
+    /// Recomputes the k-th threshold from the epoch's `answer` and, when
+    /// it moved by more than the tolerance, broadcasts it down the tree
     /// (every alive interior node relays once, like a trigger wave).
     /// Nodes keep judging against the *old* threshold until a broadcast
     /// actually happens — the root cannot update them for free.
@@ -1345,10 +1372,10 @@ impl<'a> ExperimentRunner<'a> {
         &mut self,
         state: &mut ContinuousState,
         policy: ContinuousPolicy,
+        answer: &[Reading],
         epoch_meter: &mut EnergyMeter,
         tracer: &mut dyn Tracer,
     ) -> u32 {
-        let answer = state.answer(self.state.config.k);
         let new_tau = if answer.len() == self.state.config.k {
             answer[self.state.config.k - 1].value
         } else {
@@ -2101,6 +2128,142 @@ mod tests {
             "epochs report {per_epoch} mJ, the meter holds {}",
             runner.meter().total()
         );
+    }
+
+    /// A source given as a function of (epoch, node).
+    struct Readings<F>(usize, F);
+
+    impl<F: FnMut(u64, usize) -> f64> ValueSource for Readings<F> {
+        fn num_nodes(&self) -> usize {
+            self.0
+        }
+
+        fn values(&mut self, epoch: u64) -> Vec<f64> {
+            (0..self.0).map(|i| (self.1)(epoch, i)).collect()
+        }
+    }
+
+    /// Runs two runners resumed from `cfg`'s run at epoch `from`, the
+    /// second with its bands dropped before every epoch so that it audits
+    /// the whole view, up to epoch `to`. Reports, events and checkpoint
+    /// bytes must agree every epoch; returns the first runner's reports.
+    fn audit_both_ways<S: ValueSource>(
+        t: &Topology,
+        cfg: ExperimentConfig,
+        source: &mut S,
+        from: u64,
+        to: u64,
+    ) -> Vec<EpochReport> {
+        let em = EnergyModel::mica2();
+        let planner = ProspectorGreedy;
+        let mut base = ExperimentRunner::new(t, &em, &planner, cfg);
+        base.run_to(source, from, &mut NullTracer).unwrap();
+        let ckpt = base.checkpoint();
+        let mut skipping = ExperimentRunner::resume(ckpt.clone(), &em, &planner).unwrap();
+        let mut full = ExperimentRunner::resume(ckpt, &em, &planner).unwrap();
+        let ring = || prospector_obs::RingTracer::new(1 << 14);
+        let (mut ts, mut tf) = (ring(), ring());
+        let events = |t: &mut prospector_obs::RingTracer| {
+            t.take().iter().map(|e| format!("{e:?}")).collect::<Vec<_>>()
+        };
+        let mut reports = Vec::new();
+        for epoch in from..to {
+            full.bands = None;
+            let a = skipping.step_traced(source, epoch, &mut ts).unwrap();
+            let b = full.step_traced(source, epoch, &mut tf).unwrap();
+            assert_eq!(format!("{a:?}"), format!("{b:?}"), "epoch {epoch} reports");
+            assert_eq!(events(&mut ts), events(&mut tf), "epoch {epoch} events");
+            assert!(
+                skipping.checkpoint().encode() == full.checkpoint().encode(),
+                "epoch {epoch} checkpoint bytes"
+            );
+            reports.push(a);
+        }
+        reports
+    }
+
+    /// A continuous, gated run over a six-sample window.
+    fn audited_config(policy: SamplePolicy, gate: GatePolicy) -> ExperimentConfig {
+        ExperimentConfig {
+            policy,
+            window: 6,
+            gate: Some(gate),
+            continuous: Some(ContinuousPolicy { tolerance: 0.5, refresh_period: 12, sketch: None }),
+            ..config(30.0)
+        }
+    }
+
+    #[test]
+    fn skipping_unchanged_trusted_nodes_audits_like_the_full_view() {
+        // Integer readings: every third node is constant, the rest step
+        // by one every few epochs. Window predictions are then exact, so
+        // a quarantined node's honest reading can equal its prediction
+        // bit for bit, the one way a node that is not fully trusted can
+        // have its effective value equal to its view.
+        let t = balanced(3, 3);
+        let n = t.len();
+        let mut source = Readings(n, |epoch: u64, i: usize| {
+            let base = 30.0 + (i * 7 % 23) as f64;
+            base + if i.is_multiple_of(3) { 0.0 } else { ((epoch + i as u64) / 6 % 4) as f64 }
+        });
+        let gate = GatePolicy {
+            min_sigma: 1.0,
+            quarantine_after: 3,
+            parole_after: 4,
+            ..Default::default()
+        };
+        let cfg = ExperimentConfig {
+            failures: Some(FailureModel::uniform(n, 0.05, 0.0)),
+            arq: ArqPolicy { max_retries: 1, backoff: prospector_net::Backoff::none() },
+            faults: FaultSchedule::new()
+                .with_data_fault(
+                    14,
+                    NodeId(5),
+                    prospector_net::DataFault::StuckAt { level: 90.0 },
+                    20,
+                )
+                .with_data_fault(
+                    20,
+                    NodeId(9),
+                    prospector_net::DataFault::Spike { magnitude: 50.0 },
+                    4,
+                )
+                .with_data_fault(16, NodeId(22), prospector_net::DataFault::Drift { rate: 2.0 }, 30)
+                .with_death(30, NodeId(2)),
+            ..audited_config(SamplePolicy::Periodic { warmup: 4, period: 9 }, gate)
+        };
+        let reports = audit_both_ways(&t, cfg, &mut source, 12, 70);
+        assert!(reports.iter().any(|r| r.quarantined > 0), "strikes lead to quarantine");
+        assert!(reports.iter().any(|r| r.readmitted > 0), "quarantined nodes earn parole");
+    }
+
+    #[test]
+    fn a_value_the_kept_bands_never_judged_is_judged() {
+        // Node 1's window is [36, 30, 30, 30, 30, 30] after the warm-up.
+        // The sweep at epoch 8 finds its 32 in band and pushes it; the
+        // new bands put 32 out of band. Epoch 9's audit cannot judge it
+        // (the node reports −∞), so epoch 10's must, and flags it.
+        let t = balanced(3, 1);
+        let mut source = Readings(t.len(), |epoch: u64, i: usize| match (i, epoch) {
+            (1, 0) => 36.0,
+            (1, 8 | 10..) => 32.0,
+            (1, 9) => f64::NEG_INFINITY,
+            (1, _) => 30.0,
+            _ => 10.0 * i as f64,
+        });
+        let gate = GatePolicy { z: 0.5, min_sigma: 1.0, ..Default::default() };
+        let policy = SamplePolicy::Periodic { warmup: 6, period: 8 };
+        let cfg = ExperimentConfig {
+            continuous: Some(ContinuousPolicy {
+                tolerance: 0.0,
+                refresh_period: 100,
+                sketch: None,
+            }),
+            ..audited_config(policy, gate)
+        };
+        let reports = audit_both_ways(&t, cfg, &mut source, 6, 12);
+        assert_eq!(reports[4].epoch, 10);
+        assert_eq!(reports[4].flagged, 1, "epoch 10 judges node 1's 32");
     }
 
     #[test]

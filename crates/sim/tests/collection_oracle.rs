@@ -18,6 +18,7 @@ use prospector_net::{
 };
 use prospector_obs::{RingTracer, TraceEvent, Tracer};
 use prospector_sim::{charge_sweep, execute_plan_arq_traced, execute_plan_traced};
+use prospector_testutil::random_tree;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -124,29 +125,6 @@ mod scan {
         }
         total
     }
-}
-
-/// A chain, a star or a random recursive tree, labels shuffled so the
-/// root is anywhere.
-fn random_tree(rng: &mut StdRng, n: usize) -> Topology {
-    let shape = rng.random_range(0..3u32);
-    let parent: Vec<Option<usize>> = (0..n)
-        .map(|i| match (i, shape) {
-            (0, _) => None,
-            (_, 0) => Some(i - 1),
-            (_, 1) => Some(0),
-            _ => Some(rng.random_range(0..i)),
-        })
-        .collect();
-    let mut label: Vec<usize> = (0..n).collect();
-    for i in (1..n).rev() {
-        label.swap(i, rng.random_range(0..=i));
-    }
-    let mut relabeled = vec![None; n];
-    for (i, p) in parent.into_iter().enumerate() {
-        relabeled[label[i]] = p.map(|p| NodeId::from_index(label[p]));
-    }
-    Topology::from_parents(NodeId::from_index(label[0]), relabeled).unwrap()
 }
 
 /// One epoch's world: a tree with some nodes dead (repaired, parked as

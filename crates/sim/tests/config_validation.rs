@@ -338,6 +338,54 @@ fn resume_rejects_invalid_and_inconsistent_checkpoints() {
     assert!(ExperimentRunner::resume(good, &sc.energy, &sc.planner).is_ok());
 }
 
+/// Custody the transport cannot leave behind is rejected by decode and
+/// by resume, one hand-built image per rule, on `continuous_drift` at
+/// epoch 4 (`balanced(3, 2)`: the root 0 over 1–3, node 1 over 4–6).
+#[test]
+fn resume_rejects_custody_the_protocol_cannot_produce() {
+    let sc = golden::scenario("continuous_drift");
+    let mut runner =
+        ExperimentRunner::new(&sc.topology, &sc.energy, &sc.planner, sc.config.clone());
+    runner.run_to(&mut sc.source(), 4, &mut NullTracer).expect("continuous run");
+    let good = runner.checkpoint();
+    assert_eq!(good.next_epoch, 4);
+    let cont = good.cont.as_ref().expect("continuous state");
+    let delta = |origin: u32, epoch: u64| Delta { origin: NodeId(origin), epoch, value: 60.0 };
+    // An image whose custody is `held` (holder, entry), with `dead` nodes
+    // marked dead.
+    let image = |held: &[(usize, Delta)], dead: &[usize]| {
+        let mut bad = good.clone();
+        for &d in dead {
+            bad.alive[d] = false;
+        }
+        bad.cont = Some(rewalk(cont, |_, custody| {
+            for &(holder, d) in held {
+                custody[holder].push(d);
+            }
+        }));
+        bad
+    };
+    // (custody as (holder, entry), dead nodes, what the rejection names)
+    type Case<'a> = (&'a [(usize, Delta)], &'a [usize], &'a str);
+    let cases: [Case; 7] = [
+        (&[(0, delta(4, 2))], &[], "the root holds custody for node 4"),
+        (&[(1, delta(4, 2))], &[1], "dead node 1 holds custody for node 4"),
+        (&[(1, delta(4, 2))], &[4], "node 1 holds custody for dead node 4"),
+        (&[(2, delta(4, 2))], &[], "node 2 holds custody for node 4, not on its path"),
+        (&[(1, delta(4, 1)), (1, delta(4, 2))], &[], "two custody entries for node 4"),
+        (&[(4, delta(4, 2)), (1, delta(4, 2))], &[], "(epoch 2) is not newer than at depth 1"),
+        (&[(1, delta(4, 4))], &[], "from epoch 4, the next epoch is 4"),
+    ];
+    for (held, dead, why) in cases {
+        assert_rejected(image(held, dead), &sc.energy, &sc.planner, why);
+    }
+    // What the transport does leave: an entry at its own origin below an
+    // older copy of it, and one held on the way up.
+    let fine = image(&[(4, delta(4, 3)), (1, delta(4, 1)), (1, delta(5, 2))], &[]);
+    assert!(Checkpoint::decode(&fine.encode()).is_ok());
+    assert!(ExperimentRunner::resume(fine, &sc.energy, &sc.planner).is_ok());
+}
+
 /// `state` rebuilt through its own checkpoint walk after `edit` changed
 /// its view, last-shipped and effective vectors (in that order) or its
 /// custody: protocol state the protocol itself never produces.

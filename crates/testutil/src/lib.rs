@@ -12,10 +12,12 @@ use prospector_core::{GatePolicy, Plan, PlanContext, PlanError, Planner};
 use prospector_data::SamplePolicy;
 use prospector_net::{
     ArqPolicy, Backoff, EnergyMeter, FailureModel, FaultSchedule, Network, NetworkBuilder, NodeId,
-    Phase,
+    Phase, Topology,
 };
 use prospector_obs::MetricsSnapshot;
 use prospector_sim::{EpochReport, ExperimentConfig};
+use rand::rngs::StdRng;
+use rand::RngExt;
 
 /// A seeded random network of `n` nodes. Density is held constant as `n`
 /// grows by scaling the field with `sqrt(n)` (the same construction the
@@ -23,6 +25,29 @@ use prospector_sim::{EpochReport, ExperimentConfig};
 pub fn network(n: usize, seed: u64) -> Network {
     let side = 40.0 * (n as f64).sqrt();
     NetworkBuilder::new(n, side, side, 70.0).seed(seed).build().expect("seeded placement connects")
+}
+
+/// A random tree over `n ≥ 1` nodes: a chain, a star or a random
+/// recursive tree, with labels shuffled so the root is anywhere.
+pub fn random_tree(rng: &mut StdRng, n: usize) -> Topology {
+    let shape = rng.random_range(0..3u32);
+    let parent: Vec<Option<usize>> = (0..n)
+        .map(|i| match (i, shape) {
+            (0, _) => None,
+            (_, 0) => Some(i - 1),
+            (_, 1) => Some(0),
+            _ => Some(rng.random_range(0..i)),
+        })
+        .collect();
+    let mut label: Vec<usize> = (0..n).collect();
+    for i in (1..n).rev() {
+        label.swap(i, rng.random_range(0..=i));
+    }
+    let mut relabeled = vec![None; n];
+    for (i, p) in parent.into_iter().enumerate() {
+        relabeled[label[i]] = p.map(|p| NodeId::from_index(label[p]));
+    }
+    Topology::from_parents(NodeId::from_index(label[0]), relabeled).expect("parents form a tree")
 }
 
 /// The fault-recovery suite's experiment configuration: loss-free links,

@@ -18,8 +18,9 @@
 //!   node last shipped bit-for-bit, or the undelivered delta is held in
 //!   custody somewhere along the path.
 //! * **Kill/resume ≡ uninterrupted.** Killing a continuous run at any
-//!   epoch boundary and resuming through the v3 wire format reproduces
-//!   reports, meters and the final encoded checkpoint byte-for-byte.
+//!   epoch boundary and resuming through the checkpoint wire format
+//!   reproduces reports, meters and the final encoded checkpoint
+//!   byte-for-byte.
 //!
 //! The thread-width leg of the contract (byte-identical traces at 1, 2
 //! and 8 evaluation threads) lives in `tests/continuous_threads.rs`,
