@@ -14,7 +14,7 @@ use prospector_core::{
 use prospector_data::{IndependentGaussian, SampleSet, ValueSource};
 use prospector_net::{EnergyModel, NodeId, Topology};
 use prospector_obs::NullTracer;
-use prospector_sim::{charge_sweep, execute_plan, install_cost, run_exact, run_naive1};
+use prospector_sim::{execute_plan, install_cost, run_exact, run_naive1, Sweep};
 use std::time::Instant;
 
 /// A fully rendered figure: identifier, axes and data points.
@@ -1175,12 +1175,13 @@ pub fn scale(fast: bool) -> FigureResult {
         points.push(CurvePoint::new("repair_s", n as f64, t0.elapsed().as_secs_f64()));
         assert_eq!(repaired.len(), topo.len());
 
-        // One exploration sweep: every reading counted up the tree and
-        // billed node by node (DESIGN.md §5, execution cost model).
-        let values = source.values(num_samples as u64);
+        // One exploration sweep from cold: every reading counted up the
+        // tree once to build the bill, then the bill charged node by node
+        // (DESIGN.md §5, execution cost model).
         let mut meter = prospector_net::EnergyMeter::new(n);
         let t0 = Instant::now();
-        let billed = charge_sweep(&topo, &vec![true; n], &em, &values, &mut meter, &mut NullTracer);
+        let sweep = Sweep::new(&topo, &vec![true; n], &em);
+        let billed = sweep.charge(&mut meter, &mut NullTracer);
         points.push(CurvePoint::new("sweep_s", n as f64, t0.elapsed().as_secs_f64()));
         assert!(billed > 0.0 && billed == meter.total(), "sweep bill {billed}");
     }

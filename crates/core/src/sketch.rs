@@ -138,12 +138,14 @@ impl QDigest {
         QDigest { precision, counts: BTreeMap::new(), total: 0 }
     }
 
-    /// Builds a sketch from a slice of values in one pass.
+    /// Builds a sketch from a slice of values: their leaf ids sorted,
+    /// each run of equal ids one count, the map built in order.
     pub fn from_values(precision: SketchPrecision, values: &[f64]) -> QDigest {
         let mut d = QDigest::new(precision);
-        for &v in values {
-            d.insert(v);
-        }
+        let mut leaves: Vec<u64> = values.iter().map(|&v| d.leaf_of(v)).collect();
+        leaves.sort_unstable();
+        d.counts = leaves.chunk_by(|a, b| a == b).map(|run| (run[0], run.len() as u64)).collect();
+        d.total = values.len() as u64;
         d
     }
 
@@ -185,10 +187,14 @@ impl QDigest {
         (lo + b as f64 * width, lo + (b + 1) as f64 * width)
     }
 
+    /// The tree-node id of the leaf a value quantizes to.
+    fn leaf_of(&self, value: f64) -> u64 {
+        self.universe() + self.bucket_of(value)
+    }
+
     /// Adds one value.
     pub fn insert(&mut self, value: f64) {
-        let leaf = self.universe() + self.bucket_of(value);
-        *self.counts.entry(leaf).or_insert(0) += 1;
+        *self.counts.entry(self.leaf_of(value)).or_insert(0) += 1;
         self.total += 1;
     }
 
@@ -659,6 +665,37 @@ mod tests {
             proptest::prop_assert_eq!(got.total, d.total);
             proptest::prop_assert_eq!(d.encode(), reference_encode(&d));
             proptest::prop_assert_eq!(got.encode(), reference_encode(&got));
+        }
+    }
+
+    // Sorting the leaf ids builds what inserting the values one at a
+    // time builds: the same stored counts, total and encoded bytes, on
+    // every shape (NaN, ±∞ and out-of-domain values, duplicates) and on
+    // empty input, at every depth.
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(400))]
+
+        #[test]
+        fn sorted_from_values_matches_one_at_a_time_inserts(
+            depth in 1u32..=24,
+            shape in 0u8..4,
+            empty in 0u8..8,
+            seed in 0u64..u64::MAX,
+        ) {
+            use rand::{RngExt, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let n = if empty == 0 { 0 } else { rng.random_range(1..1200) };
+            let values = oracle_values(depth, shape, n, &mut rng);
+            let compression = rng.random_range(1..=64);
+            let p = SketchPrecision { depth, compression, lo: 0.0, hi: 100.0 };
+            let mut inserted = QDigest::new(p);
+            for &v in &values {
+                inserted.insert(v);
+            }
+            let sorted = QDigest::from_values(p, &values);
+            proptest::prop_assert_eq!(&sorted.counts, &inserted.counts);
+            proptest::prop_assert_eq!(sorted.total, inserted.total);
+            proptest::prop_assert_eq!(sorted.encode(), inserted.encode());
         }
     }
 

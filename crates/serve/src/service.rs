@@ -45,7 +45,7 @@ use prospector_core::{evaluate, Plan, PlanContext, Planner};
 use prospector_data::{Reading, SampleSet};
 use prospector_net::{EnergyMeter, EnergyModel, FailureModel, NodeId, RepairError, Topology};
 use prospector_obs::{TraceEvent, Tracer};
-use prospector_sim::{apply_deaths, mask_dead_values};
+use prospector_sim::{apply_deaths, mask_dead_values, Sweep};
 use std::time::Instant;
 
 /// Service-level knobs. Validated by [`QueryService::new`].
@@ -193,6 +193,10 @@ pub struct QueryService {
     ledger_remaining: f64,
     /// Cumulative per-node/per-phase energy across the service lifetime.
     meter: EnergyMeter,
+    /// The window-feeding sweep of the current tree and alive set, built
+    /// at the first sweep after a death and dropped by
+    /// [`QueryService::kill_node`].
+    sweep: Option<Sweep>,
     stats: ServiceStats,
 }
 
@@ -218,6 +222,7 @@ impl QueryService {
             cache: PlanCache::new(),
             ledger_remaining: 0.0,
             meter: EnergyMeter::new(n),
+            sweep: None,
             stats: ServiceStats::default(),
         })
     }
@@ -274,14 +279,10 @@ impl QueryService {
         if sampled {
             // The window-feeding sweep, charged exactly like the
             // simulator's runner.
-            sweep_mj = prospector_sim::charge_sweep(
-                &self.topology,
-                &self.alive,
-                &self.energy,
-                &self.truth,
-                &mut self.meter,
-                tracer,
-            );
+            let sweep = self
+                .sweep
+                .get_or_insert_with(|| Sweep::new(&self.topology, &self.alive, &self.energy));
+            sweep_mj = sweep.charge(&mut self.meter, tracer);
             self.window.push(self.truth.clone());
         }
         self.ledger_remaining = self.config.epoch_budget_mj;
@@ -314,6 +315,7 @@ impl QueryService {
             mask_dead_values(&mut self.truth, &self.alive);
             self.topo_epoch += 1;
             self.cache.invalidate(self.topo_epoch);
+            self.sweep = None;
         }
         Ok(())
     }

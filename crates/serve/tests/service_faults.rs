@@ -2,12 +2,13 @@
 //! and change nothing when they do: `kill_node` on the root, on an id
 //! outside the network or on a node already dead, `degrade_link` on an
 //! edge outside the network, and a failure model sized for another
-//! network at construction.
+//! network at construction. A death they do carry out reaches the next
+//! sweep's bill.
 
 use prospector_core::{FallbackPlanner, NaiveK};
 use prospector_data::{IndependentGaussian, ValueSource};
 use prospector_net::{topology, EnergyModel, FailureModel, FailureModelError, NodeId, RepairError};
-use prospector_obs::{NullTracer, RingTracer};
+use prospector_obs::{NullTracer, RingTracer, TraceEvent};
 use prospector_serve::{ConfigError, QueryRequest, QueryService, ServiceConfig};
 use prospector_testutil::assert_meters_bit_identical;
 
@@ -121,4 +122,35 @@ fn failure_model_sized_for_another_network_is_rejected() {
         ..ServiceConfig::default()
     };
     assert!(service(config).is_ok());
+}
+
+/// The sweep bill is built once per tree and alive set, so a death must
+/// drop it: a service that kills a node between two sampled epochs bills
+/// its next sweep as a fresh service that lost the node before its first
+/// sweep bills that one, charge for charge.
+#[test]
+fn the_sweep_after_a_death_bills_the_repaired_tree() {
+    let mut source = IndependentGaussian::random(N, 40.0..60.0, 1.0..4.0, 7);
+    let victim = NodeId(1); // a root child with three children
+    let mut svc = service(ServiceConfig::default()).expect("config is valid");
+    for epoch in 0..2 {
+        svc.begin_epoch(&source.values(epoch), &mut NullTracer);
+    }
+    svc.kill_node(victim, &mut NullTracer).expect("victim is not the root");
+    let mut fresh = service(ServiceConfig::default()).expect("config is valid");
+    fresh.kill_node(victim, &mut NullTracer).expect("victim is not the root");
+    assert_eq!(svc.topology().parent_vec(), fresh.topology().parent_vec());
+
+    let values = source.values(2);
+    let (mut got, mut want) = (RingTracer::new(256), RingTracer::new(256));
+    let swept = svc.begin_epoch(&values, &mut got);
+    let first = fresh.begin_epoch(&values, &mut want);
+    assert!(swept.sampled && first.sampled);
+    assert_eq!(swept.sweep_mj.to_bits(), first.sweep_mj.to_bits());
+    let charges = |t: &mut RingTracer| -> Vec<TraceEvent> {
+        t.take().into_iter().filter(|e| matches!(e, TraceEvent::Energy { .. })).collect()
+    };
+    let charged = charges(&mut got);
+    assert!(!charged.is_empty(), "the sweep charged nothing");
+    assert_eq!(charged, charges(&mut want));
 }

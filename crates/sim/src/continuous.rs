@@ -43,7 +43,6 @@
 //! epoch.
 
 use crate::exec::{charge_links, collect_arq};
-use crate::runner::mask_dead_edges;
 use crate::trace::charge;
 use prospector_ckpt::{CheckpointError, Codec, Reader, Writer};
 use prospector_core::{Plan, QDigest, SketchPrecision};
@@ -554,8 +553,9 @@ pub struct RefreshOutcome {
     pub messages: u32,
 }
 
-/// Runs a full from-scratch refresh: the ARQ collection of a full-sweep
-/// plan with dead nodes masked (a trigger broadcast wakes the tree, and
+/// Runs a full from-scratch refresh: the ARQ collection of `sweep`, the
+/// full-sweep plan with dead nodes masked that the holder of the tree's
+/// [`Sweep`](crate::Sweep) keeps (a trigger broadcast wakes the tree, and
 /// every alive node forwards its *entire* merged batch — refreshes
 /// re-seed `last_shipped` for every delivered node, so they must carry
 /// everything). Delivered values overwrite the root's view and each
@@ -566,6 +566,7 @@ pub(crate) fn run_refresh_epoch(
     state: &mut ContinuousState,
     topology: &Topology,
     alive: &[bool],
+    sweep: &Plan,
     energy: &EnergyModel,
     values: &[f64],
     sketch: Option<SketchPrecision>,
@@ -575,12 +576,10 @@ pub(crate) fn run_refresh_epoch(
     meter: &mut EnergyMeter,
     tracer: &mut dyn Tracer,
 ) -> RefreshOutcome {
-    let mut sweep = Plan::full_sweep(topology);
-    mask_dead_edges(&mut sweep, topology, alive);
     let lossless = FailureModel::none(topology.len());
     let failures = failures.unwrap_or(&lossless);
     // The refresh reads deliveries, not an answer: k = 0 gathers none.
-    let c = collect_arq(meter, &sweep, topology, energy, values, 0, failures, arq, seed, tracer);
+    let c = collect_arq(meter, sweep, topology, energy, values, 0, failures, arq, seed, tracer);
     let mut delivered = vec![false; topology.len()];
     delivered[topology.root().index()] = true;
     for h in &c.out.hops {
@@ -982,6 +981,7 @@ mod tests {
             &mut state,
             &t,
             &alive,
+            &Plan::full_sweep(&t),
             &em,
             &values,
             Some(prec),

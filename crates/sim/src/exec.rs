@@ -318,23 +318,52 @@ pub fn execute_proof_plan(
     (report, out)
 }
 
-/// The exploration sweep shared by the runner and the serving front end:
-/// the full-sweep plan with dead nodes masked, every reading delivered,
-/// its charges re-attributed to [`Phase::Sampling`] node by node. Returns
-/// the energy charged. No edge of a sweep cuts its batch, so the pass
-/// only counts; the bill needs no answer, so none is gathered (k = 0).
-pub fn charge_sweep(
-    topology: &Topology,
-    alive: &[bool],
-    energy: &EnergyModel,
-    values: &[f64],
-    meter: &mut EnergyMeter,
-    tracer: &mut dyn Tracer,
-) -> f64 {
-    let mut sweep = Plan::full_sweep(topology);
-    mask_dead_edges(&mut sweep, topology, alive);
-    let report = execute_plan(&sweep, topology, energy, values, 0, None);
-    charge_as(meter, &report.meter, Phase::Sampling, tracer)
+/// The exploration sweep of one tree and alive set, shared by the runner
+/// and the serving front end: the full-sweep plan with dead nodes masked,
+/// every reading delivered, its charges re-attributed to
+/// [`Phase::Sampling`] node by node. No edge of a sweep cuts its batch
+/// and the bill needs no answer, so the pass only counts: what a sweep
+/// costs is a function of the tree and the alive set, never of the
+/// readings. It is built once per tree and alive set, and every sweep
+/// replays its bill; a holder drops it when a death changes either.
+#[derive(Debug, Clone)]
+pub struct Sweep {
+    /// The masked sweep's charges, per node, as its reliable execution
+    /// made them.
+    bill: EnergyMeter,
+    /// The masked sweep plan, with the footprint its execution laid out,
+    /// when the holder asked to keep it: continuous refreshes collect
+    /// along it.
+    plan: Option<Plan>,
+}
+
+impl Sweep {
+    /// Executes the sweep of `topology` with the nodes `alive` marks dead
+    /// masked out and keeps its bill.
+    pub fn new(topology: &Topology, alive: &[bool], energy: &EnergyModel) -> Sweep {
+        Sweep { plan: None, ..Sweep::with_plan(topology, alive, energy) }
+    }
+
+    /// [`Sweep::new`], keeping the masked plan as well.
+    pub(crate) fn with_plan(topology: &Topology, alive: &[bool], energy: &EnergyModel) -> Sweep {
+        let mut plan = Plan::full_sweep(topology);
+        mask_dead_edges(&mut plan, topology, alive);
+        // k = 0 gathers no answer and no edge cuts: no reading is read.
+        let unread = vec![0.0; topology.len()];
+        let bill = execute_plan(&plan, topology, energy, &unread, 0, None).meter;
+        Sweep { bill, plan: Some(plan) }
+    }
+
+    /// Charges one sweep onto `meter`, after whatever it already holds.
+    /// Returns the energy charged.
+    pub fn charge(&self, meter: &mut EnergyMeter, tracer: &mut dyn Tracer) -> f64 {
+        charge_as(meter, &self.bill, Phase::Sampling, tracer)
+    }
+
+    /// The masked sweep plan, if the sweep was built [`Sweep::with_plan`].
+    pub(crate) fn plan(&self) -> Option<&Plan> {
+        self.plan.as_ref()
+    }
 }
 
 /// Re-attributes all of `src`'s charges to `phase`, node by node in node

@@ -5,7 +5,9 @@
 //!
 //! * [`exec`] — energy-metered execution of approximate and proof-carrying
 //!   plans: trigger broadcasts, per-edge unicasts, proven-count side
-//!   channel, transient-failure injection with rerouting charges;
+//!   channel, transient-failure injection with rerouting charges, and
+//!   the exploration [`Sweep`], whose bill is built once per tree and
+//!   alive set and replayed;
 //! * [`dissemination`] — the initial distribution phase (installing a plan);
 //! * [`naive1`] — the pipelined `NAIVE-1` exact protocol of Section 2, one
 //!   value per message;
@@ -48,8 +50,8 @@ pub use continuous::{ContinuousState, Delta, DeltaOutcome, RefreshOutcome};
 pub use dissemination::{install_cost, install_plan, install_plan_lossy, DisseminationReport};
 pub use exact_exec::{run_exact, ExactResult};
 pub use exec::{
-    charge_sweep, execute_plan, execute_plan_arq, execute_plan_arq_traced, execute_plan_traced,
-    execute_proof_plan, ExecutionReport,
+    execute_plan, execute_plan_arq, execute_plan_arq_traced, execute_plan_traced,
+    execute_proof_plan, ExecutionReport, Sweep,
 };
 pub use naive1::run_naive1;
 pub use runner::{

@@ -26,7 +26,7 @@ use crate::backfill::{backfill_answer, AnswerEntry};
 use crate::continuous::{apply_refresh, run_delta_epoch, run_refresh_epoch, ContinuousState};
 use crate::dissemination::{install_plan, install_plan_lossy};
 use crate::exact_exec::run_exact;
-use crate::exec::{charge_as, charge_sweep, execute_plan_arq_traced, execute_plan_traced};
+use crate::exec::{charge_as, execute_plan_arq_traced, execute_plan_traced, Sweep};
 use crate::trace::charge;
 use prospector_ckpt::{walk, CheckpointError, CheckpointPolicy, Image, StoreError};
 use prospector_core::{
@@ -514,6 +514,10 @@ pub struct ExperimentRunner<'a> {
     /// table serves many epochs, and a node that audit left as it found
     /// need not be audited again (`continuous_query_epoch`).
     bands: Option<(u64, BandTable)>,
+    /// The exploration sweep of the current tree and alive set, built
+    /// on first use (`held_sweep`) and dropped by the death stage, the
+    /// only place either changes. A checkpoint does not carry it.
+    sweep: Option<Sweep>,
 }
 
 impl<'a> ExperimentRunner<'a> {
@@ -557,7 +561,7 @@ impl<'a> ExperimentRunner<'a> {
             cont: config.continuous.map(|_| ContinuousState::new(n)),
             config,
         };
-        Ok(ExperimentRunner { energy, planner, state, quarantined: 0, bands: None })
+        Ok(ExperimentRunner { energy, planner, state, quarantined: 0, bands: None, sweep: None })
     }
 
     /// Captures the full resumable state at the current epoch boundary.
@@ -585,7 +589,7 @@ impl<'a> ExperimentRunner<'a> {
     ) -> Result<Self, ResumeError> {
         ckpt.validate()?;
         let quarantined = ckpt.trust.iter().filter(|t| t.is_quarantined()).count();
-        Ok(ExperimentRunner { energy, planner, state: ckpt, quarantined, bands: None })
+        Ok(ExperimentRunner { energy, planner, state: ckpt, quarantined, bands: None, sweep: None })
     }
 
     /// Turns on aggregate metrics: every subsequent epoch updates the
@@ -667,10 +671,12 @@ impl<'a> ExperimentRunner<'a> {
         )?;
         if !deaths.is_empty() {
             // The old plan routes through the dead node; discard it and
-            // re-plan on the repaired tree immediately.
+            // re-plan on the repaired tree immediately. The sweep's bill
+            // is the old tree's.
             self.state.plan = None;
             self.state.plan_via = None;
             self.state.last_replan = None;
+            self.sweep = None;
         }
         for (child, added) in self.state.config.faults.degradations_at(epoch) {
             if let Some(f) = self.state.failures.as_mut() {
@@ -747,14 +753,7 @@ impl<'a> ExperimentRunner<'a> {
         );
         self.state.since_sweep = if sweep { 0 } else { self.state.since_sweep + 1 };
         if sweep {
-            charge_sweep(
-                &self.state.topology,
-                &self.state.alive,
-                self.energy,
-                &values,
-                &mut epoch_meter,
-                tracer,
-            );
+            held_sweep(&mut self.sweep, &self.state, self.energy).charge(&mut epoch_meter, tracer);
             // Root-side gate on the sweep: implausible readings feed the
             // window (and the answer) as predictions, so a lying sensor
             // cannot poison the very history it is judged against.
@@ -1097,10 +1096,12 @@ impl<'a> ExperimentRunner<'a> {
             if tracer.enabled() {
                 tracer.record(TraceEvent::FullRefresh { reason });
             }
+            let sweep = held_sweep(&mut self.sweep, &self.state, self.energy);
             let out = run_refresh_epoch(
                 &mut state,
                 &self.state.topology,
                 &self.state.alive,
+                sweep.plan().expect("continuous runs keep the sweep plan"),
                 self.energy,
                 values,
                 policy.sketch,
@@ -1696,6 +1697,21 @@ pub fn mask_dead_values(values: &mut [f64], alive: &[bool]) {
     }
 }
 
+/// The exploration sweep of `state`'s tree and alive set held in `sweep`,
+/// built there on first use; a continuous run keeps its plan for the
+/// refreshes.
+fn held_sweep<'s>(
+    sweep: &'s mut Option<Sweep>,
+    state: &Checkpoint,
+    energy: &EnergyModel,
+) -> &'s Sweep {
+    let (topology, alive) = (&state.topology, &state.alive);
+    sweep.get_or_insert_with(|| match state.config.continuous {
+        Some(_) => Sweep::with_plan(topology, alive, energy),
+        None => Sweep::new(topology, alive, energy),
+    })
+}
+
 /// Zeroes plan bandwidth on edges whose child is dead. Safe because
 /// repaired topologies park dead nodes as leaves: nothing routes *through*
 /// them, so dropping their edges cannot disconnect a survivor.
@@ -2143,43 +2159,88 @@ mod tests {
         }
     }
 
-    /// Runs two runners resumed from `cfg`'s run at epoch `from`, the
-    /// second with its bands dropped before every epoch so that it audits
-    /// the whole view, up to epoch `to`. Reports, events and checkpoint
-    /// bytes must agree every epoch; returns the first runner's reports.
-    fn audit_both_ways<S: ValueSource>(
+    /// Runs two runners resumed from `cfg`'s run at epoch `from` up to
+    /// epoch `to`, the second passed to `forget` before every epoch.
+    /// Reports, events and checkpoint bytes must agree every epoch;
+    /// returns the first runner's reports.
+    fn run_both_ways<S: ValueSource>(
         t: &Topology,
         cfg: ExperimentConfig,
         source: &mut S,
         from: u64,
         to: u64,
+        forget: fn(&mut ExperimentRunner),
     ) -> Vec<EpochReport> {
         let em = EnergyModel::mica2();
         let planner = ProspectorGreedy;
         let mut base = ExperimentRunner::new(t, &em, &planner, cfg);
         base.run_to(source, from, &mut NullTracer).unwrap();
         let ckpt = base.checkpoint();
-        let mut skipping = ExperimentRunner::resume(ckpt.clone(), &em, &planner).unwrap();
-        let mut full = ExperimentRunner::resume(ckpt, &em, &planner).unwrap();
+        let mut keeping = ExperimentRunner::resume(ckpt.clone(), &em, &planner).unwrap();
+        let mut forgetting = ExperimentRunner::resume(ckpt, &em, &planner).unwrap();
         let ring = || prospector_obs::RingTracer::new(1 << 14);
-        let (mut ts, mut tf) = (ring(), ring());
+        let (mut tk, mut tf) = (ring(), ring());
         let events = |t: &mut prospector_obs::RingTracer| {
             t.take().iter().map(|e| format!("{e:?}")).collect::<Vec<_>>()
         };
         let mut reports = Vec::new();
         for epoch in from..to {
-            full.bands = None;
-            let a = skipping.step_traced(source, epoch, &mut ts).unwrap();
-            let b = full.step_traced(source, epoch, &mut tf).unwrap();
+            forget(&mut forgetting);
+            let a = keeping.step_traced(source, epoch, &mut tk).unwrap();
+            let b = forgetting.step_traced(source, epoch, &mut tf).unwrap();
             assert_eq!(format!("{a:?}"), format!("{b:?}"), "epoch {epoch} reports");
-            assert_eq!(events(&mut ts), events(&mut tf), "epoch {epoch} events");
+            assert_eq!(events(&mut tk), events(&mut tf), "epoch {epoch} events");
             assert!(
-                skipping.checkpoint().encode() == full.checkpoint().encode(),
+                keeping.checkpoint().encode() == forgetting.checkpoint().encode(),
                 "epoch {epoch} checkpoint bytes"
             );
             reports.push(a);
         }
         reports
+    }
+
+    #[test]
+    fn a_held_sweep_bills_like_a_fresh_one() {
+        // Against a runner that builds its sweep afresh every epoch.
+        // Periodic sweeps with a death wave between two of them: the
+        // sweep at 12 bills the tree the wave at 9 repaired.
+        let t = balanced(3, 3);
+        let n = t.len();
+        let mut source = IndependentGaussian::random(n, 40.0..60.0, 1.0..4.0, 5);
+        let cfg = ExperimentConfig {
+            policy: SamplePolicy::Periodic { warmup: 4, period: 6 },
+            faults: FaultSchedule::new()
+                .with_death(9, NodeId(2))
+                .with_death(9, NodeId(14))
+                .with_death(21, NodeId(30)),
+            ..config(30.0)
+        };
+        let reports = run_both_ways(&t, cfg, &mut source, 5, 30, |r| r.sweep = None);
+        let swept_after_death = reports.iter().filter(|r| r.epoch > 9 && r.sampled).count();
+        assert_eq!(swept_after_death, 3, "sweeps at 12, 18 and 24");
+
+        // Continuous with sketches, 5% loss and a death: refreshes
+        // collect along the held plan, and the death's repair refresh
+        // along the repaired tree's.
+        let mut source = IndependentGaussian::random(n, 40.0..60.0, 1.0..4.0, 6);
+        let sketch =
+            prospector_core::SketchPrecision { depth: 10, compression: 16, lo: 0.0, hi: 100.0 };
+        let cfg = ExperimentConfig {
+            policy: SamplePolicy::Periodic { warmup: 4, period: 16 },
+            failures: Some(FailureModel::uniform(n, 0.05, 0.0)),
+            arq: ArqPolicy { max_retries: 1, backoff: prospector_net::Backoff::none() },
+            faults: FaultSchedule::new().with_death(13, NodeId(5)),
+            continuous: Some(ContinuousPolicy {
+                tolerance: 0.5,
+                refresh_period: 5,
+                sketch: Some(sketch),
+            }),
+            ..config(30.0)
+        };
+        let reports = run_both_ways(&t, cfg, &mut source, 5, 40, |r| r.sweep = None);
+        let refreshed = |r: &&EpochReport| r.full_refresh && !r.sampled;
+        assert!(reports.iter().filter(refreshed).any(|r| r.epoch == 13), "repair refresh");
+        assert!(reports.iter().filter(refreshed).filter(|r| r.epoch > 13).count() >= 3);
     }
 
     /// A continuous, gated run over a six-sample window.
@@ -2232,7 +2293,8 @@ mod tests {
                 .with_death(30, NodeId(2)),
             ..audited_config(SamplePolicy::Periodic { warmup: 4, period: 9 }, gate)
         };
-        let reports = audit_both_ways(&t, cfg, &mut source, 12, 70);
+        // The second runner audits the whole view every epoch.
+        let reports = run_both_ways(&t, cfg, &mut source, 12, 70, |r| r.bands = None);
         assert!(reports.iter().any(|r| r.quarantined > 0), "strikes lead to quarantine");
         assert!(reports.iter().any(|r| r.readmitted > 0), "quarantined nodes earn parole");
     }
@@ -2261,7 +2323,7 @@ mod tests {
             }),
             ..audited_config(policy, gate)
         };
-        let reports = audit_both_ways(&t, cfg, &mut source, 6, 12);
+        let reports = run_both_ways(&t, cfg, &mut source, 6, 12, |r| r.bands = None);
         assert_eq!(reports[4].epoch, 10);
         assert_eq!(reports[4].flagged, 1, "epoch 10 judges node 1's 32");
     }

@@ -4,7 +4,8 @@
 //! trees, plans, deaths, losses and retry budgets, the reliable path, the
 //! ARQ path and the exploration sweep must produce the same answer, the
 //! same meter bit for bit (every node, every phase, the total) and the
-//! same event stream.
+//! same event stream. A sweep's bill is built once per tree and alive set
+//! and replayed, so it is checked against a fresh scan on every replay.
 //!
 //! The oracle prices the collection kernel's outcome; that the counting
 //! kernel's outcome equals the merge-everything kernel's is pinned in
@@ -12,12 +13,13 @@
 
 use proptest::prelude::*;
 use prospector_core::{run_plan, run_plan_lossy, Plan};
+use prospector_data::SampleSet;
 use prospector_net::{
     ArqPolicy, Backoff, EnergyMeter, EnergyModel, FailureModel, LinkAttempts, NodeId, Phase,
     Topology,
 };
-use prospector_obs::{RingTracer, TraceEvent, Tracer};
-use prospector_sim::{charge_sweep, execute_plan_arq_traced, execute_plan_traced};
+use prospector_obs::{NullTracer, RingTracer, TraceEvent, Tracer};
+use prospector_sim::{apply_deaths, execute_plan_arq_traced, execute_plan_traced, Sweep};
 use prospector_testutil::random_tree;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -258,7 +260,7 @@ proptest! {
     #[test]
     fn sweep_bill_matches_the_scans(seed in 0u64..u64::MAX) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let w = random_world(&mut rng);
+        let mut w = random_world(&mut rng);
         let n = w.topology.len();
         let em = EnergyModel::mica2();
         // Both sides bill onto a meter that already holds an epoch's
@@ -269,27 +271,56 @@ proptest! {
                 earlier.charge(NodeId::from_index(i), Phase::Repair, rng.random_range(0.0..5.0));
             }
         }
-
+        // The scans price the masked full sweep afresh and re-attribute
+        // it node by node.
         let mut tracer = RingTracer::new(1 << 12);
-        let mut meter = earlier.clone();
-        let billed = charge_sweep(&w.topology, &w.alive, &em, &w.values, &mut meter, &mut tracer);
-        let got = tracer.take();
+        let check = |sweep: &Sweep, w: &World, values: &[f64], tracer: &mut RingTracer| {
+            let mut meter = earlier.clone();
+            let billed = sweep.charge(&mut meter, tracer);
+            let got = tracer.take();
 
-        let mut sweep = Plan::full_sweep(&w.topology);
-        for e in w.topology.edges().filter(|e| !w.alive[e.index()]) {
-            sweep.set_bandwidth(e, 0);
-        }
-        let mut bill = EnergyMeter::new(n);
-        scan::trigger(&sweep, &w.topology, &em, &mut bill, &mut prospector_obs::NullTracer);
-        let out = run_plan(&sweep, &w.topology, &w.values, 1);
-        scan::collection(
-            &out.sent, &sweep, &w.topology, &em, &mut bill, &mut prospector_obs::NullTracer, None,
-        );
-        let mut want = earlier.clone();
-        let total = scan::charge_as(&mut want, &bill, Phase::Sampling, &mut tracer);
+            let mut scanned = Plan::full_sweep(&w.topology);
+            for e in w.topology.edges().filter(|e| !w.alive[e.index()]) {
+                scanned.set_bandwidth(e, 0);
+            }
+            let mut bill = EnergyMeter::new(n);
+            scan::trigger(&scanned, &w.topology, &em, &mut bill, &mut NullTracer);
+            let out = run_plan(&scanned, &w.topology, values, 1);
+            let sent = &out.sent;
+            scan::collection(sent, &scanned, &w.topology, &em, &mut bill, &mut NullTracer, None);
+            let mut want = earlier.clone();
+            let total = scan::charge_as(&mut want, &bill, Phase::Sampling, tracer);
 
-        prop_assert_eq!(billed.to_bits(), total.to_bits(), "seed {}", seed);
-        prop_assert_eq!(meter_bits(&meter), meter_bits(&want), "seed {}", seed);
-        prop_assert_eq!(got, tracer.take(), "seed {}", seed);
+            prop_assert_eq!(billed.to_bits(), total.to_bits(), "seed {}", seed);
+            prop_assert_eq!(meter_bits(&meter), meter_bits(&want), "seed {}", seed);
+            prop_assert_eq!(got, tracer.take(), "seed {}", seed);
+        };
+
+        // One sweep billed twice, on two epochs' readings: the bill never
+        // reads them.
+        let sweep = Sweep::new(&w.topology, &w.alive, &em);
+        check(&sweep, &w, &w.values, &mut tracer);
+        let mut later: Vec<f64> = (0..n).map(|_| rng.random_range(-4.0..12.0)).collect();
+        prospector_sim::mask_dead_values(&mut later, &w.alive);
+        check(&sweep, &w, &later, &mut tracer);
+
+        // A death wave changes the tree and the alive set; the sweep
+        // rebuilt on the repaired tree bills what the scans price there.
+        let wave: Vec<NodeId> = w.topology.edges().filter(|_| rng.random_bool(0.2)).collect();
+        let mut samples = SampleSet::new(n, 1, 1);
+        let mut repairs = EnergyMeter::new(n);
+        apply_deaths(
+            &wave,
+            &mut w.topology,
+            &mut w.alive,
+            &mut samples,
+            &em,
+            &mut repairs,
+            &mut NullTracer,
+        )
+        .unwrap();
+        prospector_sim::mask_dead_values(&mut later, &w.alive);
+        let sweep = Sweep::new(&w.topology, &w.alive, &em);
+        check(&sweep, &w, &later, &mut tracer);
     }
 }
