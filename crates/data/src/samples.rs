@@ -69,14 +69,29 @@ pub fn top_k_nodes(values: &[f64], k: usize) -> Vec<NodeId> {
     best.into_sorted_vec().into_iter().map(|r| r.node).collect()
 }
 
+/// Node `node`'s word and bit in a packed top-k row.
+fn bit(node: NodeId) -> (usize, u64) {
+    (node.index() >> 6, 1u64 << (node.index() & 63))
+}
+
 /// Packs a top-k node set into `words` `u64` words (bit `i` of the row =
 /// node `i`'s membership).
 fn pack_row(ones: &[NodeId], words: usize) -> Vec<u64> {
     let mut row = vec![0u64; words];
-    for node in ones {
-        row[node.index() >> 6] |= 1u64 << (node.index() & 63);
+    for &node in ones {
+        let (w, b) = bit(node);
+        row[w] |= b;
     }
     row
+}
+
+/// True when `ones` is a top-k list a window can hold for `row`:
+/// `top_k_nodes(row, k)` as [`SampleSet::push`] leaves it, or that list
+/// with its `NEG_INFINITY` entries dropped as [`SampleSet::mask_nodes`]
+/// leaves it.
+fn is_window_top_k(row: &[f64], k: usize, ones: &[NodeId]) -> bool {
+    let top = top_k_nodes(row, k);
+    ones == top || ones.iter().eq(top.iter().filter(|n| row[n.index()] != f64::NEG_INFINITY))
 }
 
 /// Captured [`SampleSet`] parts that do not describe a valid window (see
@@ -91,6 +106,9 @@ pub enum SamplePartsError {
     BadSample { row: usize, ones: usize },
     /// The stored column counts do not match the stored top-k sets.
     InconsistentCounts,
+    /// Sample `sample`'s stored top-k list is not its row's top k (nor
+    /// that list with its masked entries dropped).
+    WrongTopK { sample: usize },
 }
 
 impl std::fmt::Display for SamplePartsError {
@@ -109,6 +127,9 @@ impl std::fmt::Display for SamplePartsError {
             }
             SamplePartsError::InconsistentCounts => {
                 write!(f, "column counts do not match the stored top-k sets")
+            }
+            SamplePartsError::WrongTopK { sample } => {
+                write!(f, "sample {sample}'s stored top-k list is not its readings' top k")
             }
         }
     }
@@ -215,8 +236,11 @@ impl SampleSet {
     /// verbatim rather than recomputed: after [`SampleSet::mask_nodes`]
     /// the stored top-k sets are retain-filtered in a way a replay of
     /// plain pushes would not reproduce, so recomputation could diverge
-    /// from the live window. The parts are cross-checked for internal
-    /// consistency instead.
+    /// from the live window. The parts are cross-checked instead: each
+    /// stored list must be its row's `top_k_nodes` list, or that list
+    /// with its `NEG_INFINITY` entries dropped (the two forms a live
+    /// window holds, and what [`SampleSet::mask_nodes`] relies on), and
+    /// the column counts must add up.
     pub fn from_parts(
         n: usize,
         k: usize,
@@ -236,7 +260,7 @@ impl SampleSet {
             });
         }
         let mut recount = vec![0u32; n];
-        for (row, one) in window.iter().zip(&ones) {
+        for (sample, (row, one)) in window.iter().zip(&ones).enumerate() {
             if row.len() != n || one.len() > k {
                 return Err(SamplePartsError::BadSample { row: row.len(), ones: one.len() });
             }
@@ -245,6 +269,9 @@ impl SampleSet {
                     return Err(SamplePartsError::BadSample { row: row.len(), ones: one.len() });
                 }
                 recount[node.index()] += 1;
+            }
+            if !is_window_top_k(row, k, one) {
+                return Err(SamplePartsError::WrongTopK { sample });
             }
         }
         if recount != column_counts {
@@ -345,7 +372,8 @@ impl SampleSet {
     /// probe, which the lossy evaluator pays per answer reading per sample
     /// per candidate plan).
     pub fn is_one(&self, j: usize, node: NodeId) -> bool {
-        self.bits[j][node.index() >> 6] & (1u64 << (node.index() & 63)) != 0
+        let (w, b) = bit(node);
+        self.bits[j][w] & b != 0
     }
 
     /// Size of the intersection of sample `j`'s top-k set with another
@@ -363,32 +391,59 @@ impl SampleSet {
     }
 
     /// Removes `nodes` from every sample in the window, as if they had
-    /// never reported: their readings become `NEG_INFINITY` and the top-k
-    /// sets and column counts are recomputed over the survivors.
+    /// never reported: their readings become `NEG_INFINITY`, and the top-k
+    /// sets, packed rows and column counts are those of a recompute over
+    /// the survivors.
     ///
     /// Used after a permanent failure — historical samples from a dead
     /// node would otherwise keep steering planners toward it even though
     /// it can no longer answer.
+    ///
+    /// A row's top k is recomputed only when the mask can change it: when
+    /// it holds a masked node, holds fewer than k entries, or its worst
+    /// entry does not rank strictly above `NEG_INFINITY` under
+    /// `total_cmp` (it is `−∞` or a negative NaN). Any other row keeps
+    /// its k entries, since every masked reading now ranks below all of
+    /// them. A recomputed row takes `top_k_nodes` over its masked
+    /// readings with the `NEG_INFINITY` entries dropped (with fewer than
+    /// k survivors a dead node must never count as a top-k holder), and
+    /// its old and new entries move the column counts and bits. So a mask
+    /// costs one write and one bit test per row and masked id, plus a
+    /// top-k pass per recomputed row; a few deaths seldom hold a row's
+    /// top k.
     pub fn mask_nodes(&mut self, nodes: &[NodeId]) {
         if nodes.is_empty() {
             return;
         }
-        self.column_counts.fill(0);
         self.generation += 1;
-        let words = self.words_per_row();
+        let k = self.k;
         for ((row, ones), bits) in
             self.window.iter_mut().zip(self.ones.iter_mut()).zip(self.bits.iter_mut())
         {
+            let mut recompute = ones.len() < k;
             for &node in nodes {
                 row[node.index()] = f64::NEG_INFINITY;
+                let (w, b) = bit(node);
+                recompute |= bits[w] & b != 0;
             }
-            *ones = top_k_nodes(row, self.k);
-            // With fewer than k survivors the top-k would include masked
-            // entries; a dead node must never count as a top-k holder.
+            recompute = recompute
+                || ones.last().is_some_and(|worst| {
+                    row[worst.index()].total_cmp(&f64::NEG_INFINITY) != Ordering::Greater
+                });
+            if !recompute {
+                continue;
+            }
+            for &node in ones.iter() {
+                self.column_counts[node.index()] -= 1;
+                let (w, b) = bit(node);
+                bits[w] &= !b;
+            }
+            *ones = top_k_nodes(row, k);
             ones.retain(|n| row[n.index()] != f64::NEG_INFINITY);
-            *bits = pack_row(ones, words);
             for &node in ones.iter() {
                 self.column_counts[node.index()] += 1;
+                let (w, b) = bit(node);
+                bits[w] |= b;
             }
         }
     }
@@ -888,6 +943,42 @@ mod tests {
         }
     }
 
+    /// Parts whose counts add up but whose lists are not their rows' top
+    /// k: two rows' lists swapped, and one list out of rank order.
+    #[test]
+    fn from_parts_rejects_lists_that_are_not_their_rows_top_k() {
+        let window: VecDeque<Vec<f64>> =
+            VecDeque::from(vec![vec![1.0, 9.0, 3.0, 7.0], vec![8.0, 0.0, 5.0, 1.0]]);
+        let right: VecDeque<Vec<NodeId>> =
+            VecDeque::from(vec![vec![NodeId(1), NodeId(3)], vec![NodeId(0), NodeId(2)]]);
+        let counts = vec![1, 1, 1, 1];
+        assert!(SampleSet::from_parts(4, 2, 2, window.clone(), right, counts.clone()).is_ok());
+        let swapped: VecDeque<Vec<NodeId>> =
+            VecDeque::from(vec![vec![NodeId(0), NodeId(2)], vec![NodeId(1), NodeId(3)]]);
+        assert_eq!(
+            SampleSet::from_parts(4, 2, 2, window.clone(), swapped, counts.clone()).unwrap_err(),
+            SamplePartsError::WrongTopK { sample: 0 }
+        );
+        let reordered: VecDeque<Vec<NodeId>> =
+            VecDeque::from(vec![vec![NodeId(1), NodeId(3)], vec![NodeId(2), NodeId(0)]]);
+        assert_eq!(
+            SampleSet::from_parts(4, 2, 2, window, reordered, counts).unwrap_err(),
+            SamplePartsError::WrongTopK { sample: 1 }
+        );
+        // A masked row's list may drop its −∞ entries, and only those.
+        let masked: VecDeque<Vec<f64>> =
+            VecDeque::from(vec![vec![f64::NEG_INFINITY, 2.0, f64::NEG_INFINITY]]);
+        let short: VecDeque<Vec<NodeId>> = VecDeque::from(vec![vec![NodeId(1)]]);
+        assert!(SampleSet::from_parts(3, 2, 1, masked.clone(), short, vec![0, 1, 0]).is_ok());
+        let full: VecDeque<Vec<NodeId>> = VecDeque::from(vec![vec![NodeId(1), NodeId(0)]]);
+        assert!(SampleSet::from_parts(3, 2, 1, masked.clone(), full, vec![1, 1, 0]).is_ok());
+        let wrong_drop: VecDeque<Vec<NodeId>> = VecDeque::from(vec![vec![NodeId(0)]]);
+        assert_eq!(
+            SampleSet::from_parts(3, 2, 1, masked, wrong_drop, vec![1, 0, 0]).unwrap_err(),
+            SamplePartsError::WrongTopK { sample: 0 }
+        );
+    }
+
     #[test]
     fn from_parts_rejects_inconsistent_captures() {
         let window: VecDeque<Vec<f64>> = VecDeque::from(vec![vec![1.0, 2.0, 3.0]]);
@@ -921,5 +1012,130 @@ mod tests {
             SampleSet::from_parts(3, 1, 2, window, ones, vec![1, 0, 0]),
             Err(SamplePartsError::InconsistentCounts)
         ));
+    }
+
+    /// The mask `mask_nodes` replaced, kept as its oracle: every row's
+    /// top k, packed row and column counts recomputed from scratch.
+    fn mask_nodes_by_recompute(s: &mut SampleSet, nodes: &[NodeId]) {
+        if nodes.is_empty() {
+            return;
+        }
+        s.column_counts.fill(0);
+        s.generation += 1;
+        let words = s.words_per_row();
+        for ((row, ones), bits) in s.window.iter_mut().zip(s.ones.iter_mut()).zip(s.bits.iter_mut())
+        {
+            for &node in nodes {
+                row[node.index()] = f64::NEG_INFINITY;
+            }
+            *ones = top_k_nodes(row, s.k);
+            ones.retain(|n| row[n.index()] != f64::NEG_INFINITY);
+            *bits = pack_row(ones, words);
+            for &node in ones.iter() {
+                s.column_counts[node.index()] += 1;
+            }
+        }
+    }
+
+    /// Two windows agree in every reading (bit for bit), top-k list,
+    /// packed row, column count and generation.
+    fn assert_same_window(got: &SampleSet, want: &SampleSet, step: usize) {
+        assert_eq!(got.len(), want.len(), "step {step}");
+        for j in 0..want.len() {
+            let bits = |s: &SampleSet| s.values(j).iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(got), bits(want), "step {step}: readings of sample {j}");
+            assert_eq!(got.ones(j), want.ones(j), "step {step}: top k of sample {j}");
+            assert_eq!(got.topk_bits(j), want.topk_bits(j), "step {step}: bits of sample {j}");
+        }
+        assert_eq!(got.column_counts(), want.column_counts(), "step {step}: column counts");
+        assert_eq!(got.generation(), want.generation(), "step {step}: generation");
+    }
+
+    /// A reading from a few levels (ties are common), or, `special`
+    /// times in 16, one of ±∞, a NaN of either sign or −0.
+    fn tied_reading(rng: &mut rand::rngs::StdRng, levels: u32, special: u32) -> f64 {
+        use rand::RngExt;
+        if rng.random_range(0..16u32) >= special {
+            return rng.random_range(0..levels) as f64;
+        }
+        match rng.random_range(0..5) {
+            0 => f64::NEG_INFINITY,
+            1 => f64::INFINITY,
+            2 => f64::NAN,
+            3 => -f64::NAN,
+            _ => -0.0,
+        }
+    }
+
+    // Masks interleaved with pushes, evictions and a restore from parts:
+    // the window masked in place equals one masked by the full recompute
+    // after every step. Small networks, k near n, many special readings
+    // and masks of one or two ids are common: those are the windows
+    // where a full top-k list ends in a negative NaN that a mask of a
+    // non-member changes.
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn masking_in_place_matches_the_full_recompute(
+            largest in 0usize..3,
+            capacity in 1usize..=12,
+            levels in 1u32..8,
+            special in 1u32..9,
+            ops in proptest::collection::vec(0u8..8, 1..24),
+            seed in 0u64..u64::MAX,
+        ) {
+            use rand::{RngExt, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let n = rng.random_range(1..=[6, 24, 200][largest]);
+            let k = match rng.random_range(0..2) {
+                0 => rng.random_range(1..=n),
+                _ => n - rng.random_range(0..n.min(3)),
+            };
+            let mut live = SampleSet::new(n, k, capacity);
+            let mut oracle = live.clone();
+            for (step, &op) in ops.iter().enumerate() {
+                match op {
+                    // Push (evicting once full).
+                    0..=3 => {
+                        let row: Vec<f64> =
+                            (0..n).map(|_| tied_reading(&mut rng, levels, special)).collect();
+                        live.push(row.clone());
+                        oracle.push(row);
+                    }
+                    // Restore both from the live window's parts.
+                    4 => {
+                        let parts = |s: &SampleSet| {
+                            let window = (0..s.len()).map(|j| s.values(j).to_vec()).collect();
+                            let ones = (0..s.len()).map(|j| s.ones(j).to_vec()).collect();
+                            (window, ones, s.column_counts().to_vec())
+                        };
+                        let (window, ones, counts) = parts(&live);
+                        live = SampleSet::from_parts(n, k, capacity, window, ones, counts)
+                            .expect("a live window's parts restore");
+                        let (window, ones, counts) = parts(&oracle);
+                        oracle = SampleSet::from_parts(n, k, capacity, window, ones, counts)
+                            .expect("the oracle's parts restore");
+                    }
+                    // Mask 0..=n ids, with repeats, often ids masked before.
+                    _ => {
+                        let m = match rng.random_range(0..2) {
+                            0 => rng.random_range(0..=n.min(2)),
+                            _ => rng.random_range(0..=n),
+                        };
+                        let few = rng.random_range(1..=n.min(4));
+                        let nodes: Vec<NodeId> = (0..m)
+                            .map(|_| match rng.random_range(0..3) {
+                                0 => NodeId::from_index(rng.random_range(0..few)),
+                                _ => NodeId::from_index(rng.random_range(0..n)),
+                            })
+                            .collect();
+                        live.mask_nodes(&nodes);
+                        mask_nodes_by_recompute(&mut oracle, &nodes);
+                    }
+                }
+                assert_same_window(&live, &oracle, step);
+            }
+        }
     }
 }

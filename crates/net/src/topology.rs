@@ -5,6 +5,7 @@
 //! bandwidth to tree edges; an edge is identified by its child node.
 
 use crate::node::NodeId;
+use std::cmp::Reverse;
 use std::fmt;
 
 /// Errors detected while building a [`Topology`].
@@ -134,35 +135,52 @@ impl Topology {
             }
         }
 
-        // BFS from the root verifies connectivity/acyclicity and yields the
-        // level order; reversing it gives a valid post order (children
-        // before parents).
-        let mut order = Vec::with_capacity(n);
-        let mut depth = vec![0u32; n];
-        order.push(root);
-        let mut head = 0;
-        while head < order.len() {
-            let u = order[head];
-            head += 1;
-            let (lo, hi) = (child_off[u.index()] as usize, child_off[u.index() + 1] as usize);
-            for &c in &child_arena[lo..hi] {
-                depth[c.index()] = depth[u.index()] + 1;
-                order.push(c);
-            }
-        }
-        if order.len() != n {
+        let mut topology = Topology {
+            root,
+            parent,
+            child_arena,
+            child_off,
+            depth: vec![0; n],
+            post_order: vec![root; n],
+            subtree_size: vec![1; n],
+        };
+        if !topology.relevel() {
             return Err(TopologyError::NotATree);
         }
-        let post_order: Vec<NodeId> = order.iter().rev().copied().collect();
-
-        let mut subtree_size = vec![1u32; n];
-        for &u in &post_order {
-            if let Some(p) = parent[u.index()] {
-                subtree_size[p.index()] += subtree_size[u.index()];
+        for &u in &topology.post_order {
+            if let Some(p) = topology.parent[u.index()] {
+                topology.subtree_size[p.index()] += topology.subtree_size[u.index()];
             }
         }
+        Ok(topology)
+    }
 
-        Ok(Topology { root, parent, child_arena, child_off, depth, post_order, subtree_size })
+    /// Derives depth and post order from the child lists with one BFS
+    /// from the root, written back to front into `post_order`: the
+    /// reverse of the level order, so every child precedes its parent.
+    /// False when the BFS reaches fewer than all nodes (a cycle or a part
+    /// detached from the root).
+    fn relevel(&mut self) -> bool {
+        let n = self.post_order.len();
+        let mut tail = n - 1;
+        self.post_order[tail] = self.root;
+        self.depth[self.root.index()] = 0;
+        let mut head = n;
+        while head > tail {
+            head -= 1;
+            let u = self.post_order[head];
+            let below = self.depth[u.index()] + 1;
+            let (lo, hi) =
+                (self.child_off[u.index()] as usize, self.child_off[u.index() + 1] as usize);
+            for &c in &self.child_arena[lo..hi] {
+                // Each non-root node is one parent's child, so at most
+                // n − 1 are ever queued.
+                tail -= 1;
+                self.post_order[tail] = c;
+                self.depth[c.index()] = below;
+            }
+        }
+        tail == 0
     }
 
     /// Number of nodes.
@@ -267,8 +285,33 @@ impl Topology {
         (0..self.len() as u32).map(NodeId).filter(move |&n| n != self.root)
     }
 
-    /// Rebuilds the tree around permanently failed nodes (Section 4.4:
-    /// permanent failures "require rebuilding the spanning tree").
+    /// The tree with permanently failed nodes repaired around (Section
+    /// 4.4: permanent failures "require rebuilding the spanning tree"): a
+    /// clone of this tree, repaired by [`Topology::repair_in_place`].
+    pub fn repair(&self, dead: &[NodeId]) -> Result<Topology, RepairError> {
+        let mut repaired = self.clone();
+        repaired.repair_in_place(dead)?;
+        Ok(repaired)
+    }
+
+    /// The check [`Topology::repair_in_place`] makes before it changes
+    /// anything: [`RepairError::NodeOutOfRange`] for the first id outside
+    /// the tree or [`RepairError::RootDead`] for the root (the query
+    /// station is gone; no repair can reconnect the deployment),
+    /// whichever comes first in `dead`.
+    pub fn check_repair(&self, dead: &[NodeId]) -> Result<(), RepairError> {
+        for &d in dead {
+            if d.index() >= self.len() {
+                return Err(RepairError::NodeOutOfRange(d));
+            }
+            if d == self.root {
+                return Err(RepairError::RootDead);
+            }
+        }
+        Ok(())
+    }
+
+    /// Repairs the tree around permanently failed nodes, in place.
     ///
     /// Every surviving node whose path to the root passes through a dead
     /// node is re-parented onto its nearest surviving ancestor, so whole
@@ -276,57 +319,207 @@ impl Topology {
     /// preserved. The dead nodes themselves are parked as inert leaves
     /// under the root — they keep their ids so plans, meters and sample
     /// windows stay index-compatible, but they have no children and it is
-    /// the caller's job to keep them out of plans and answers.
+    /// the caller's job to keep them out of plans and answers. A repeated
+    /// id dies once. The result equals [`Topology::from_parents`] over the
+    /// repaired parents in every field.
     ///
-    /// Fails with [`RepairError::RootDead`] when the root is in `dead`
-    /// (the query station is gone; no repair can reconnect the deployment)
-    /// and [`RepairError::NodeOutOfRange`] for ids outside the tree.
-    pub fn repair(&self, dead: &[NodeId]) -> Result<Topology, RepairError> {
-        let n = self.len();
-        let mut is_dead = vec![false; n];
-        for &d in dead {
-            if d.index() >= n {
-                return Err(RepairError::NodeOutOfRange(d));
+    /// Fails as [`Topology::check_repair`] does, before changing
+    /// anything. Otherwise the work is what the deaths touch, plus one
+    /// BFS: the dead and their ancestors are collected once each (a node
+    /// shared by several root paths is walked once, so a chain of deaths
+    /// stays linear), sorted by depth; subtree sizes change only on those
+    /// paths; only the dead, their old parents and the ancestors their
+    /// children re-attach to get new child lists, spliced into the CSR
+    /// arena with the unchanged runs between them moved once; and one BFS
+    /// in the existing buffers re-derives depth and post order.
+    pub fn repair_in_place(&mut self, dead: &[NodeId]) -> Result<(), RepairError> {
+        self.check_repair(dead)?;
+        let (n, root) = (self.len(), self.root);
+        let mut is_dead = NodeMarks::new(n);
+        let doomed: Vec<NodeId> = dead.iter().copied().filter(|&d| is_dead.insert(d)).collect();
+        if doomed.is_empty() {
+            return Ok(());
+        }
+        let parent_of =
+            |t: &Topology, u: NodeId| t.parent[u.index()].expect("only the root has no parent");
+
+        // The dead and every non-root node on their root paths, each
+        // once: a walk stops where an earlier one passed. Deepest first,
+        // so a node's children on the paths come before it.
+        let mut on_paths = is_dead.clone();
+        let mut paths = doomed.clone();
+        for &d in &doomed {
+            let mut u = parent_of(self, d);
+            while u != root && on_paths.insert(u) {
+                paths.push(u);
+                u = parent_of(self, u);
             }
-            if d == self.root {
-                return Err(RepairError::RootDead);
+        }
+        paths.sort_unstable_by_key(|u| Reverse(self.depth[u.index()]));
+
+        // Parked dead nodes are leaves. A surviving node keeps its old
+        // subtree less the dead in it: deepest first, each path node hands
+        // its count of dead below (itself included) to its parent. Depth
+        // holds the counts; the BFS below rewrites every depth.
+        for &u in &paths {
+            self.depth[u.index()] = 0;
+        }
+        for &d in &doomed {
+            self.subtree_size[d.index()] = 1;
+        }
+        for &u in &paths {
+            let dead = is_dead.contains(u);
+            let below = self.depth[u.index()] + dead as u32;
+            if !dead {
+                self.subtree_size[u.index()] -= below;
             }
-            is_dead[d.index()] = true;
+            let p = parent_of(self, u);
+            if p != root {
+                self.depth[p.index()] += below;
+            }
         }
 
-        // Memoized surviving-ancestor resolution: `resolved[i]` is the
-        // nearest surviving ancestor of `i` (itself when alive). Computed
-        // in level order so a node's parent is always resolved first —
-        // one O(1) step per node instead of the old per-node climb up
-        // `self.parent`, which was O(n·depth) (quadratic on a chain of
-        // deaths: every survivor re-walked the same dead prefix).
-        let mut resolved: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
-        for u in self.level_order() {
-            if is_dead[u.index()] {
-                // The root was rejected above, so `u` has a parent, and
-                // level order guarantees it is already resolved.
-                let p = self.parent[u.index()].expect("dead root was rejected above");
-                resolved[u.index()] = resolved[p.index()];
+        // Child-list edits: a dead node with an alive parent other than
+        // the root leaves that parent's list for the root's.
+        let mut edited: Vec<NodeId> = Vec::new();
+        let mut added: Vec<(NodeId, NodeId)> = Vec::new();
+        for &d in &doomed {
+            let p = parent_of(self, d);
+            if p != root {
+                edited.push(p);
+                added.push((root, d));
             }
         }
+        // Each dead node's nearest surviving ancestor replaces its parent,
+        // shallowest first so a dead parent is already resolved.
+        for &u in paths.iter().rev() {
+            let p = parent_of(self, u);
+            if is_dead.contains(u) && is_dead.contains(p) {
+                self.parent[u.index()] = self.parent[p.index()];
+            }
+        }
+        // Its surviving children move there; it keeps none.
+        for &d in &doomed {
+            let to = parent_of(self, d);
+            let children = self.children(d);
+            if !children.is_empty() {
+                edited.push(d);
+            }
+            added.extend(children.iter().filter(|&&c| !is_dead.contains(c)).map(|&c| (to, c)));
+        }
+        edited.extend(added.iter().map(|&(p, _)| p));
+        edited.sort_unstable();
+        edited.dedup();
+        added.sort_unstable();
+        self.splice_children(&edited, &added, &is_dead);
+        for &(p, c) in &added {
+            self.parent[c.index()] = Some(p);
+        }
+        for &d in &doomed {
+            self.parent[d.index()] = Some(root);
+        }
+        let reached = self.relevel();
+        debug_assert!(reached, "re-parenting onto surviving ancestors preserves treeness");
+        Ok(())
+    }
 
-        let mut parent = self.parent.clone();
-        for i in 0..n {
-            let node = NodeId::from_index(i);
-            if node == self.root {
-                continue;
+    /// Rewrites the child lists of `edited` (ascending, distinct) in the
+    /// CSR arena: a dead node's list empties; an alive node's list drops
+    /// its dead children (the root keeps them: they park there) and
+    /// gains its `added` children (sorted by parent, then child), in
+    /// ascending id. The unchanged runs of the arena between edited
+    /// lists each move once, and every offset after an edited list
+    /// shifts by what the lists up to it gained or lost.
+    fn splice_children(
+        &mut self,
+        edited: &[NodeId],
+        added: &[(NodeId, NodeId)],
+        is_dead: &NodeMarks,
+    ) {
+        let root = self.root;
+        // The new lists back to back, and each one's end there.
+        let mut lists: Vec<NodeId> = Vec::new();
+        let mut ends: Vec<usize> = Vec::with_capacity(edited.len());
+        let mut rest = added;
+        for &e in edited {
+            let start = lists.len();
+            let gained = rest.iter().take_while(|&&(p, _)| p == e).count();
+            if !is_dead.contains(e) {
+                let kept = self.children(e).iter().filter(|&&c| e == root || !is_dead.contains(c));
+                lists.extend(kept);
+                lists.extend(rest[..gained].iter().map(|&(_, c)| c));
+                // Two ascending runs: the stable sort merges them in one pass.
+                lists[start..].sort();
             }
-            if is_dead[i] {
-                // Parked: an inert leaf hanging off the root.
-                parent[i] = Some(self.root);
-                continue;
-            }
-            let p = self.parent[i].expect("non-root has a parent");
-            parent[i] = Some(resolved[p.index()]);
+            rest = &rest[gained..];
+            ends.push(lists.len());
         }
 
-        Ok(Topology::from_parents(self.root, parent)
-            .expect("re-parenting onto surviving ancestors preserves treeness"))
+        // Old spans and the running shift after each edited list.
+        let off = |i: usize| self.child_off[i] as usize;
+        let arena_len = self.child_arena.len();
+        let mut shift = 0isize;
+        let mut spans: Vec<(usize, usize, isize)> = Vec::with_capacity(edited.len());
+        for (j, &e) in edited.iter().enumerate() {
+            let (lo, hi) = (off(e.index()), off(e.index() + 1));
+            let len = ends[j] - if j == 0 { 0 } else { ends[j - 1] };
+            shift += len as isize - (hi - lo) as isize;
+            spans.push((lo, hi, shift));
+        }
+        debug_assert_eq!(shift, 0, "every non-root node keeps one parent");
+        // The unchanged run after edited list j spans its old end to the
+        // next edited list's old start. Leftward runs move front to back
+        // and rightward ones back to front, so none overwrites a run still
+        // to move.
+        let runs: Vec<(usize, usize, isize)> = spans
+            .iter()
+            .enumerate()
+            .map(|(j, &(_, hi, s))| (hi, spans.get(j + 1).map_or(arena_len, |next| next.0), s))
+            .collect();
+        let move_run = |arena: &mut Vec<NodeId>, &(lo, hi, s): &(usize, usize, isize)| {
+            arena.copy_within(lo..hi, lo.wrapping_add_signed(s));
+        };
+        for run in runs.iter().filter(|r| r.2 < 0) {
+            move_run(&mut self.child_arena, run);
+        }
+        for run in runs.iter().rev().filter(|r| r.2 > 0) {
+            move_run(&mut self.child_arena, run);
+        }
+        let mut before = 0isize;
+        for (j, &(lo, _, s)) in spans.iter().enumerate() {
+            let from = if j == 0 { 0 } else { ends[j - 1] };
+            let at = lo.wrapping_add_signed(before);
+            self.child_arena[at..at + ends[j] - from].copy_from_slice(&lists[from..ends[j]]);
+            before = s;
+        }
+        for (j, &e) in edited.iter().enumerate() {
+            let upto = edited.get(j + 1).map_or(self.len(), |next| next.index());
+            for o in &mut self.child_off[e.index() + 1..=upto] {
+                *o = (*o as isize + spans[j].2) as u32;
+            }
+        }
+    }
+}
+
+/// A set of node ids, one bit per node.
+#[derive(Clone)]
+struct NodeMarks(Vec<u64>);
+
+impl NodeMarks {
+    fn new(n: usize) -> Self {
+        NodeMarks(vec![0; n.div_ceil(64)])
+    }
+
+    fn contains(&self, u: NodeId) -> bool {
+        (self.0[u.index() >> 6] >> (u.index() & 63)) & 1 != 0
+    }
+
+    /// Adds `u`; false when it was already in.
+    fn insert(&mut self, u: NodeId) -> bool {
+        let (word, bit) = (&mut self.0[u.index() >> 6], 1u64 << (u.index() & 63));
+        let fresh = *word & bit == 0;
+        *word |= bit;
+        fresh
     }
 }
 
@@ -633,6 +826,124 @@ mod tests {
         assert_eq!(r.parent(NodeId::from_index(n - 1)), Some(NodeId(0)));
         assert_eq!(r.children(NodeId(0)).len(), n - 1);
         assert_eq!(r.depth(NodeId::from_index(n - 1)), 1);
+    }
+
+    /// Every field of two topologies, compared directly.
+    fn assert_same_topology(got: &Topology, want: &Topology, what: &str) {
+        assert_eq!(got.root, want.root, "{what}: root");
+        assert_eq!(got.parent, want.parent, "{what}: parents");
+        assert_eq!(got.child_off, want.child_off, "{what}: child offsets");
+        assert_eq!(got.child_arena, want.child_arena, "{what}: child lists");
+        assert_eq!(got.depth, want.depth, "{what}: depths");
+        assert_eq!(got.post_order, want.post_order, "{what}: post order");
+        assert_eq!(got.subtree_size, want.subtree_size, "{what}: subtree sizes");
+    }
+
+    /// A random tree of `n` nodes whose root and ids are shuffled, so
+    /// ids say nothing about depth.
+    fn random_tree(rng: &mut rand::rngs::StdRng, n: usize) -> Topology {
+        use rand::RngExt;
+        let mut label: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            label.swap(i, rng.random_range(0..=i));
+        }
+        let mut parent = vec![None; n];
+        for i in 1..n {
+            // Mostly recent parents: deep chains as well as bushy levels.
+            let p = if rng.random_range(0..3) == 0 {
+                rng.random_range(0..i)
+            } else {
+                i - 1 - rng.random_range(0..i.min(3))
+            };
+            parent[label[i]] = Some(NodeId::from_index(label[p]));
+        }
+        Topology::from_parents(NodeId::from_index(label[0]), parent)
+            .expect("random parents form a tree")
+    }
+
+    /// One death wave on `t`: nothing, a chain of dead ancestors, dead
+    /// leaves, dead root children or scattered ids, with repeats and
+    /// ids that died in earlier waves.
+    fn death_wave(rng: &mut rand::rngs::StdRng, t: &Topology, before: &[NodeId]) -> Vec<NodeId> {
+        use rand::RngExt;
+        let n = t.len();
+        let non_root: Vec<NodeId> =
+            (0..n).map(NodeId::from_index).filter(|&u| u != t.root()).collect();
+        if non_root.is_empty() {
+            return Vec::new();
+        }
+        let mut wave = Vec::new();
+        match rng.random_range(0..5) {
+            0 => {}
+            1 => {
+                let mut u = non_root[rng.random_range(0..non_root.len())];
+                while u != t.root() {
+                    if rng.random_range(0..5) != 0 {
+                        wave.push(u);
+                    }
+                    u = t.parent(u).expect("non-root");
+                }
+            }
+            2 => wave.extend(
+                non_root.iter().copied().filter(|&u| t.is_leaf(u) && rng.random_range(0..3) == 0),
+            ),
+            3 => wave.extend(
+                t.children(t.root()).iter().copied().filter(|_| rng.random_range(0..2) == 0),
+            ),
+            _ => wave.extend(
+                (0..rng.random_range(1..=n)).map(|_| non_root[rng.random_range(0..non_root.len())]),
+            ),
+        }
+        for _ in 0..rng.random_range(0..3) {
+            if let Some(&again) = wave.get(rng.random_range(0..wave.len().max(1))) {
+                wave.push(again);
+            }
+            if !before.is_empty() {
+                wave.push(before[rng.random_range(0..before.len())]);
+            }
+        }
+        wave
+    }
+
+    // Random trees over several death waves: the tree repaired in place
+    // equals `from_parents` over the reference climb's parents in every
+    // field, and so does `repair`'s clone.
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn repair_in_place_matches_from_parents(
+            n in 1usize..=120,
+            waves in 1usize..=6,
+            seed in 0u64..u64::MAX,
+        ) {
+            use rand::SeedableRng;
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut t = random_tree(&mut rng, n);
+            let mut dead_so_far: Vec<NodeId> = Vec::new();
+            for w in 0..waves {
+                let wave = death_wave(&mut rng, &t, &dead_so_far);
+                let want = Topology::from_parents(t.root(), repair_reference_climb(&t, &wave))
+                    .expect("the reference repair is a tree");
+                let cloned = t.repair(&wave).expect("non-root deaths repair");
+                t.repair_in_place(&wave).expect("non-root deaths repair");
+                assert_same_topology(&t, &want, &format!("n {n}, wave {w}: in place"));
+                assert_same_topology(&cloned, &want, &format!("n {n}, wave {w}: clone"));
+                dead_so_far.extend(wave);
+            }
+        }
+    }
+
+    #[test]
+    fn repair_in_place_checks_before_it_changes_anything() {
+        let mut t = chain(5);
+        let before = t.clone();
+        assert_eq!(t.repair_in_place(&[NodeId(2), NodeId(0)]), Err(RepairError::RootDead));
+        assert_eq!(
+            t.repair_in_place(&[NodeId(3), NodeId(9)]),
+            Err(RepairError::NodeOutOfRange(NodeId(9)))
+        );
+        assert_same_topology(&t, &before, "refused repairs");
     }
 
     #[test]

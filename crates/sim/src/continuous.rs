@@ -42,10 +42,10 @@
 //! scratch so the differential harness can prove the two agree on every
 //! epoch.
 
-use crate::exec::{charge_links, collect_arq};
+use crate::exec::{charge_links, collect_arq, Sweep};
 use crate::trace::charge;
 use prospector_ckpt::{CheckpointError, Codec, Reader, Writer};
-use prospector_core::{Plan, QDigest, SketchPrecision};
+use prospector_core::{QDigest, SketchPrecision};
 use prospector_data::Reading;
 use prospector_net::{
     link_rng, ArqPolicy, EnergyMeter, EnergyModel, FailureModel, LinkAttempts, NodeId, Phase,
@@ -553,20 +553,20 @@ pub struct RefreshOutcome {
     pub messages: u32,
 }
 
-/// Runs a full from-scratch refresh: the ARQ collection of `sweep`, the
-/// full-sweep plan with dead nodes masked that the holder of the tree's
-/// [`Sweep`](crate::Sweep) keeps (a trigger broadcast wakes the tree, and
-/// every alive node forwards its *entire* merged batch — refreshes
-/// re-seed `last_shipped` for every delivered node, so they must carry
-/// everything). Delivered values overwrite the root's view and each
-/// node's last-shipped record. Optionally rebuilds per-root-child
+/// Runs a full from-scratch refresh: the ARQ collection of the
+/// full-sweep plan with dead nodes masked that `sweep`, the tree's
+/// [`Sweep`] built [`Sweep::with_plan`], keeps (a trigger broadcast wakes
+/// the tree, and every alive node forwards its *entire* merged batch —
+/// refreshes re-seed `last_shipped` for every delivered node, so they
+/// must carry everything). Delivered values overwrite the root's view and
+/// each node's last-shipped record. Optionally rebuilds per-root-child
 /// q-digests, charging their encoded bytes on the child's uplink.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_refresh_epoch(
     state: &mut ContinuousState,
     topology: &Topology,
     alive: &[bool],
-    sweep: &Plan,
+    sweep: &Sweep,
     energy: &EnergyModel,
     values: &[f64],
     sketch: Option<SketchPrecision>,
@@ -576,17 +576,27 @@ pub(crate) fn run_refresh_epoch(
     meter: &mut EnergyMeter,
     tracer: &mut dyn Tracer,
 ) -> RefreshOutcome {
-    let lossless = FailureModel::none(topology.len());
-    let failures = failures.unwrap_or(&lossless);
+    // A lossless model only when the run has none: it is n-sized.
+    let lossless;
+    let failures = match failures {
+        Some(f) => f,
+        None => {
+            lossless = FailureModel::none(topology.len());
+            &lossless
+        }
+    };
+    let (plan, slots) =
+        sweep.refresh().expect("refreshes collect along a sweep built with its plan");
     // The refresh reads deliveries, not an answer: k = 0 gathers none.
-    let c = collect_arq(meter, sweep, topology, energy, values, 0, failures, arq, seed, tracer);
+    let c = collect_arq(meter, plan, topology, energy, values, 0, failures, arq, seed, tracer);
     let mut delivered = vec![false; topology.len()];
     delivered[topology.root().index()] = true;
     for h in &c.out.hops {
         delivered[h.edge.index()] = h.reached;
     }
-    let sketch_uplinks =
-        apply_refresh(state, topology, alive, values, &delivered, sketch, energy, meter, tracer);
+    let sketch_uplinks = apply_refresh(
+        state, topology, alive, slots, values, &delivered, sketch, energy, meter, tracer,
+    );
     RefreshOutcome {
         delivered,
         lost_edges: c.links.lost_edges,
@@ -598,7 +608,8 @@ pub(crate) fn run_refresh_epoch(
 
 /// Applies a refresh's delivered values to the protocol state: view and
 /// last-shipped overwrite, custody superseding, and sketch rebuild (with
-/// per-root-child byte charges). Shared by the ARQ refresh above and the
+/// per-root-child byte charges, bucketed by the tree's `slots`, which the
+/// held [`Sweep`] keeps). Shared by the ARQ refresh above and the
 /// reliable exploration sweep (which delivers everything). Returns the
 /// sketch uplinks sent.
 #[allow(clippy::too_many_arguments)]
@@ -606,6 +617,7 @@ pub(crate) fn apply_refresh(
     state: &mut ContinuousState,
     topology: &Topology,
     alive: &[bool],
+    slots: &[u32],
     values: &[f64],
     delivered: &[bool],
     sketch: Option<SketchPrecision>,
@@ -635,9 +647,9 @@ pub(crate) fn apply_refresh(
         let root = topology.root();
         let children = topology.children(root);
         let mut arrived: Vec<Vec<f64>> = vec![Vec::new(); children.len()];
-        for (i, slot) in subtree_slots(topology, root).into_iter().enumerate() {
-            if let Some(slot) = slot.filter(|_| alive[i] && delivered[i]) {
-                arrived[slot].push(values[i]);
+        for (i, &slot) in slots.iter().enumerate() {
+            if i != root.index() && alive[i] && delivered[i] {
+                arrived[slot as usize].push(values[i]);
             }
         }
         state.sketches.clear();
@@ -655,12 +667,15 @@ pub(crate) fn apply_refresh(
     uplinks
 }
 
-/// For each node, the position among the root's children of the one
-/// whose subtree contains it (`None` for the root itself).
-fn subtree_slots(topology: &Topology, root: NodeId) -> Vec<Option<usize>> {
-    let mut slot: Vec<Option<usize>> = vec![None; topology.len()];
+/// For each node but the root, the position among the root's children of
+/// the one whose subtree contains it (the root's own entry is 0 and
+/// unused). A function of the tree alone, so the continuous [`Sweep`]
+/// keeps it beside its plan, four bytes a node.
+pub(crate) fn subtree_slots(topology: &Topology) -> Vec<u32> {
+    let root = topology.root();
+    let mut slot = vec![0u32; topology.len()];
     for (s, &c) in topology.children(root).iter().enumerate() {
-        slot[c.index()] = Some(s);
+        slot[c.index()] = s as u32;
     }
     // Parents precede children in reverse post order.
     for &u in topology.post_order().iter().rev() {
@@ -981,7 +996,7 @@ mod tests {
             &mut state,
             &t,
             &alive,
-            &Plan::full_sweep(&t),
+            &Sweep::with_plan(&t, &alive, &em),
             &em,
             &values,
             Some(prec),

@@ -1,5 +1,6 @@
 //! Energy-metered plan execution.
 
+use crate::continuous::subtree_slots;
 use crate::runner::mask_dead_edges;
 use crate::trace::charge;
 use prospector_core::{
@@ -331,27 +332,25 @@ pub struct Sweep {
     /// The masked sweep's charges, per node, as its reliable execution
     /// made them.
     bill: EnergyMeter,
-    /// The masked sweep plan, with the footprint its execution laid out,
-    /// when the holder asked to keep it: continuous refreshes collect
-    /// along it.
-    plan: Option<Plan>,
+    /// What a continuous refresh reads besides the bill, when the holder
+    /// asked to keep it: the masked sweep plan, with the footprint its
+    /// execution laid out, that refreshes collect along, and the tree's
+    /// root-child slots ([`subtree_slots`]) their sketches bucket by.
+    refresh: Option<(Plan, Vec<u32>)>,
 }
 
 impl Sweep {
     /// Executes the sweep of `topology` with the nodes `alive` marks dead
     /// masked out and keeps its bill.
     pub fn new(topology: &Topology, alive: &[bool], energy: &EnergyModel) -> Sweep {
-        Sweep { plan: None, ..Sweep::with_plan(topology, alive, energy) }
+        Sweep { bill: masked_sweep(topology, alive, energy).0, refresh: None }
     }
 
-    /// [`Sweep::new`], keeping the masked plan as well.
+    /// [`Sweep::new`], keeping the masked plan and the root-child slots
+    /// as well.
     pub(crate) fn with_plan(topology: &Topology, alive: &[bool], energy: &EnergyModel) -> Sweep {
-        let mut plan = Plan::full_sweep(topology);
-        mask_dead_edges(&mut plan, topology, alive);
-        // k = 0 gathers no answer and no edge cuts: no reading is read.
-        let unread = vec![0.0; topology.len()];
-        let bill = execute_plan(&plan, topology, energy, &unread, 0, None).meter;
-        Sweep { bill, plan: Some(plan) }
+        let (bill, plan) = masked_sweep(topology, alive, energy);
+        Sweep { bill, refresh: Some((plan, subtree_slots(topology))) }
     }
 
     /// Charges one sweep onto `meter`, after whatever it already holds.
@@ -360,10 +359,22 @@ impl Sweep {
         charge_as(meter, &self.bill, Phase::Sampling, tracer)
     }
 
-    /// The masked sweep plan, if the sweep was built [`Sweep::with_plan`].
-    pub(crate) fn plan(&self) -> Option<&Plan> {
-        self.plan.as_ref()
+    /// The masked sweep plan and the root-child slots, if the sweep was
+    /// built [`Sweep::with_plan`].
+    pub(crate) fn refresh(&self) -> Option<(&Plan, &[u32])> {
+        self.refresh.as_ref().map(|(plan, slots)| (plan, slots.as_slice()))
     }
+}
+
+/// The full-sweep plan of `topology` with the nodes `alive` marks dead
+/// masked out, and the bill of its reliable execution.
+fn masked_sweep(topology: &Topology, alive: &[bool], energy: &EnergyModel) -> (EnergyMeter, Plan) {
+    let mut plan = Plan::full_sweep(topology);
+    mask_dead_edges(&mut plan, topology, alive);
+    // k = 0 gathers no answer and no edge cuts: no reading is read.
+    let unread = vec![0.0; topology.len()];
+    let bill = execute_plan(&plan, topology, energy, &unread, 0, None).meter;
+    (bill, plan)
 }
 
 /// Re-attributes all of `src`'s charges to `phase`, node by node in node

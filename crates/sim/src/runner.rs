@@ -43,6 +43,7 @@ use prospector_net::{
 use prospector_obs::{gini, MetricsRegistry, MetricsSnapshot, NullTracer, TraceEvent, Tracer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::HashSet;
 use std::time::Instant;
 
 /// Adaptive re-sampling: the sampling period a run starts with and the
@@ -1101,7 +1102,7 @@ impl<'a> ExperimentRunner<'a> {
                 &mut state,
                 &self.state.topology,
                 &self.state.alive,
-                sweep.plan().expect("continuous runs keep the sweep plan"),
+                sweep,
                 self.energy,
                 values,
                 policy.sketch,
@@ -1339,10 +1340,16 @@ impl<'a> ExperimentRunner<'a> {
             tracer.record(TraceEvent::FullRefresh { reason: "sweep" });
         }
         // Every alive node's reading was delivered.
+        let (_, slots) = self
+            .sweep
+            .as_ref()
+            .and_then(Sweep::refresh)
+            .expect("the sweep stage holds the continuous sweep");
         let mut messages = apply_refresh(
             &mut state,
             &self.state.topology,
             &self.state.alive,
+            slots,
             raw,
             &self.state.alive,
             policy.sketch,
@@ -1604,14 +1611,15 @@ impl<'a> ExperimentRunner<'a> {
 }
 
 /// The death stage (Section 4.4), the one way the runner and the serving
-/// layer lose a node. Of `candidates`, the alive nodes die; ids outside
-/// the network and nodes already dead are skipped. The tree is repaired
-/// first, so a failed repair
-/// ([`RepairError::RootDead`]) changes, charges and traces nothing.
-/// Then the dead are marked and traced, detection and re-attachment
-/// are charged under [`Phase::Repair`], the repaired tree replaces the
-/// old one and the dead are masked out of the sample window. Returns
-/// the nodes that died.
+/// layer lose a node. Of `candidates`, the alive nodes die, each once (a
+/// repeated id counts at its first occurrence); ids outside the network
+/// and nodes already dead are skipped. The repair is checked first, so a
+/// dead root ([`RepairError::RootDead`]) changes, charges and traces
+/// nothing. Then the dead are marked and traced, detection and
+/// re-attachment are charged under [`Phase::Repair`] on the pre-repair
+/// tree, the tree is repaired in place ([`Topology::repair_in_place`])
+/// and the dead are masked out of the sample window. Returns the nodes
+/// that died.
 pub fn apply_deaths(
     candidates: &[NodeId],
     topology: &mut Topology,
@@ -1621,12 +1629,16 @@ pub fn apply_deaths(
     meter: &mut EnergyMeter,
     tracer: &mut dyn Tracer,
 ) -> Result<Vec<NodeId>, RepairError> {
-    let deaths: Vec<NodeId> =
-        candidates.iter().copied().filter(|d| alive.get(d.index()) == Some(&true)).collect();
+    let mut seen = HashSet::new();
+    let deaths: Vec<NodeId> = candidates
+        .iter()
+        .copied()
+        .filter(|d| alive.get(d.index()) == Some(&true) && seen.insert(*d))
+        .collect();
     if deaths.is_empty() {
         return Ok(deaths);
     }
-    let repaired = topology.repair(&deaths)?;
+    topology.check_repair(&deaths)?;
     for &d in &deaths {
         alive[d.index()] = false;
         if tracer.enabled() {
@@ -1634,7 +1646,7 @@ pub fn apply_deaths(
         }
     }
     charge_repair(topology, alive, &deaths, energy, meter, tracer);
-    *topology = repaired;
+    topology.repair_in_place(&deaths).expect("the repair was checked above");
     if tracer.enabled() {
         tracer.record(TraceEvent::TreeRepaired { deaths: deaths.len() as u32 });
     }
@@ -1845,6 +1857,40 @@ mod tests {
         assert!(runner.alive().iter().all(|&a| a), "the victim did not die either");
         assert_eq!(runner.topology().parent_vec(), t.parent_vec());
         assert_eq!(runner.meter().total().to_bits(), total.to_bits());
+    }
+
+    #[test]
+    fn a_repeated_death_candidate_dies_once() {
+        let t = balanced(3, 2);
+        let em = EnergyModel::mica2();
+        let victim = t.children(t.root())[1];
+        let other = t.children(t.root())[2];
+        let stage = |candidates: &[NodeId]| {
+            let mut topology = t.clone();
+            let mut alive = vec![true; t.len()];
+            let mut samples = SampleSet::new(t.len(), 2, 4);
+            samples.push((0..t.len()).map(|i| i as f64).collect());
+            let mut meter = EnergyMeter::new(t.len());
+            let mut tracer = prospector_obs::RingTracer::new(64);
+            let deaths = apply_deaths(
+                candidates,
+                &mut topology,
+                &mut alive,
+                &mut samples,
+                &em,
+                &mut meter,
+                &mut tracer,
+            )
+            .unwrap();
+            (deaths, topology.parent_vec(), alive, samples.ones(0).to_vec(), meter, tracer.take())
+        };
+        let once = stage(&[victim, other]);
+        let repeated = stage(&[victim, other, victim, other, victim]);
+        assert_eq!(repeated.0, vec![victim, other], "first-occurrence order, each once");
+        assert_eq!((&repeated.1, &repeated.2, &repeated.3), (&once.1, &once.2, &once.3));
+        assert_eq!(repeated.4.total().to_bits(), once.4.total().to_bits(), "billed once");
+        assert_eq!(repeated.5, once.5, "one node_death each and tree_repaired for two");
+        assert!(once.5.contains(&TraceEvent::TreeRepaired { deaths: 2 }));
     }
 
     #[test]
